@@ -170,7 +170,8 @@ def cmd_grid(args):
                       delta=args.delta)
     poles = None
     grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
-    if any(not genus0.classify_region(x).pole_free for x in grid_pts):
+    if (args.quantity in ("asymptotic", "error")
+            and any(not genus0.classify_region(x).pole_free for x in grid_pts)):
         poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
     atlas = None
     if args.quantity in ("numeric", "error"):
@@ -247,6 +248,7 @@ def cmd_endpoints(args):
     x = complex(args.x[0], args.x[1])
     pipe = theta.Genus1Pipeline(x)
     e, sc, pd = pipe.e, pipe.constants, pipe.periods
+    upsilon0_const, upsilon_minus1 = pipe.upsilon_constants()
 
     def c2l(z):
         return [z.real, z.imag]
@@ -262,8 +264,8 @@ def cmd_endpoints(args):
             "A_minus1": c2l(pd.A_minus1), "A_inf": c2l(pd.A_inf),
             "B_period": c2l(pd.B_period), "K": c2l(pd.K), "U": c2l(pd.U),
             "F1": c2l(pd.F1), "Q": c2l(pd.Q),
-            "Upsilon0_const": c2l(pd.Upsilon0_const),
-            "Upsilon_minus1": c2l(pd.Upsilon_minus1),
+            "Upsilon0_const": c2l(upsilon0_const),
+            "Upsilon_minus1": c2l(upsilon_minus1),
         },
     }
     text = json.dumps(doc, indent=1)

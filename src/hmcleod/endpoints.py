@@ -37,7 +37,8 @@ import numpy as np
 from . import quadrature as quad
 from .errors import (DegenerateEndpoints, NoConvergence, NonConvergence, OnCut,
                      RealityViolation, WrongRegion)
-from .genus0 import RegionLabel, classify_region, genus0_data, phase, phase_prime
+from .genus0 import (RegionLabel, _dist_to_segment, classify_region, genus0_data,
+                     phase, phase_prime)
 
 _L_RAY_LENGTH = 1e3
 
@@ -120,17 +121,11 @@ def _r_pair(z, m, h):
     return h * np.sqrt(t - 1.0) * np.sqrt(t + 1.0)
 
 
-def _dist_seg(z, p, q):
-    d = q - p
-    t = np.clip((np.conj(d) * (z - p)).real / abs(d) ** 2, 0.0, 1.0)
-    return np.abs(z - (p + t * d))
-
-
 def R_eval(z, e, sheet=+1, guard=True):
     """R with R^2 = (z-A)(z-B)(z-C)(z-D), R ~ z^2, cut on the two bands."""
     z = np.asarray(z, dtype=complex)
-    if guard and (np.any(_dist_seg(z, e.A, e.B) < 1e-10)
-                  or np.any(_dist_seg(z, e.C, e.D) < 1e-10)):
+    if guard and (np.any(_dist_to_segment(z, e.A, e.B) < 1e-10)
+                  or np.any(_dist_to_segment(z, e.C, e.D) < 1e-10)):
         raise OnCut("z lies on a band")
     m1, h1, m2, h2 = _halves(e)
     out = sheet * _r_pair(z, m1, h1) * _r_pair(z, m2, h2)
@@ -207,14 +202,21 @@ def gap_integral_inv(e, f=None, m=96):
 # moment + Boutroux residuals and the Newton solver
 # ---------------------------------------------------------------------------
 
-def residuals(e, m=96):
-    """Eight real residuals: moments (6) and Boutroux imaginary parts (2)."""
-    if e.separation() < 1e-6:
-        raise DegenerateEndpoints("endpoint separation below 1e-6")
+def symmetric_functions(e):
+    """Elementary symmetric functions e1..e4 of the endpoints A, B, C, D."""
     A, B, C, D = e.points()
     e1 = A + B + C + D
     e2 = A * B + A * C + A * D + B * C + B * D + C * D
     e3 = A * B * C + A * B * D + A * C * D + B * C * D
+    e4 = A * B * C * D
+    return e1, e2, e3, e4
+
+
+def residuals(e, m=96):
+    """Eight real residuals: moments (6) and Boutroux imaginary parts (2)."""
+    if e.separation() < 1e-6:
+        raise DegenerateEndpoints("endpoint separation below 1e-6")
+    e1, e2, e3, _ = symmetric_functions(e)
     m2_target = e.x / 2.0
     bt1 = band_integral(e, 1, m=m)
     btg = gap_integral(e, m=m)
@@ -296,8 +298,8 @@ def _bootstrap(upper):
         for rot in (0.0, 0.5 * np.pi, -0.5 * np.pi):
             seed = degenerate_seed(x0, eps=eps, rotate=rot)
             try:
-                v, _, _ = _newton(complex(x0), _set_to_vec(seed))
-                return _vec_to_set(v, complex(x0))
+                v, F, n_iter = _newton(complex(x0), _set_to_vec(seed))
+                return _vec_to_set(v, complex(x0)), F, n_iter
             except (NoConvergence, DegenerateEndpoints) as exc:
                 last_exc = exc
     raise NoConvergence(f"bootstrap near the apex failed: {last_exc}")
@@ -325,7 +327,7 @@ def solve_endpoints(x, seed=None, tol=1e-11, m=96, check_region=True,
             return e, {"newton_iters": n_iter, "residual": float(np.max(np.abs(F)))}
         return e
 
-    e = _bootstrap(upper=(x.imag > 0))
+    e, F, n_iter = _bootstrap(upper=(x.imag > 0))
     x_cur = complex(e.x)
     step = 0.5
     guard = 0
@@ -408,15 +410,12 @@ def _g_prime_regularized(w, e):
     the symmetric functions of the endpoints (exact up to the solved
     moment residuals), which stays accurate for |w| up to the tail radius.
     """
-    A, B, C, D = e.points()
     x = e.x
-    e2 = A * B + A * C + A * D + B * C + B * D + C * D
-    e3 = A * B * C + A * B * D + A * C * D + B * C * D
-    e4 = A * B * C * D
+    _, e2, e3, e4 = symmetric_functions(e)
     P = w * w + x / 4.0
     num = (e2 - x / 2.0) * w * w - e3 * w + (e4 - x * x / 16.0)
     R = R_eval(w, e, guard=False)
-    return 2j * num / (R + P) + 1.0 / (w - A)
+    return 2j * num / (R + P) + 1.0 / (w - e.A)
 
 
 def _sqrt_series(coeffs, order):
@@ -436,15 +435,11 @@ def _tail_series_value(e, z_from, order=12):
     expanded as a square-root series in 1/w and integrated term-wise
     (the 1/w coefficient vanishes identically by the moment conditions).
     """
-    A, B, C, D = e.points()
-    e1 = A + B + C + D
-    e2 = A * B + A * C + A * D + B * C + B * D + C * D
-    e3 = A * B * C + A * B * D + A * C * D + B * C * D
-    e4 = A * B * C * D
+    e1, e2, e3, e4 = symmetric_functions(e)
     s = _sqrt_series([1.0, -e1, e2, -e3, e4], order + 2)
     total = 0.0 + 0.0j
     for m_pow in range(2, order + 1):
-        a_m = 2j * s[m_pow + 2] + A ** (m_pow - 1)
+        a_m = 2j * s[m_pow + 2] + e.A ** (m_pow - 1)
         total -= a_m / ((m_pow - 1) * z_from ** (m_pow - 1))
     return total
 
@@ -641,47 +636,6 @@ class HField:
         if path is not None:
             total += integrate_leg(f, path, self.rule)
         return total
-
-    def wedge_values(self, p, toward_a, toward_b, clearance=None):
-        """One-sided H limits at a band endpoint between two cut directions.
-
-        Returns (left, right) limits relative to the oriented chain
-        through p, where ``toward_a``/``toward_b`` are the neighboring
-        chain vertices before and after p.  Each limit is reached along
-        the wedge bisector, with the square-root substitution absorbing
-        the (z-p)^(3/2) behavior of H at the endpoint.
-        """
-        p = complex(p)
-        u_in = (p - toward_a) / abs(p - toward_a)
-        d1 = (toward_a - p) / abs(toward_a - p)
-        d2 = (toward_b - p) / abs(toward_b - p)
-        cl0 = clearance or 0.45 * min(abs(p - toward_a), abs(p - toward_b))
-        beta = np.angle(d1) + 0.5 * np.angle(d2 / d1)
-        cand = np.exp(1j * beta)
-        cross = u_in.real * cand.imag - u_in.imag * cand.real
-        left_dir = cand if cross > 0 else -cand
-
-        f = lambda w: 2j * R_eval(w, self.e, guard=False)
-        out = []
-        for sgn in (+1.0, -1.0):
-            last_exc = None
-            for shrink in (1.0, 0.4, 0.15, 0.05):
-                cl = cl0 * shrink
-                stage = p + cl * sgn * left_dir
-                try:
-                    path = self.router.path(self.z_ref, stage)
-                    val = self.h_ref
-                    if path is not None:
-                        val += integrate_leg(f, path, self.rule)
-                    val += integrate_leg(f, quad.Path((stage, p)), self.rule,
-                                         sqrt_end=True)
-                    out.append(val)
-                    break
-                except NonConvergence as exc:
-                    last_exc = exc
-            else:
-                raise NonConvergence(f"one-sided H limit at {p} failed: {last_exc}")
-        return out[0], out[1]
 
 
 def adaptive_band_nodes(e, m_min=128, m_max=1024):

@@ -357,13 +357,6 @@ def _side_of_polyline(x, pts):
     return np.sign(seg.real * w.imag - seg.imag * w.real)
 
 
-def _min_dist_to_polyline(x, pts):
-    best = np.inf
-    for p, q in zip(pts[:-1], pts[1:]):
-        best = min(best, float(_dist_to_segment(np.asarray(x), p, q)))
-    return best
-
-
 def classify_region(x, boundary_tol=1e-8):
     """Label x by its region of the scaled plane.
 
@@ -404,16 +397,6 @@ def classify_region(x, boundary_tol=1e-8):
     if _side_of_polyline(xu, data["arc_upper"]) == data["arc_left_cal"]:
         return RegionLabel.POLE_FREE_LEFT
     return RegionLabel.POLE_FREE_RIGHT
-
-
-def boundary_distance(x):
-    """Distance from x to the full region boundary (rays + traced curves)."""
-    x = complex(x)
-    xu = np.conj(x) if x.imag < 0 else x
-    data = _boundary_data()
-    return min(dist_sigma_s(xu),
-               _min_dist_to_polyline(xu, data["arc"]),
-               _min_dist_to_polyline(xu, data["branch_up"]))
 
 
 def genus0_value(x, data=None):

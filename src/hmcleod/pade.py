@@ -92,7 +92,9 @@ class PadeApprox:
     def eval_checked(self, h, den_tol=1e-12):
         den = np.polynomial.polynomial.polyval(h, self.den)
         if abs(den) < den_tol:
-            pole = self.nearest_pole(self.center + h)
+            roots = self.denominator_roots()
+            pole = (complex(roots[np.argmin(np.abs(roots - (self.center + h)))])
+                    if len(roots) else None)
             raise PoleProximity(
                 f"Pade denominator ~{abs(den):.1e} at offset {h}", pole_estimate=pole)
         return np.polynomial.polynomial.polyval(h, self.num) / den

@@ -1,11 +1,13 @@
-"""Branch-cut-aware contour representation and quadrature.
+"""Contour representation and quadrature.
 
 All analytic modules integrate along oriented polylines in the complex
 plane.  The workhorse is fixed-order Gauss-Legendre per segment with
 recursive bisection; tails from infinity are handled by the rational
 substitution w = start + direction*t/(1-t); loops around a cut use a
 stadium contour.  Integrands are expected to be vectorized over numpy
-arrays of complex points (scalar-only callables also work).
+arrays of complex points (scalar-only callables also work).  Paths that
+avoid the branch cuts are built by ``endpoints.ChainRouter`` from the
+segment-crossing test at the end of this module.
 """
 
 from __future__ import annotations
@@ -136,10 +138,6 @@ def integrate_path(f, path, rule=DEFAULT_RULE, sqrt_start=False, sqrt_end=False)
     return total
 
 
-def integrate_segment(f, a, b, rule=DEFAULT_RULE):
-    return _adaptive(f, complex(a), complex(b), rule)
-
-
 def integrate_tail(f, ray_start, direction, rule=DEFAULT_RULE):
     """Integral of f from infinity to ``ray_start`` along the given ray.
 
@@ -206,7 +204,7 @@ def cheb_theta_nodes(m):
     return theta, np.pi / m
 
 
-# --- simple geometric helpers shared by the path routers ---
+# --- segment-crossing test for cut-avoiding paths ---
 
 def segments_cross(a0, a1, b0, b1, tol=1e-13):
     """True if the open segments (a0,a1) and (b0,b1) properly intersect."""
@@ -221,65 +219,3 @@ def segments_cross(a0, a1, b0, b1, tol=1e-13):
     eps = 1e-12
     return eps < s < 1 - eps and eps < t < 1 - eps
 
-
-def _first_crossing(a, b, cuts):
-    for (p, q) in cuts:
-        if segments_cross(a, b, p, q):
-            return (p, q)
-    return None
-
-
-def route_path(start, end, cuts, bump_frac=0.2, max_depth=8):
-    """Polyline from start to end avoiding the given cut segments.
-
-    A leg crossing a cut gets a waypoint at the crossing point pushed
-    perpendicular to the cut (by ``bump_frac`` of the cut length) toward
-    the side of the leg's start; if that fails, the leg detours around
-    the nearer cut endpoint.  Raises NonConvergence when no crossing-free
-    polyline is found within the recursion budget.
-    """
-    start = complex(start)
-    end = complex(end)
-
-    def clear(a, b):
-        return _first_crossing(a, b, cuts) is None
-
-    def solve(a, b, depth):
-        if clear(a, b):
-            return [b]
-        if depth <= 0:
-            raise NonConvergence("path routing exceeded its detour budget")
-        p, q = _first_crossing(a, b, cuts)
-        cross_pt = _intersection_point(a, b, p, q)
-        u = (q - p) / abs(q - p)
-        n = 1j * u
-        side = np.sign((a - cross_pt).real * n.real + (a - cross_pt).imag * n.imag) or 1.0
-        candidates = [cross_pt + side * bump_frac * abs(q - p) * n]
-        for e, o in ((p, q), (q, p)):
-            away = (e - o) / abs(e - o)
-            candidates.append(e + bump_frac * abs(q - p) * (away + side * n))
-        for wp in candidates:
-            if wp in (a, b):
-                continue
-            try:
-                return solve(a, wp, depth - 1) + solve(wp, b, depth - 1)
-            except NonConvergence:
-                continue
-        raise NonConvergence("path routing failed around a cut")
-
-    pts = [start] + solve(start, end, max_depth)
-    # collapse accidental duplicates
-    out = [pts[0]]
-    for z in pts[1:]:
-        if z != out[-1]:
-            out.append(z)
-    return Path(tuple(out))
-
-
-def _intersection_point(a0, a1, b0, b1):
-    d1 = a1 - a0
-    d2 = b1 - b0
-    den = d1.real * d2.imag - d1.imag * d2.real
-    w = b0 - a0
-    s = (w.real * d2.imag - w.imag * d2.real) / den
-    return a0 + s * d1

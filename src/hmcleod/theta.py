@@ -39,9 +39,8 @@ from . import endpoints as ep
 from . import genus0
 from . import quadrature as quad
 from .errors import (AssumptionViolated, DegenerateEndpoints, GridTooCoarse,
-                     NearPole, NonConvergence, NormalizationFailure,
-                     NoConvergence, ThetaZero, TruncationInsufficient,
-                     WrongRegion)
+                     NearPole, NormalizationFailure, NoConvergence, ThetaZero,
+                     TruncationInsufficient, WrongRegion)
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,6 @@ class PeriodData:
     U: complex
     F1: complex
     Q: complex
-    Upsilon0_const: complex
-    Upsilon_minus1: complex
     nu: complex          # Abel normalization 2 pi i / oint_a dw/R
     b_sign: int          # orientation of the realized b-cycle
     c_upsilon: complex   # a-cycle average of w^2/R
@@ -84,20 +81,6 @@ def theta(z, p):
     total = np.sum(terms)
     tail = max(abs(terms[0]), abs(terms[-1]))
     if tail > 1e-14 * abs(total):
-        raise TruncationInsufficient(
-            f"theta truncation {p.truncation} too short for |z|={abs(z):.3g}")
-    return total * np.exp(shift)
-
-
-def theta_prime(z, p):
-    z = complex(z)
-    k = np.arange(-p.truncation, p.truncation + 1)
-    expo = k * z + 0.5 * p.B_period * k ** 2
-    shift = np.max(expo.real)
-    terms = k * np.exp(expo - shift)
-    total = np.sum(terms)
-    tail = max(abs(terms[0]), abs(terms[-1]))
-    if tail > 1e-13 * max(abs(total), 1e-30):
         raise TruncationInsufficient(
             f"theta truncation {p.truncation} too short for |z|={abs(z):.3g}")
     return total * np.exp(shift)
@@ -141,11 +124,7 @@ def theta_is_zero(z, B, tol=1e-10):
 
 def _series_inv_sqrt(e, order):
     """Coefficients of 1/sqrt(prod(1 - p_i u)) = R-series reciprocal."""
-    A, B, C, D = e.points()
-    e1 = A + B + C + D
-    e2 = A * B + A * C + A * D + B * C + B * D + C * D
-    e3 = A * B * C + A * B * D + A * C * D + B * C * D
-    e4 = A * B * C * D
+    e1, e2, e3, e4 = ep.symmetric_functions(e)
     s = ep._sqrt_series([1.0, -e1, e2, -e3, e4], order)
     t = [1.0 + 0.0j]
     for k in range(1, order + 1):
@@ -154,7 +133,9 @@ def _series_inv_sqrt(e, order):
     return t
 
 
-def _far_point(e, cuts):
+def _far_point(e):
+    """Point well outside the endpoint cluster with the most clearance from the chain."""
+    cuts = [(e.A, e.B), (e.B, e.C), (e.C, e.D)]
     pts = np.array(e.points())
     center = pts.mean()
     radius = max(4.0 * max(np.abs(pts - center)), 2.5 * max(np.abs(pts)) + 2.0)
@@ -163,23 +144,17 @@ def _far_point(e, cuts):
         d = np.exp(1j * ang)
         z = center + radius * d
         clear = min(min(abs(z - p), abs(z - q)) for p, q in cuts)
-        seg_clear = min(_seg_clearance(z, p, q) for p, q in cuts)
+        seg_clear = min(genus0._dist_to_segment(z, p, q) for p, q in cuts)
         score = min(clear, seg_clear)
         if best is None or score > best[0]:
             best = (score, z)
     return best[1]
 
 
-def _seg_clearance(z, p, q):
-    d = q - p
-    t = np.clip((np.conj(d) * (z - p)).real / abs(d) ** 2, 0.0, 1.0)
-    return abs(z - (p + t * d))
-
-
 class AbelMap:
     """Normalized incomplete integral of dw/R from the base endpoint A."""
 
-    def __init__(self, e, nu, m=128, rule=None):
+    def __init__(self, e, nu, rule=None):
         self.e = e
         self.nu = nu
         self.rule = rule or quad.QuadratureRule(abs_tol=1e-12, rel_tol=1e-12,
@@ -193,15 +168,11 @@ class AbelMap:
             self._inv_r, quad.Path((e.A, self.stage)), self.rule, sqrt_start=True)
 
     def raw_integral(self, z):
-        """int_A^z dw/R along a deterministic cut-avoiding path."""
+        """int_A^z dw/R along the router's cut-avoiding path from the stage point."""
         z = complex(z)
         if abs(z - self.e.A) < 1e-13:
             return 0.0 + 0.0j
-        cuts = [(self.e.A, self.e.B), (self.e.B, self.e.C), (self.e.C, self.e.D)]
-        try:
-            path = quad.route_path(self.stage, z, cuts)
-        except NonConvergence:
-            path = self.router.path(self.stage, z)
+        path = self.router.path(self.stage, z)
         if path is None:
             return self._stage_val
         return self._stage_val + ep.integrate_leg(self._inv_r, path, self.rule)
@@ -213,12 +184,12 @@ class AbelMap:
         return out
 
 
-def compute_periods(e, constants, contours=None, m=128):
+def compute_periods(e, constants, m=128):
     """Period data needed by the two-band asymptotic value at one x.
 
-    ``contours`` is accepted for interface compatibility; the straight
-    chain placement is always used (every quantity here is invariant
-    under deformations that do not cross other cuts).
+    Returns the period data and the Abel map normalized by them.  The
+    straight chain placement is used throughout (every quantity here is
+    invariant under deformations that do not cross other cuts).
     """
     a_inv = -2.0 * ep.band_integral_inv(e, 1, m=m)
     nu = 2j * np.pi / a_inv
@@ -243,9 +214,8 @@ def compute_periods(e, constants, contours=None, m=128):
     A, B, C, D = e.points()
     Q = (B * D - A * C) / (B + D - A - C)
 
-    abel = AbelMap(e, nu, m=m)
-    cuts = [(A, B), (B, C), (C, D)]
-    z_far = _far_point(e, cuts)
+    abel = AbelMap(e, nu)
+    z_far = _far_point(e)
     base = abel.raw_integral(z_far)
 
     t = _series_inv_sqrt(e, 16)
@@ -253,33 +223,12 @@ def compute_periods(e, constants, contours=None, m=128):
     tail_abel = sum(t[k] * z_far ** (-1 - k) / (1 + k) for k in range(len(t)))
     A_inf = nu * (base + tail_abel)
 
-    # Upsilon = (w^2 - c_upsilon*nu)/R dw; Upsilon0_const = A - int_A^inf (Upsilon - dw)
-    def upsilon_minus_one(w):
-        return (w ** 2 - c_upsilon * nu) / ep.R_eval(w, e, guard=False) - 1.0
-
-    p_up = quad.Path((e.A, abel.stage))
-    seg_val = ep.integrate_leg(upsilon_minus_one, p_up, abel.rule, sqrt_start=True)
-    try:
-        path = quad.route_path(abel.stage, z_far, cuts)
-    except NonConvergence:
-        path = abel.router.path(abel.stage, z_far)
-    seg_val += ep.integrate_leg(upsilon_minus_one, path, abel.rule)
-    # series tail: (w^2 - cU*nu)/R - 1 = sum_{m>=2} (t_m - cU*nu*t_{m-2}) w^-m
-    tail_up = 0.0 + 0.0j
-    for mm in range(2, len(t)):
-        coeff = t[mm] - c_upsilon * nu * t[mm - 2]
-        tail_up += coeff * z_far ** (1 - mm) / (mm - 1)
-    Upsilon0_const = e.A - (seg_val + tail_up)
-    Upsilon_minus1 = -e.x / 4.0 + A_minus1 * c_upsilon
-
     pd = PeriodData(A_minus1=complex(A_minus1), A_inf=complex(A_inf),
                     B_period=complex(B_period), K=complex(K), U=complex(U),
                     F1=complex(F1), Q=complex(Q),
-                    Upsilon0_const=complex(Upsilon0_const),
-                    Upsilon_minus1=complex(Upsilon_minus1),
                     nu=complex(nu), b_sign=b_sign, c_upsilon=complex(c_upsilon))
     _check_offdiagonal_zero(e, pd)
-    return pd
+    return pd, abel
 
 
 def gamma_quarter(z, e):
@@ -330,8 +279,7 @@ class Genus1Pipeline:
         if m is None:
             m = ep.adaptive_band_nodes(self.e)
         self.constants = ep.spectral_constants(self.e, m=m, hint=constants_hint)
-        self.periods = compute_periods(self.e, self.constants, m=m)
-        self.abel = AbelMap(self.e, self.periods.nu, m=m)
+        self.periods, self.abel = compute_periods(self.e, self.constants, m=m)
         self.A_Q = self.abel.value(self.periods.Q)
 
     def theta_shift(self, k):
@@ -363,6 +311,31 @@ class Genus1Pipeline:
         corner = (Bp ** 2 + D ** 2 - A ** 2 - C ** 2) / (2.0 * (Bp + D - A - C))
         return 1j * (pd.A_minus1 * (l22 - l12) - corner)
 
+    def upsilon_constants(self):
+        """(Upsilon0_const, Upsilon_minus1) of Upsilon = (w^2 - c_upsilon nu)/R dw.
+
+        Upsilon0_const = A - int_A^inf (Upsilon - dw) and Upsilon_minus1
+        is the 1/z coefficient; only the endpoint dump reads them.
+        """
+        e, pd, abel = self.e, self.periods, self.abel
+
+        def upsilon_minus_one(w):
+            return (w ** 2 - pd.c_upsilon * pd.nu) / ep.R_eval(w, e, guard=False) - 1.0
+
+        z_far = _far_point(e)
+        seg_val = ep.integrate_leg(upsilon_minus_one, quad.Path((e.A, abel.stage)),
+                                   abel.rule, sqrt_start=True)
+        seg_val += ep.integrate_leg(upsilon_minus_one, abel.router.path(abel.stage, z_far),
+                                    abel.rule)
+        # series tail: (w^2 - cU*nu)/R - 1 = sum_{m>=2} (t_m - cU*nu*t_{m-2}) w^-m
+        t = _series_inv_sqrt(e, 16)
+        tail_up = 0.0 + 0.0j
+        for mm in range(2, len(t)):
+            coeff = t[mm] - pd.c_upsilon * pd.nu * t[mm - 2]
+            tail_up += coeff * z_far ** (1 - mm) / (mm - 1)
+        return (complex(e.A - (seg_val + tail_up)),
+                complex(-e.x / 4.0 + pd.A_minus1 * pd.c_upsilon))
+
     def pole_residual(self, k, family):
         """Lattice-reduced defect of the pole condition for one family.
 
@@ -389,16 +362,6 @@ def reduce_mod_lattice(v, B_period):
             if abs(cand) < abs(best):
                 best = cand
     return best
-
-
-def abel(z, e, periods, a_cycles=0, b_cycles=0, m=128):
-    """Normalized Abel integral from the base endpoint A to z.
-
-    Extra a/b cycles add the corresponding periods (2 pi i and B).
-    """
-    amap = AbelMap(e, periods.nu, m=m)
-    return amap.value(z, a_cycles=a_cycles, b_cycles=b_cycles,
-                      B_period=periods.B_period)
 
 
 def genus1_value(x, k, seed=None, pole_check=True, delta=0.5):

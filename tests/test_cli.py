@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hmcleod import cli
+from hmcleod import cli, theta
 
 
 def run(argv):
@@ -48,6 +48,21 @@ def test_grid_smoke(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "x_re,x_im,value_re,value_im"
     assert len(lines) == 65
+
+
+def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
+    # the numeric grid never reads the pole mask, so it must not compute one
+    def no_mask(*args, **kwargs):
+        raise AssertionError("pole mask computed for a numeric grid")
+
+    monkeypatch.setattr(theta, "predict_poles", no_mask)
+    out = tmp_path / "gn.csv"
+    code = run(["grid", "--k", "1", "--window", "-1.45", "-1.35", "-3.6", "-3.5",
+                "--res", "2", "--quantity", "numeric", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 5
+    assert all("nan" not in ln for ln in lines[1:])
 
 
 def test_boundary_contains_anchors(tmp_path):

@@ -119,6 +119,17 @@ def test_continuation_newton_steps(solved):
     assert info["residual"] <= 1e-10
 
 
+def test_anchor_solve_reports_info():
+    # at the bootstrap anchor no continuation step runs; the info is the
+    # anchor solve's own
+    anchor = ep._wedge_anchor(False)
+    e, info = ep.solve_endpoints(anchor, return_info=True)
+    assert e.x == complex(anchor)
+    assert info["newton_iters"] >= 1
+    assert info["residual"] <= 1e-11
+    assert info["residual"] == pytest.approx(np.max(np.abs(ep.residuals(e))), abs=0.0)
+
+
 def test_band_identity_sum():
     # residue of R at infinity forces I1 + I2 = pi/2
     e = ep.solve_endpoints(-4 - 8j)

@@ -50,6 +50,17 @@ def test_rational_type_12_recovery():
     assert pade.pade_match_residual(ap, jet) <= 1e-10
 
 
+def test_eval_checked_reports_nearest_pole():
+    # a denominator below den_tol raises PoleProximity carrying the
+    # denominator root nearest to the query point
+    ap = pade.pade_from_taylor(pade.taylor_from_ivp(0.0, 0.1, 0.0, 1.5))
+    roots = ap.denominator_roots()
+    with pytest.raises(PoleProximity) as info:
+        ap.eval_checked(0.1, den_tol=10.0)
+    nearest = roots[np.argmin(np.abs(roots - (ap.center + 0.1)))]
+    assert info.value.pole_estimate == nearest
+
+
 def test_jet_shift_consistency():
     # re-centering by evaluation at 0.1, rebuilding, and stepping another
     # 0.1 reproduces direct evaluation at 0.2

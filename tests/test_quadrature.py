@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hmcleod import endpoints as ep
 from hmcleod import quadrature as quad
 from hmcleod.errors import NonFinite
 
@@ -113,8 +114,19 @@ def test_sqrt_start_substitution():
     assert abs(val - 2.0) < 1e-12
 
 
-def test_route_path_avoids_cut():
-    cuts = [(-0.5 + 0.0j, 0.5 + 0.0j)]
-    p = quad.route_path(-1.0 - 1.0j, 1.0 + 1.0j, cuts)
-    for s in p.segments():
-        assert not quad.segments_cross(s[0], s[1], cuts[0][0], cuts[0][1])
+def test_chain_router_avoids_cuts(pipe_refpoint):
+    # from the Abel stage point to Q the straight segment crosses the gap
+    e = pipe_refpoint.e
+    chain = [(e.A, e.B), (e.B, e.C), (e.C, e.D)]
+    router = ep.ChainRouter(e, include_log_cut=False)
+    start, end = pipe_refpoint.abel.stage, pipe_refpoint.periods.Q
+    assert any(quad.segments_cross(start, end, p, q) for p, q in chain)
+    path = router.path(start, end)
+    assert path.vertices[0] == start and path.vertices[-1] == end
+    assert len(path.segments()) > 1
+    for a, b in path.segments():
+        for p, q in chain:
+            assert not quad.segments_cross(a, b, p, q)
+    # a clear straight segment comes back as a single leg
+    away = start - (e.B - e.A)
+    assert router.path(start, away).vertices == (start, away)

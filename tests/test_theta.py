@@ -80,6 +80,7 @@ def test_large_z_fit_residuals_shrink(pipe_refpoint):
     pd = pipe_refpoint.periods
     e = pipe_refpoint.e
     abel = pipe_refpoint.abel
+    upsilon0_const, upsilon_minus1 = pipe_refpoint.upsilon_constants()
 
     def abel_resid(z):
         return abs(abel.value(z) - pd.A_inf - pd.A_minus1 / z)
@@ -94,7 +95,7 @@ def test_large_z_fit_residuals_shrink(pipe_refpoint):
         path = abel.router.path(stage, z)
         val += ep.integrate_leg(fI, path, abel.rule)
         i_up = val + (z - e.A)
-        return abs((z - i_up) - pd.Upsilon0_const - pd.Upsilon_minus1 / z)
+        return abs((z - i_up) - upsilon0_const - upsilon_minus1 / z)
 
     z0 = 30.0 + 18j
     assert abel_resid(2 * z0) < 0.6 * abel_resid(z0)
