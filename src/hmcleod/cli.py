@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import collocation, endpoints, genus0, pade, theta, y_from_x
-from .errors import HmcleodError, PoleProximity, Uncovered, WrongRegion
+from .errors import HmcleodError, WrongRegion
 
 SLICE_HEADER = "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag"
 
@@ -80,11 +80,8 @@ class Harness:
     def pole_mask(self, k, window):
         key = (k, tuple(np.round(window, 6)))
         if key not in self._pole_masks:
-            try:
-                self._pole_masks[key] = theta.predict_poles(
-                    window, k, delta=self.delta, cache=self._pipes, verify=False)
-            except HmcleodError:
-                self._pole_masks[key] = []
+            self._pole_masks[key] = theta.predict_poles(
+                window, k, delta=self.delta, cache=self._pipes, verify=False)
         return self._pole_masks[key]
 
     def asymptotic(self, x, k, poles=None):
@@ -139,11 +136,9 @@ def cmd_slice(args):
                 flag = type(exc).__name__
             try:
                 num = harness.numeric(x, k, atlas=atlas)
-            except (PoleProximity, Uncovered) as exc:
-                flag = flag if flag != "ok" else type(exc).__name__
             except HmcleodError as exc:
                 flag = flag if flag != "ok" else type(exc).__name__
-            if flag not in ("ok",):
+            if flag != "ok":
                 failures += 1
             err = abs(asym - num) if (asym is not None and num is not None) else None
             rows.append([

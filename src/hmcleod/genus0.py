@@ -306,7 +306,11 @@ def _zero_directions_near_apex(apex, radius=0.12, n=720):
 
 @lru_cache(maxsize=1)
 def _boundary_data():
-    """Traced boundary curves (cached): arc through x0 and the up branch."""
+    """Traced boundary curves (cached): arc through x0 and the up branch.
+
+    Only the ``boundary`` dump needs them; the region classifier works
+    from the sign of frak_c directly.
+    """
     apex = APEX_PLUS
     ray_angle = 2.0 * np.pi / 3.0
     radius = 0.12
@@ -320,50 +324,30 @@ def _boundary_data():
     branch_dir = max(dirs, key=lambda t: np.cos(t))
 
     start_arc = _newton_onto_curve(apex + radius * np.exp(1j * arc_dir), solve_S(apex + radius * np.exp(1j * arc_dir)))
-    arc_upper = _trace_curve(start_arc, start_arc - apex, stop=lambda x: x.imag <= 0.0)
+    half = _trace_curve(start_arc, start_arc - apex, stop=lambda x: x.imag <= 0.0)
     # symmetrize: frak_c(conj(x)) = frak_c(x)
-    x_axis = arc_upper[-1]
-    arc = np.concatenate(([apex], arc_upper[:-1], [complex(x_axis.real, 0.0)],
-                          np.conj(arc_upper[:-1])[::-1], [APEX_MINUS]))
+    x_axis = half[-1]
+    arc = np.concatenate(([apex], half[:-1], [complex(x_axis.real, 0.0)],
+                          np.conj(half[:-1])[::-1], [APEX_MINUS]))
 
     start_br = _newton_onto_curve(apex + radius * np.exp(1j * branch_dir), solve_S(apex + radius * np.exp(1j * branch_dir)))
     branch_up = _trace_curve(start_br, start_br - apex, stop=lambda x: abs(x) >= _TRACE_RMAX)
     branch_up = np.concatenate(([apex], branch_up))
-
-    # side calibrations: the upper pole wedge lies between the ray and the
-    # branch, so a point slightly rotated from the branch toward the ray is
-    # inside it; -4.5 (real) is known to sit in the left component
-    mid = branch_up[len(branch_up) // 2]
-    up_probe = apex + (mid - apex) * np.exp(1j * 0.2)
-    side_up_cal = _side_of_polyline(up_probe, branch_up)
-    arc_left_cal = _side_of_polyline(complex(-4.5, 0.0), arc[: len(arc) // 2 + 1])
-    return {
-        "arc": arc,
-        "arc_upper": arc[: len(arc) // 2 + 1],
-        "branch_up": branch_up,
-        "side_up_cal": float(side_up_cal),
-        "arc_left_cal": float(arc_left_cal),
-        "far_branch_angle": float(np.angle(branch_up[-1])),
-    }
-
-
-def _side_of_polyline(x, pts):
-    """Sign of the cross product against the nearest polyline segment."""
-    d = np.abs(pts - x)
-    i = int(np.argmin(d))
-    i = min(max(i, 0), len(pts) - 2)
-    seg = pts[i + 1] - pts[i]
-    w = x - pts[i]
-    return np.sign(seg.real * w.imag - seg.imag * w.real)
+    return {"arc": arc, "branch_up": branch_up}
 
 
 def classify_region(x, boundary_tol=1e-8):
-    """Label x by its region of the scaled plane.
+    """Label x by its region of the scaled plane, from the sign of frak_c.
 
-    The pole-free region is the union of the left and right components
-    and their shared boundary arc, minus the two apex points; the left
-    boundary of the pole region coincides with the rays of Sigma_S and
-    the right boundary with the traced zero curves through the apexes.
+    Points within 1e-8 of an apex are APEX_POINT.  Points below the real
+    axis are classified by their mirror image x -> conj(x), since
+    frak_c(conj x) = frak_c(x), and a pole-region label becomes DOWN.
+    |frak_c| <= boundary_tol gives BOUNDARY_POINT.  Otherwise, with
+    w = (x - 3 e^(2pi i/3)) e^(-2pi i/3) the point in the frame of the
+    ray of Sigma_S: Re w > 0 and Im w > 0 (beyond the ray) is
+    POLE_FREE_LEFT; frak_c < 0 is POLE_FREE_RIGHT; Re w > 0 (between the
+    ray and the zero curve) is the pole region; the rest, where
+    frak_c > 0 left of the arc through x0, is POLE_FREE_LEFT.
     """
     x = complex(x)
     if min(abs(x - APEX_PLUS), abs(x - APEX_MINUS)) <= 1e-8:
@@ -373,30 +357,18 @@ def classify_region(x, boundary_tol=1e-8):
     xu = np.conj(x) if mirrored else x
     up_label = RegionLabel.POLE_REGION_DOWN if mirrored else RegionLabel.POLE_REGION_UP
 
-    data = _boundary_data()
-    if abs(frak_c(xu)) <= boundary_tol:
+    c = frak_c(xu)
+    if abs(c) <= boundary_tol:
         return RegionLabel.BOUNDARY_POINT
 
-    if abs(xu) >= _TRACE_RMAX - 1.0:
-        ang = np.angle(xu)
-        if ang >= 2.0 * np.pi / 3.0:
-            return RegionLabel.POLE_FREE_LEFT
-        if ang > data["far_branch_angle"]:
-            return up_label
-        return RegionLabel.POLE_FREE_RIGHT
-
-    w = xu - APEX_PLUS
-    proj_ray = w.real * _RAY_DIR_PLUS.real + w.imag * _RAY_DIR_PLUS.imag
-    if proj_ray > 0:
-        cross_ray = _RAY_DIR_PLUS.real * w.imag - _RAY_DIR_PLUS.imag * w.real
-        if cross_ray > 0:
-            return RegionLabel.POLE_FREE_LEFT
-        if _side_of_polyline(xu, data["branch_up"]) == data["side_up_cal"]:
-            return up_label
-        return RegionLabel.POLE_FREE_RIGHT
-    if _side_of_polyline(xu, data["arc_upper"]) == data["arc_left_cal"]:
+    w = (xu - APEX_PLUS) * np.conj(_RAY_DIR_PLUS)
+    if w.real > 0 and w.imag > 0:
         return RegionLabel.POLE_FREE_LEFT
-    return RegionLabel.POLE_FREE_RIGHT
+    if c < 0:
+        return RegionLabel.POLE_FREE_RIGHT
+    if w.real > 0:
+        return up_label
+    return RegionLabel.POLE_FREE_LEFT
 
 
 def genus0_value(x, data=None):

@@ -38,9 +38,8 @@ import numpy as np
 from . import endpoints as ep
 from . import genus0
 from . import quadrature as quad
-from .errors import (AssumptionViolated, DegenerateEndpoints, GridTooCoarse,
-                     NearPole, NormalizationFailure, NoConvergence, ThetaZero,
-                     TruncationInsufficient, WrongRegion)
+from .errors import (AssumptionViolated, GridTooCoarse, HmcleodError, NearPole,
+                     NormalizationFailure, ThetaZero, TruncationInsufficient)
 
 
 @dataclass(frozen=True)
@@ -447,8 +446,7 @@ def predict_poles(window, k, delta=0.5, spacing=0.45, cache=None, verify=True):
                 for sign in (+1, -1):
                     try:
                         root = _newton_pole(cache, complex(xr, xi), k, sign)
-                    except (NoConvergence, DegenerateEndpoints, WrongRegion,
-                            ep.RealityViolation, NormalizationFailure):
+                    except HmcleodError:
                         continue
                     if root is None:
                         continue
@@ -483,8 +481,7 @@ def in_Sk(x, k, delta=0.5, pipeline=None, cache=None):
         for s in seeds:
             try:
                 root = _newton_pole(cache, s, k, sign)
-            except (NoConvergence, DegenerateEndpoints, WrongRegion,
-                    ep.RealityViolation, NormalizationFailure):
+            except HmcleodError:
                 continue
             if root is not None and abs(root - x) <= radius:
                 return False

@@ -214,6 +214,43 @@ def test_classify_region_examples():
     assert g0.classify_region(complex(g0.x0_root())) is g0.RegionLabel.BOUNDARY_POINT
 
 
+def test_classify_region_does_not_trace_the_boundary():
+    g0._boundary_data.cache_clear()
+    g0.classify_region(-1.5 - 10.0j)
+    assert g0._boundary_data.cache_info().currsize == 0
+
+
+def test_classify_region_far_field_follows_frak_c():
+    # beyond |x| = 29, past the end of the traced branch
+    R, UP, DOWN = (g0.RegionLabel.POLE_FREE_RIGHT, g0.RegionLabel.POLE_REGION_UP,
+                   g0.RegionLabel.POLE_REGION_DOWN)
+    for x, sign, up, down in ((13.325 + 25.821j, -1.0, R, R), (16.16 + 31.05j, 1.0, UP, DOWN)):
+        assert np.sign(g0.frak_c(x)) == sign
+        assert g0.classify_region(x) is up
+        assert g0.classify_region(np.conj(x)) is down
+
+
+def test_classify_region_across_boundary_curves():
+    L, R, UP, DOWN = (g0.RegionLabel.POLE_FREE_LEFT, g0.RegionLabel.POLE_FREE_RIGHT,
+                      g0.RegionLabel.POLE_REGION_UP, g0.RegionLabel.POLE_REGION_DOWN)
+    data = g0._boundary_data()
+    # (points, unit tangents, label left of the tangent, label right of it)
+    cases = []
+    for pts, left, right in ((data["arc"], R, L), (data["branch_up"], UP, R),
+                             (np.conj(data["branch_up"]), R, DOWN)):
+        idx = [i for i in range(5, len(pts) - 1, 5) if abs(pts[i]) < 25.0]
+        tan = pts[np.array(idx) + 1] - pts[np.array(idx) - 1]
+        cases.append((pts[idx], tan / np.abs(tan), left, right))
+    ts = np.linspace(0.5, 22.0, 40)
+    cases.append((g0.APEX_PLUS + ts * g0._RAY_DIR_PLUS, g0._RAY_DIR_PLUS, L, UP))
+    cases.append((g0.APEX_MINUS + ts * g0._RAY_DIR_MINUS, g0._RAY_DIR_MINUS, DOWN, L))
+    eps = 1e-3
+    for pts, tan, left, right in cases:
+        for x, n in np.broadcast(pts, 1j * tan):
+            assert g0.classify_region(x + eps * n) is left, x
+            assert g0.classify_region(x - eps * n) is right, x
+
+
 def test_genus0_value_examples():
     assert abs(g0.genus0_value(0.0) - (-(2.0 ** (-2.0 / 3.0)))) < 1e-12
     assert abs(g0.genus0_value(3.0) - (-1.0)) < 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from hmcleod import endpoints as ep
 from hmcleod import theta as th
-from hmcleod.errors import NormalizationFailure, ThetaZero
+from hmcleod.errors import NonFinite, NormalizationFailure, ThetaZero
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +137,25 @@ def test_pole_prediction_and_exclusion(pipeline_cache):
     far = poles[0] + 0.5 * (poles[1] - poles[0])
     if min(abs(far - q) for q in poles) > 0.5 / k ** (2.0 / 3.0):
         assert th.in_Sk(far, k, delta=0.5, cache=pipeline_cache)
+
+
+def test_failed_seed_does_not_abort_pole_search(monkeypatch):
+    # each seed "converges" to a point next to it, except the first one
+    calls = []
+
+    def fake_newton(cache, x0, k, sign):
+        calls.append(x0 + 0.01 * sign)
+        if len(calls) == 1:
+            raise NonFinite("integrand not finite")
+        return calls[-1]
+
+    monkeypatch.setattr(th, "_newton_pole", fake_newton)
+    poles = th.predict_poles((-2.5, -1.0, -9.4, -8.6), 3, spacing=0.5,
+                             cache=object(), verify=False)
+    assert len(calls) == 16
+    assert poles == sorted(calls[1:], key=lambda z: (z.real, z.imag))
+    calls.clear()
+    assert not th.in_Sk(-1.5 - 9.0j, 3, cache=object())
 
 
 def test_excision_radius_scales():
