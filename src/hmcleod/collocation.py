@@ -39,11 +39,10 @@ def build_grid(N):
     c = np.ones(N)
     c[0] = 2.0
     c[-1] = 2.0
-    D = np.empty((N, N))
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                D[i, j] = (c[i] * (-1.0) ** (i + j)) / (c[j] * (t[i] - t[j]))
+    sign = np.where((k[:, None] + k[None, :]) % 2 == 0, 1.0, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the diagonal divides by zero here; it is overwritten below
+        D = (c[:, None] * sign) / (c[None, :] * (t[:, None] - t[None, :]))
     D[0, 0] = (2.0 * (N - 1) ** 2 + 1.0) / 6.0
     for i in range(1, N - 1):
         D[i, i] = -t[i] / (2.0 * (1.0 - t[i] ** 2))

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import OnCut, OnCutWarning, TraceFailure, WrongRegion
 
@@ -229,6 +228,8 @@ def frak_c(x, hint=None, data=None):
 
 def x0_root(lo=-2.5, hi=-1.2):
     """Real-axis zero of the boundary functional."""
+    from scipy.optimize import brentq  # only the boundary dump pays for scipy
+
     return brentq(lambda t: frak_c(complex(t, 0.0)), lo, hi, xtol=1e-10)
 
 
@@ -283,6 +284,8 @@ def _trace_curve(start, direction, stop, step=_TRACE_STEP, max_steps=4000):
 
 
 def _zero_directions_near_apex(apex, radius=0.12, n=720):
+    from scipy.optimize import brentq  # only the boundary dump pays for scipy
+
     angles = np.linspace(-np.pi, np.pi, n, endpoint=False)
     with warnings.catch_warnings():
         # scan points that brentq pushes onto the ray are discarded later

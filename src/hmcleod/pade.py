@@ -43,8 +43,7 @@ def taylor_from_ivp(y0, u0, u0prime, alpha, n=24):
     c = np.zeros(n + 1, dtype=complex)
     c[0] = u0
     c[1] = u0prime
-    for k in range(0, n - 1):
-        cube_k = _cube_coeff(c, k)
+    for k, cube_k in enumerate(_cube_coeffs(c, n - 1)):
         prev = c[k - 1] if k >= 1 else 0.0
         rhs = 2.0 * cube_k + y0 * c[k] + prev - (alpha if k == 0 else 0.0)
         c[k + 2] = rhs / ((k + 2) * (k + 1))
@@ -53,15 +52,25 @@ def taylor_from_ivp(y0, u0, u0prime, alpha, n=24):
     return TaylorJet(center=complex(y0), coefficients=c, alpha=float(alpha))
 
 
-def _cube_coeff(c, k):
-    """Coefficient of h^k in (sum c_j h^j)^3, using c_0..c_k only."""
-    acc = 0.0 + 0.0j
-    for i in range(k + 1):
+def _cube_coeffs(c, count):
+    """Coefficients of h^0..h^(count-1) in (sum c_j h^j)^3, one per draw.
+
+    Draw k reads c_0..c_k only, so a caller may fill c_(k+2) between
+    draws.  The square series sq_m = sum_j c_j c_(m-j) is kept as it
+    grows, and (c^3)_k = sum_i c_i sq_(k-i): O(k) work per coefficient.
+    """
+    cs = []
+    sq = []
+    for k in range(count):
+        cs.append(c[k])
         inner = 0.0 + 0.0j
-        for j in range(k - i + 1):
-            inner += c[j] * c[k - i - j]
-        acc += c[i] * inner
-    return acc
+        for j in range(k + 1):
+            inner += cs[j] * cs[k - j]
+        sq.append(inner)
+        acc = 0.0 + 0.0j
+        for i in range(k + 1):
+            acc += cs[i] * sq[k - i]
+        yield acc
 
 
 def jet_residual(jet):
@@ -70,9 +79,9 @@ def jet_residual(jet):
     n = jet.order
     y0 = jet.center
     worst = 0.0
-    for k in range(0, n - 1):
+    for k, cube_k in enumerate(_cube_coeffs(c, n - 1)):
         lhs = (k + 2) * (k + 1) * c[k + 2]
-        rhs = 2.0 * _cube_coeff(c, k) + y0 * c[k] + (c[k - 1] if k >= 1 else 0.0) \
+        rhs = 2.0 * cube_k + y0 * c[k] + (c[k - 1] if k >= 1 else 0.0) \
             - (jet.alpha if k == 0 else 0.0)
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)

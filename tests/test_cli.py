@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,27 @@ def test_vault_build(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["version"] == 1 and doc["alpha"] == 1.5
     assert len(doc["centers"]) >= 1
+
+
+_SCIPY_FREE_CALLS = """
+import sys
+from hmcleod import cli
+out = sys.argv[1]
+assert cli.main(["bvp", "--alpha", "1.5", "--n-cheb", "40", "--out", out + "/v.csv"]) == 0
+assert cli.main(["endpoints", "--x", "-1.5", "-10", "--out", out + "/e.json"]) == 0
+assert cli.main(["vault", "--k", "1", "--window", "0", "1", "0", "1", "--seed", "2",
+                 "--out", out + "/a.json"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert cli.main(["boundary", "--res", "40", "--out", out + "/b.csv"]) == 0
+"""
+
+
+def test_only_boundary_loads_scipy(tmp_path):
+    # a fresh interpreter: the test process itself may already hold scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CALLS, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "b.csv").stat().st_size > 0

@@ -26,6 +26,27 @@ def test_grid_corner_entries_formula():
     assert g.D[-1, -1] == pytest.approx(-(2 * (N - 1) ** 2 + 1) / 6.0)
 
 
+@pytest.mark.parametrize("N", [2, 3, 16, 200, 257])
+def test_grid_matches_entrywise_formula(N):
+    # the broadcast build of D equals the textbook entry-by-entry loop bit
+    # for bit (Trefethen, Spectral Methods in MATLAB, ch. 6)
+    g = col.build_grid(N)
+    t = np.cos(np.arange(N) * np.pi / (N - 1))
+    c = np.ones(N)
+    c[0] = c[-1] = 2.0
+    D = np.empty((N, N))
+    for i in range(N):
+        for j in range(N):
+            if i != j:
+                D[i, j] = (c[i] * (-1.0) ** (i + j)) / (c[j] * (t[i] - t[j]))
+    D[0, 0] = (2.0 * (N - 1) ** 2 + 1.0) / 6.0
+    for i in range(1, N - 1):
+        D[i, i] = -t[i] / (2.0 * (1.0 - t[i] ** 2))
+    D[N - 1, N - 1] = -(2.0 * (N - 1) ** 2 + 1.0) / 6.0
+    assert np.array_equal(g.nodes, t)
+    assert np.array_equal(g.D, D)
+
+
 @pytest.fixture(scope="module")
 def real_solution(colloc_solutions):
     return colloc_solutions[1]  # alpha = 3/2

@@ -15,6 +15,39 @@ def test_recursion_first_instances():
     assert pade.jet_residual(jet) <= 1e-12
 
 
+def _reference_jet(y0, u0, u0p, alpha, n=24):
+    # the recursion with the cube coefficient as a direct O(k^2) double
+    # sum per order, in the summation order the running series must keep
+    c = np.zeros(n + 1, dtype=complex)
+    c[0] = u0
+    c[1] = u0p
+    for k in range(n - 1):
+        cube = 0.0 + 0.0j
+        for i in range(k + 1):
+            inner = 0.0 + 0.0j
+            for j in range(k - i + 1):
+                inner += c[j] * c[k - i - j]
+            cube += c[i] * inner
+        prev = c[k - 1] if k >= 1 else 0.0
+        rhs = 2.0 * cube + y0 * c[k] + prev - (alpha if k == 0 else 0.0)
+        c[k + 2] = rhs / ((k + 2) * (k + 1))
+    return c
+
+
+def test_jet_bitwise_equals_direct_recursion():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3.0, 0.5)
+        y0 = complex(*rng.uniform(-8.0, 8.0, 2))
+        u0 = complex(*rng.standard_normal(2)) * scale
+        u0p = complex(*rng.standard_normal(2)) * scale
+        alpha = rng.uniform(-0.4, 6.0)
+        jet = pade.taylor_from_ivp(y0, u0, u0p, alpha, n=24)
+        ref = _reference_jet(y0, u0, u0p, alpha, n=24)
+        assert jet.coefficients.tobytes() == ref.tobytes()
+        assert pade.jet_residual(jet) <= 1e-12
+
+
 def test_zero_solution_jet():
     jet = pade.taylor_from_ivp(1.3, 0.0, 0.0, 0.0, n=24)
     assert np.max(np.abs(jet.coefficients)) == 0.0
