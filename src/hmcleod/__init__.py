@@ -15,18 +15,8 @@ where u solves u'' = 2u^3 + y*u - alpha.
 """
 
 from .errors import HmcleodError  # noqa: F401
-from . import (collocation, endpoints, genus0, pade,  # noqa: F401,E402
-               quadrature, theta)
 
 __version__ = "0.1.0"
-
-
-def alpha_from_k(k):
-    return k + 0.5
-
-
-def k_from_alpha(alpha):
-    return alpha - 0.5
 
 
 def y_from_x(x, k):
@@ -41,3 +31,8 @@ def x_from_y(y, k):
 def scaled_from_u(u, k):
     """Scaled solution value from an unscaled one."""
     return -((2.0 * k) ** (-1.0 / 3.0)) * u
+
+
+# the scaling helpers above are defined first: collocation imports them
+from . import (collocation, endpoints, genus0, pade,  # noqa: F401,E402
+               quadrature, theta)

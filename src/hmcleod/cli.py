@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import collocation, endpoints, genus0, pade, theta, y_from_x
+from . import collocation, endpoints, genus0, pade, scaled_from_u, theta, y_from_x
 from .errors import HmcleodError, WrongRegion
 
 SLICE_HEADER = "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag"
@@ -39,13 +39,13 @@ class Harness:
         self._pipes = theta._PipelineCache()
         self._pole_masks = {}
 
-    def collocation_solution(self, k, y_extent=12.0):
-        key = (k, y_extent)
-        if key not in self._colloc:
-            prob = collocation.BvpProblem(alpha=k + 0.5, y1=complex(-y_extent),
-                                          y2=complex(y_extent), N=self.n_cheb)
-            self._colloc[key] = collocation.solve_bvp(prob)
-        return self._colloc[key]
+    def collocation_solution(self, k):
+        """Real-axis collocation solution on -12 <= y <= 12."""
+        if k not in self._colloc:
+            prob = collocation.BvpProblem(alpha=k + 0.5, y1=-12.0 + 0j,
+                                          y2=12.0 + 0j, N=self.n_cheb)
+            self._colloc[k] = collocation.solve_bvp(prob)
+        return self._colloc[k]
 
     def atlas(self, k, y_points):
         """Vault atlas covering the y-points plus a corridor to the anchor."""
@@ -61,8 +61,7 @@ class Harness:
         ys = np.asarray(list(y_points) + [anchor_y])
         window = (float(ys.real.min()) - 1.0, float(ys.real.max()) + 1.0,
                   min(0.0, float(ys.imag.min()) - 1.0), float(ys.imag.max()) + 1.0)
-        cfg = pade.VaultConfig(h=self.step, n=self.taylor_order, seed=self.seed,
-                               spacing=self.step)
+        cfg = pade.VaultConfig(h=self.step, n=self.taylor_order, seed=self.seed)
         self._atlas[key] = pade.run_vault(window, (anchor_y, u0, up0), k + 0.5, cfg)
         return self._atlas[key]
 
@@ -75,13 +74,13 @@ class Harness:
             u = pade.evaluate(atlas, y)
         else:
             u = pade.evaluate(self.atlas(k, [y]), y)
-        return -((2.0 * k) ** (-1.0 / 3.0)) * u
+        return scaled_from_u(u, k)
 
     def pole_mask(self, k, window):
         key = (k, tuple(np.round(window, 6)))
         if key not in self._pole_masks:
             self._pole_masks[key] = theta.predict_poles(
-                window, k, delta=self.delta, cache=self._pipes, verify=False)
+                window, k, cache=self._pipes, verify=False)
         return self._pole_masks[key]
 
     def asymptotic(self, x, k, poles=None):
@@ -226,7 +225,7 @@ def cmd_poles(args):
     corners = [complex(re0, im0), complex(re0, im1), complex(re1, im0), complex(re1, im1)]
     if all(genus0.classify_region(c).pole_free for c in corners):
         raise WrongRegion("pole window lies in the pole-free region")
-    poles = theta.predict_poles((re0, re1, im0, im1), k, delta=args.delta, verify=args.verify)
+    poles = theta.predict_poles((re0, re1, im0, im1), k, verify=args.verify)
     doc = {
         "k": k,
         "delta": args.delta,
@@ -281,8 +280,7 @@ def cmd_vault(args):
     re0, re1, im0, im1 = args.window
     sol = harness.collocation_solution(alpha - 0.5)
     u0, up0 = collocation.eval_solution(sol, 2.0)
-    cfg = pade.VaultConfig(h=args.step, n=args.taylor_order, seed=args.seed,
-                           spacing=args.step)
+    cfg = pade.VaultConfig(h=args.step, n=args.taylor_order, seed=args.seed)
     atlas = pade.run_vault((min(re0, 1.0), max(re1, 3.0), min(im0, 0.0), im1),
                            (2.0, u0, up0), alpha, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -306,15 +304,25 @@ def cmd_bvp(args):
     return 0
 
 
-def _add_common(sp):
+_SHARED_FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "n-cheb": {"type": int, "default": 200},
+    "taylor-order": {"type": int, "default": 24},
+    "step": {"type": float, "default": 0.5},
+    "delta": {"type": float, "default": 0.5},
+}
+# the Harness settings of the commands that build a collocation solution
+# and a vault atlas
+_HARNESS_FLAGS = ("seed", "n-cheb", "taylor-order", "step")
+
+
+def _add_common(sp, *flags):
+    """--k/--alpha, --out and the named flags of ``_SHARED_FLAGS``."""
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, nargs="+", help="parameter k (alpha = k + 1/2)")
     group.add_argument("--alpha", type=float, help="inhomogeneity parameter alpha")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n-cheb", type=int, default=200)
-    sp.add_argument("--taylor-order", type=int, default=24)
-    sp.add_argument("--step", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=0.5)
+    for name in flags:
+        sp.add_argument(f"--{name}", **_SHARED_FLAGS[name])
     sp.add_argument("--out", default="out.csv")
 
 
@@ -324,7 +332,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("slice", help="compare asymptotic and numeric values on a slice")
-    _add_common(sp)
+    _add_common(sp, *_HARNESS_FLAGS, "delta")
     sp.add_argument("--slice", dest="mode", choices=["real", "horizontal"], default=None)
     sp.add_argument("--im", type=float, default=0.0, help="imaginary offset of the slice")
     sp.add_argument("--xmin", type=float, default=-3.0)
@@ -333,7 +341,7 @@ def build_parser():
     sp.set_defaults(func=cmd_slice)
 
     sp = sub.add_parser("grid", help="density-grid CSV over an x-window")
-    _add_common(sp)
+    _add_common(sp, *_HARNESS_FLAGS, "delta")
     sp.add_argument("--window", type=float, nargs=4, required=True,
                     metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     sp.add_argument("--res", type=int, default=16)
@@ -347,7 +355,7 @@ def build_parser():
     sp.set_defaults(func=cmd_boundary)
 
     sp = sub.add_parser("poles", help="predicted poles of the asymptotic formula")
-    _add_common(sp)
+    _add_common(sp, "delta")
     sp.add_argument("--window", type=float, nargs=4, required=True,
                     metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     sp.add_argument("--verify", action="store_true",
@@ -360,14 +368,14 @@ def build_parser():
     sp.set_defaults(func=cmd_endpoints)
 
     sp = sub.add_parser("vault", help="build and serialize a Pade atlas")
-    _add_common(sp)
+    _add_common(sp, *_HARNESS_FLAGS)
     sp.add_argument("--window", type=float, nargs=4, required=True,
                     metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
                     help="window in the y-plane")
     sp.set_defaults(func=cmd_vault)
 
     sp = sub.add_parser("bvp", help="run the collocation solver, dump the grid")
-    _add_common(sp)
+    _add_common(sp, "n-cheb")
     sp.add_argument("--y1", type=float, default=-12.0)
     sp.add_argument("--y2", type=float, default=12.0)
     sp.add_argument("--y-im", type=float, default=0.0)

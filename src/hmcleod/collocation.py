@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import genus0
+from . import genus0, x_from_y
 from .errors import NewtonDivergence, OutOfSegment, RegionViolation
 
 
@@ -89,7 +89,7 @@ def _check_region(p):
         return
     for t in np.linspace(-1.0, 1.0, 33):
         y = p.map_to_segment(t)
-        x = -(2.0 ** (1.0 / 3.0) / k ** (2.0 / 3.0)) * y
+        x = x_from_y(y, k)
         label = genus0.classify_region(x)
         if label in (genus0.RegionLabel.POLE_REGION_UP,
                      genus0.RegionLabel.POLE_REGION_DOWN):
@@ -111,8 +111,7 @@ def _initial_guess(p, f_nodes):
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
             for i, y in enumerate(f_nodes):
-                x = -(2.0 ** (1.0 / 3.0) / k ** (2.0 / 3.0)) * y
-                S = genus0.solve_S(x, hint=hint)
+                S = genus0.solve_S(x_from_y(y, k), hint=hint)
                 hint = S
                 v[i] = (2.0 * k) ** (1.0 / 3.0) * 1j * S / 2.0
         return v
@@ -124,8 +123,13 @@ def _initial_guess(p, f_nodes):
     return v
 
 
-def solve_bvp(p, tol=1e-11, max_iter=60, return_info=False):
-    """Solve the collocation system; boundary nodes are imposed exactly."""
+def solve_bvp(p):
+    """Solve the collocation system; boundary nodes are imposed exactly.
+
+    Damped Newton runs to a max-norm residual of 1e-11, or to the
+    roundoff floor of the D^2 rows when that is larger, in at most 60
+    iterations.
+    """
     if not p.allow_pole_region:
         _check_region(p)
     grid = build_grid(p.N)
@@ -160,10 +164,10 @@ def solve_bvp(p, tol=1e-11, max_iter=60, return_info=False):
         mag = max(1.0, float(np.max(np.abs(v_cur))))
         return 8.0 * np.finfo(float).eps * row_scale * mag
 
-    while np.max(np.abs(F)) > max(tol, floor_for(v_int)):
+    while np.max(np.abs(F)) > max(1e-11, floor_for(v_int)):
         n_iter += 1
-        if n_iter > max_iter:
-            raise NewtonDivergence(f"collocation Newton exceeded {max_iter} iterations")
+        if n_iter > 60:
+            raise NewtonDivergence("collocation Newton exceeded 60 iterations")
         J = D2_ii - np.diag(scale * (6.0 * v_int ** 2 + f[interior]))
         try:
             step = np.linalg.solve(J, -F)
@@ -184,10 +188,7 @@ def solve_bvp(p, tol=1e-11, max_iter=60, return_info=False):
             raise NewtonDivergence("collocation Newton stalled in the line search")
 
     v[interior] = v_int
-    sol = BvpSolution(problem=p, grid=grid, values=v)
-    if return_info:
-        return sol, {"newton_iters": n_iter, "residual": float(np.max(np.abs(F)))}
-    return sol
+    return BvpSolution(problem=p, grid=grid, values=v)
 
 
 def _barycentric_weights(N):

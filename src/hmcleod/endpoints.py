@@ -37,10 +37,13 @@ import numpy as np
 from . import quadrature as quad
 from .errors import (DegenerateEndpoints, NoConvergence, NonConvergence, OnCut,
                      RealityViolation, WrongRegion)
-from .genus0 import (RegionLabel, _dist_to_segment, classify_region, genus0_data,
-                     phase, phase_prime)
+from .genus0 import (RegionLabel, _dist_to_segment, classify_region, cut_root,
+                     genus0_data, phase, phase_prime)
 
 _L_RAY_LENGTH = 1e3
+
+# rule of the path integrals that propagate H and the Abel map
+LEG_RULE = quad.QuadratureRule(abs_tol=1e-12, rel_tol=1e-12, max_depth=18)
 
 
 @dataclass(frozen=True)
@@ -116,19 +119,14 @@ def _halves(e):
     return m1, h1, m2, h2
 
 
-def _r_pair(z, m, h):
-    t = (z - m) / h
-    return h * np.sqrt(t - 1.0) * np.sqrt(t + 1.0)
-
-
-def R_eval(z, e, sheet=+1, guard=True):
+def R_eval(z, e, guard=True):
     """R with R^2 = (z-A)(z-B)(z-C)(z-D), R ~ z^2, cut on the two bands."""
     z = np.asarray(z, dtype=complex)
     if guard and (np.any(_dist_to_segment(z, e.A, e.B) < 1e-10)
                   or np.any(_dist_to_segment(z, e.C, e.D) < 1e-10)):
         raise OnCut("z lies on a band")
     m1, h1, m2, h2 = _halves(e)
-    out = sheet * _r_pair(z, m1, h1) * _r_pair(z, m2, h2)
+    out = cut_root(h1, (z - m1) / h1) * cut_root(h2, (z - m2) / h2)
     return out if out.shape else complex(out)
 
 
@@ -144,10 +142,10 @@ def band_plus_nodes(e, band, m):
     t = np.cos(theta)
     if band == 1:
         w = m1 + h1 * t
-        r_plus = 1j * h1 * np.sin(theta) * _r_pair(w, m2, h2)
+        r_plus = 1j * h1 * np.sin(theta) * cut_root(h2, (w - m2) / h2)
     else:
         w = m2 + h2 * t
-        r_plus = _r_pair(w, m1, h1) * 1j * h2 * np.sin(theta)
+        r_plus = cut_root(h1, (w - m1) / h1) * 1j * h2 * np.sin(theta)
     return theta, wt, w, r_plus
 
 
@@ -238,21 +236,21 @@ def _set_to_vec(e):
                      e.C.real, e.C.imag, e.D.real, e.D.imag])
 
 
-def _newton(x, v0, tol=1e-11, max_iter=100, m=96):
+def _newton(x, v0):
     v = v0.copy()
-    F = residuals(_vec_to_set(v, x), m=m)
+    F = residuals(_vec_to_set(v, x))
     n_iter = 0
-    while np.max(np.abs(F)) > tol:
+    while np.max(np.abs(F)) > 1e-11:
         n_iter += 1
-        if n_iter > max_iter:
+        if n_iter > 100:
             raise NoConvergence(f"endpoint Newton did not converge at x={x}")
         J = np.empty((8, 8))
         for j in range(8):
             h = 1e-6 * (1.0 + abs(v[j]))
             vp = v.copy(); vp[j] += h
             vm = v.copy(); vm[j] -= h
-            J[:, j] = (residuals(_vec_to_set(vp, x), m=m)
-                       - residuals(_vec_to_set(vm, x), m=m)) / (2.0 * h)
+            J[:, j] = (residuals(_vec_to_set(vp, x))
+                       - residuals(_vec_to_set(vm, x))) / (2.0 * h)
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -262,7 +260,7 @@ def _newton(x, v0, tol=1e-11, max_iter=100, m=96):
         for _ in range(30):
             v_try = v + lam * step
             try:
-                F_try = residuals(_vec_to_set(v_try, x), m=m)
+                F_try = residuals(_vec_to_set(v_try, x))
             except DegenerateEndpoints:
                 lam *= 0.5
                 continue
@@ -305,22 +303,23 @@ def _bootstrap(upper):
     raise NoConvergence(f"bootstrap near the apex failed: {last_exc}")
 
 
-def solve_endpoints(x, seed=None, tol=1e-11, m=96, check_region=True,
-                    return_info=False):
+def solve_endpoints(x, seed=None, return_info=False):
     """Solve the eight-condition endpoint system at x.
 
     With no seed, the solution is continued along a straight path from
     an anchor just inside the pole wedge next to the relevant apex; the
     anchor itself is seeded by splitting the degenerate one-band data.
+    The region check applies to that cold path only: a seeded solve is a
+    continuation step and may be asked for any x.
     """
     x = complex(x)
-    if check_region and seed is None:
+    if seed is None:
         label = classify_region(x)
         if label not in (RegionLabel.POLE_REGION_UP, RegionLabel.POLE_REGION_DOWN):
             raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
 
     if seed is not None:
-        v, F, n_iter = _newton(x, _set_to_vec(seed), tol=tol, m=m)
+        v, F, n_iter = _newton(x, _set_to_vec(seed))
         e = _vec_to_set(v, x)
         contours_for(e)
         if return_info:
@@ -338,7 +337,7 @@ def solve_endpoints(x, seed=None, tol=1e-11, m=96, check_region=True,
         remaining = x - x_cur
         dx = remaining if abs(remaining) <= step else remaining / abs(remaining) * step
         try:
-            v, F, n_iter = _newton(x_cur + dx, _set_to_vec(e), tol=tol, m=m)
+            v, F, n_iter = _newton(x_cur + dx, _set_to_vec(e))
             e = _vec_to_set(v, x_cur + dx)
             x_cur = x_cur + dx
             step = min(0.5, step * 1.5)
@@ -444,7 +443,7 @@ def _tail_series_value(e, z_from, order=12):
     return total
 
 
-def h_reference(e, rule=None):
+def h_reference(e):
     """Absolute H value at a far reference point, via the regularized tail.
 
     H(z) = i theta(z)/2 - log(z - A) + int_inf^z (2iR - i theta'/2 + 1/(w-A)) dw
@@ -453,7 +452,6 @@ def h_reference(e, rule=None):
     analytically; the remainder is integrated with the cancellation-free
     form of the integrand.
     """
-    rule = rule or quad.QuadratureRule(abs_tol=1e-12, rel_tol=1e-12)
     cuts = contours_for(e).cut_segments()
     z_ref, d = _tail_direction(e, cuts)
     x = e.x
@@ -463,7 +461,7 @@ def h_reference(e, rule=None):
     tail = _tail_series_value(e, z_far)
     if z_far != z_ref:
         tail += quad.integrate_path(lambda w: _g_prime_regularized(w, e),
-                                    quad.Path((z_far, z_ref)), rule)
+                                    quad.Path((z_far, z_ref)), LEG_RULE)
     val = 0.5j * phase(z_ref, x) - np.log(z_ref - e.A) + tail
     return z_ref, val
 
@@ -477,18 +475,17 @@ class ChainRouter:
     would change the branch and cost precision).
     """
 
-    def __init__(self, e, include_log_cut=True, clearance=None, ray_length=None):
+    def __init__(self, e, include_log_cut=True):
         pts = [e.A, e.B, e.C, e.D]
         scale = max(1.0, max(abs(p - e.A) for p in pts))
         if include_log_cut:
-            length = ray_length if ray_length is not None else 60.0 * scale
-            verts = [e.A - length, e.A, e.B, e.C, e.D]
+            verts = [e.A - 60.0 * scale, e.A, e.B, e.C, e.D]
         else:
             verts = [e.A, e.B, e.C, e.D]
         self.verts = [complex(v) for v in verts]
         self.segments = list(zip(self.verts[:-1], self.verts[1:]))
         seg_lens = [abs(q - p) for p, q in zip(pts[:-1], pts[1:])]
-        c = clearance if clearance is not None else 0.3 * min(seg_lens)
+        c = 0.3 * min(seg_lens)
         for _ in range(4):
             corridor = self._offset_corridor(c)
             if self._corridor_clear(corridor):
@@ -612,51 +609,42 @@ def integrate_leg(f, path, rule, **kw):
 class HField:
     """Evaluator for H by propagating 2iR integrals from one reference."""
 
-    def __init__(self, e, rule=None):
+    def __init__(self, e):
         self.e = e
-        self.rule = rule or quad.QuadratureRule(abs_tol=1e-12, rel_tol=1e-12,
-                                                max_depth=18)
         self.router = ChainRouter(e, include_log_cut=True)
-        self.z_ref, self.h_ref = h_reference(e, self.rule)
+        self.z_ref, self.h_ref = h_reference(e)
 
-    def value(self, z, via=None):
-        """H(z) along a cut-avoiding path; optional final waypoint ``via``."""
+    def value(self, z):
+        """H(z) along a cut-avoiding path from the reference point."""
         z = complex(z)
         f = lambda w: 2j * R_eval(w, self.e, guard=False)
         total = self.h_ref
-        if via is not None:
-            path = self.router.path(self.z_ref, complex(via))
-            if path is not None:
-                total += integrate_leg(f, path, self.rule)
-            is_branch_end = any(abs(z - p) < 1e-12 for p in self.e.points())
-            total += integrate_leg(f, quad.Path((complex(via), z)), self.rule,
-                                   sqrt_end=is_branch_end)
-            return total
         path = self.router.path(self.z_ref, z)
         if path is not None:
-            total += integrate_leg(f, path, self.rule)
+            total += integrate_leg(f, path, LEG_RULE)
         return total
 
 
-def adaptive_band_nodes(e, m_min=128, m_max=1024):
+def adaptive_band_nodes(e):
     """Node count scaled to the band/gap separation (near-degenerate x)."""
     pts = e.points()
     scale = max(abs(p - q) for p in pts for q in pts)
     feature = min(abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
     m = int(16.0 * np.sqrt(max(scale / max(feature, 1e-9), 1.0)) * 8)
-    return int(np.clip(m, m_min, m_max))
+    return int(np.clip(m, 128, 1024))
 
 
-def midpoint_two_sided(hf, p, q, eps_frac=1e-3):
+def midpoint_two_sided(hf, p, q):
     """Two-sided H limits at the midpoint of the cut [p, q].
 
-    H is evaluated at three transversal offsets on each side and the
-    one-sided limits are obtained by second-order Richardson elimination
-    (the sum and difference of the limits are the jump constants).
+    H is evaluated at three transversal offsets on each side (the largest
+    is 1e-3 of the cut length) and the one-sided limits are obtained by
+    second-order Richardson elimination (the sum and difference of the
+    limits are the jump constants).
     """
     mid = 0.5 * (p + q)
     n = 1j * (q - p) / abs(q - p)
-    E = eps_frac * abs(q - p)
+    E = 1e-3 * abs(q - p)
     ladder = []
     for s in (1.0, 0.5, 0.25):
         up = hf.value(mid + s * E * n)
@@ -667,15 +655,16 @@ def midpoint_two_sided(hf, p, q, eps_frac=1e-3):
     return sum0, diff0
 
 
-def spectral_constants(e, m=None, hfield=None, tol_match=1e-3, hint=None):
+def spectral_constants(e, m=None, hfield=None, hint=None):
     """Jump constants Lambda, omega, Omega of the phase H.
 
     Lambda is minus the two-sided H sum at the first-band midpoint.  The
     values of omega and Omega come from cycle integrals (the gap jump
     collapses onto the second band around the D end of the chain, and
     the second-band jump onto the gap), with signs fixed against direct
-    two-sided H differences at the cut midpoints; reality of the cycle
-    values is equivalent to the Boutroux conditions.
+    two-sided H differences at the cut midpoints, which must agree with
+    them to a relative 1e-3; reality of the cycle values is equivalent to
+    the Boutroux conditions.
 
     With ``hint`` (constants at a nearby x) the signs are taken by
     continuity instead and the expensive H-field pass, including Lambda,
@@ -707,10 +696,10 @@ def spectral_constants(e, m=None, hfield=None, tol_match=1e-3, hint=None):
     omega_cyc = min((4.0 * I2, -4.0 * I2), key=lambda w: abs(w - omega_jump))
     Omega_cyc = min((4.0 * Ig, -4.0 * Ig), key=lambda w: abs(w - Omega_jump))
 
-    if abs(omega_cyc - omega_jump) > tol_match * max(1.0, abs(omega_cyc)):
+    if abs(omega_cyc - omega_jump) > 1e-3 * max(1.0, abs(omega_cyc)):
         raise RealityViolation(
             f"cycle and jump values of omega disagree: {omega_cyc} vs {omega_jump}")
-    if abs(Omega_cyc - Omega_jump) > tol_match * max(1.0, abs(Omega_cyc)):
+    if abs(Omega_cyc - Omega_jump) > 1e-3 * max(1.0, abs(Omega_cyc)):
         raise RealityViolation(
             f"cycle and jump values of Omega disagree: {Omega_cyc} vs {Omega_jump}")
     if abs(omega_cyc.imag) > 1e-8 or abs(Omega_cyc.imag) > 1e-8:

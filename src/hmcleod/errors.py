@@ -57,10 +57,6 @@ class TruncationInsufficient(HmcleodError):
     """Theta-series truncation too short for the requested argument."""
 
 
-class NearPole(HmcleodError):
-    """x is inside the excised neighborhood of a predicted pole."""
-
-
 class ThetaZero(HmcleodError):
     """A theta denominator in the asymptotic formula is (numerically) zero."""
 

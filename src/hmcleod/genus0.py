@@ -174,6 +174,20 @@ def _dist_to_segment(z, p, q):
     return np.abs(z - (p + t * d))
 
 
+def cut_root(scale, t):
+    """scale * sqrt(t - 1) * sqrt(t + 1), the root of t^2 - 1 cut on [-1, 1].
+
+    The root behaves like t at infinity.  Adding +0j first gives a real t
+    the imaginary part +0.0 in both factors.  Otherwise t - 1 keeps an
+    imaginary part of -0.0 while t + 1 (a float promoted with +0j) gets
+    +0.0, the two principal roots sit on opposite sides of their cuts,
+    and the product flips sign along the real extension of the band
+    beyond t = -1.
+    """
+    t = t + 0j
+    return scale * np.sqrt(t - 1.0) * np.sqrt(t + 1.0)
+
+
 def r_eval(z, d, guard=True):
     """Square root with r^2 = (z-a)(z-b), r ~ z at infinity, cut on [a, b]."""
     z = np.asarray(z, dtype=complex)
@@ -181,14 +195,13 @@ def r_eval(z, d, guard=True):
         raise OnCut("z lies on the band [a, b]")
     m = 0.5 * (d.a + d.b)
     half = 0.5 * (d.b - d.a)
-    t = (z - m) / half
-    out = half * np.sqrt(t - 1.0) * np.sqrt(t + 1.0)
+    out = cut_root(half, (z - m) / half)
     return out if out.shape else complex(out)
 
 
 def _arcsine_branch(w):
     """U(w) = -i log(i w + eta(w)) with eta cut on [-1, 1], eta ~ i w."""
-    eta = 1j * np.sqrt(w - 1.0) * np.sqrt(w + 1.0)
+    eta = cut_root(1j, w)
     return -1j * np.log(1j * w + eta)
 
 
@@ -220,17 +233,17 @@ def h_prime(z, d, guard=True):
     return out if out.shape else complex(out)
 
 
-def frak_c(x, hint=None, data=None):
+def frak_c(x, hint=None):
     """Boundary functional: Re(2 h(c(x); x) + lambda(x))."""
-    d = data if data is not None else genus0_data(x, hint=hint)
+    d = genus0_data(x, hint=hint)
     return float(np.real(two_h_plus_lambda(d.c, d, guard=False)))
 
 
-def x0_root(lo=-2.5, hi=-1.2):
-    """Real-axis zero of the boundary functional."""
+def x0_root():
+    """Real-axis zero of the boundary functional, bracketed in [-2.5, -1.2]."""
     from scipy.optimize import brentq  # only the boundary dump pays for scipy
 
-    return brentq(lambda t: frak_c(complex(t, 0.0)), lo, hi, xtol=1e-10)
+    return brentq(lambda t: frak_c(complex(t, 0.0)), -2.5, -1.2, xtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +352,13 @@ def _boundary_data():
     return {"arc": arc, "branch_up": branch_up}
 
 
-def classify_region(x, boundary_tol=1e-8):
+def classify_region(x):
     """Label x by its region of the scaled plane, from the sign of frak_c.
 
     Points within 1e-8 of an apex are APEX_POINT.  Points below the real
     axis are classified by their mirror image x -> conj(x), since
     frak_c(conj x) = frak_c(x), and a pole-region label becomes DOWN.
-    |frak_c| <= boundary_tol gives BOUNDARY_POINT.  Otherwise, with
+    |frak_c| <= 1e-8 gives BOUNDARY_POINT.  Otherwise, with
     w = (x - 3 e^(2pi i/3)) e^(-2pi i/3) the point in the frame of the
     ray of Sigma_S: Re w > 0 and Im w > 0 (beyond the ray) is
     POLE_FREE_LEFT; frak_c < 0 is POLE_FREE_RIGHT; Re w > 0 (between the
@@ -361,7 +374,7 @@ def classify_region(x, boundary_tol=1e-8):
     up_label = RegionLabel.POLE_REGION_DOWN if mirrored else RegionLabel.POLE_REGION_UP
 
     c = frak_c(xu)
-    if abs(c) <= boundary_tol:
+    if abs(c) <= 1e-8:
         return RegionLabel.BOUNDARY_POINT
 
     w = (xu - APEX_PLUS) * np.conj(_RAY_DIR_PLUS)
@@ -374,11 +387,10 @@ def classify_region(x, boundary_tol=1e-8):
     return RegionLabel.POLE_FREE_LEFT
 
 
-def genus0_value(x, data=None):
+def genus0_value(x):
     """Leading asymptotic value -i S(x)/2 in the pole-free region."""
     label = classify_region(x)
     if not label.pole_free:
         raise WrongRegion(f"x={x} classified {label.value}; the elementary "
                           "asymptotic formula only applies in the pole-free region")
-    d = data if data is not None else genus0_data(x)
-    return -1j * d.S / 2.0
+    return -1j * genus0_data(x).S / 2.0

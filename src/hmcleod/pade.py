@@ -121,18 +121,18 @@ class PadeApprox:
         return self.center + np.roots(self.den[::-1])
 
 
-def pade_from_taylor(jet, nu=None, max_fallback=3):
+def pade_from_taylor(jet, nu=None):
     """Diagonal (nu, nu) approximant matching the jet through h^(2 nu).
 
     The denominator comes from the Toeplitz system expressing vanishing
     of the coefficients h^(nu+1)..h^n; a rank-deficient table retries
-    with nu reduced, up to ``max_fallback`` times.
+    with nu reduced, up to 3 times.
     """
     c = jet.coefficients
     n = jet.order
     nu0 = n // 2 if nu is None else nu
     last = None
-    for drop in range(max_fallback + 1):
+    for drop in range(4):
         nu = nu0 - drop
         if nu < 1:
             break
@@ -174,8 +174,6 @@ class VaultConfig:
     h: float = 0.5
     n: int = 24
     seed: int = 0
-    spacing: float = 0.5
-    max_stall: int = 1000
 
 
 @dataclass
@@ -244,6 +242,8 @@ class VaultAtlas:
 
 
 _CANDIDATE_OFFSETS = np.radians([0.0, 22.5, -22.5, 45.0, -45.0])
+# targets drawn in a row without removing a node before the vault gives up
+_MAX_STALL = 1000
 
 
 def run_vault(window, anchor, alpha, config=None):
@@ -251,14 +251,15 @@ def run_vault(window, anchor, alpha, config=None):
 
     ``window`` is (re_min, re_max, im_min, im_max) in the y-plane;
     ``anchor`` is (y0, u0, u0prime) with values accurate at y0 (e.g.
-    from a collocation run).  Deterministic for a fixed seed.
+    from a collocation run).  The target nodes are spaced h apart.
+    Deterministic for a fixed seed.
     """
     cfg = config or VaultConfig()
     rng = np.random.default_rng(cfg.seed)
     re0, re1, im0, im1 = window
     nodes = [complex(xr, xi)
-             for xr in np.arange(re0, re1 + 1e-9, cfg.spacing)
-             for xi in np.arange(im0, im1 + 1e-9, cfg.spacing)]
+             for xr in np.arange(re0, re1 + 1e-9, cfg.h)
+             for xi in np.arange(im0, im1 + 1e-9, cfg.h)]
     nodes.sort(key=lambda z: (z.real, z.imag))
 
     y0, u0, u0p = anchor
@@ -300,7 +301,7 @@ def run_vault(window, anchor, alpha, config=None):
             if not placed:
                 break
         stall = 0 if progressed else stall + 1
-        if stall > cfg.max_stall:
+        if stall > _MAX_STALL:
             raise PathStall("vault stopped removing targets")
     if not atlas.coverage_ok():
         raise PathStall("atlas coverage check failed")
@@ -321,17 +322,14 @@ def _remove_near(atlas, nodes, center, h):
     return kept
 
 
-def evaluate(atlas, y, with_derivative=False):
+def evaluate(atlas, y):
     """Value of the continued solution at y from the nearest center."""
     y = complex(y)
     entry, dist = atlas.nearest_entry(y)
     if dist > 2.0 * atlas.config.h:
         raise Uncovered(f"nearest Pade center is {dist:.2f} away from y={y}")
     h = y - entry.approx.center
-    val = entry.approx.eval_checked(h)
-    if with_derivative:
-        return val, entry.approx.derivative(h)
-    return val
+    return entry.approx.eval_checked(h)
 
 
 def nearby_pole_estimates(atlas, radius_factor=1.5):

@@ -2,12 +2,11 @@
 
 All analytic modules integrate along oriented polylines in the complex
 plane.  The workhorse is fixed-order Gauss-Legendre per segment with
-recursive bisection; tails from infinity are handled by the rational
-substitution w = start + direction*t/(1-t); loops around a cut use a
-stadium contour.  Integrands are expected to be vectorized over numpy
-arrays of complex points (scalar-only callables also work).  Paths that
-avoid the branch cuts are built by ``endpoints.ChainRouter`` from the
-segment-crossing test at the end of this module.
+recursive bisection, plus a square-root substitution for a segment that
+starts at a branch point.  Integrands are expected to be vectorized over
+numpy arrays of complex points (scalar-only callables also work).  Paths
+that avoid the branch cuts are built by ``endpoints.ChainRouter`` from
+the segment-crossing test at the end of this module.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import numpy as np
 
 from .errors import NonConvergence, NonFinite
 
-TAIL_RADIUS = 1e6
+# Gauss-Legendre nodes per panel of the adaptive rule
+PANEL_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,11 @@ class Path:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    nodes_per_segment: int = 32
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_depth: int = 12
 
     def __post_init__(self):
-        if self.nodes_per_segment < 2:
-            raise ValueError("nodes_per_segment must be >= 2")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -64,9 +61,9 @@ class QuadratureRule:
 DEFAULT_RULE = QuadratureRule()
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(n):
-    x, w = np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
     # map to [0, 1]
     return 0.5 * (x + 1.0), 0.5 * w
 
@@ -82,16 +79,16 @@ def _eval(f, w):
     return vals
 
 
-def _gl_panel(f, a, b, n):
-    t, wt = _gl_nodes(n)
+def _gl_panel(f, a, b):
+    t, wt = _gl_nodes()
     pts = a + (b - a) * t
     return (b - a) * np.sum(wt * _eval(f, pts))
 
 
 def _adaptive(f, a, b, rule, depth=0, prev_err=np.inf):
-    coarse = _gl_panel(f, a, b, rule.nodes_per_segment)
+    coarse = _gl_panel(f, a, b)
     mid = 0.5 * (a + b)
-    fine = _gl_panel(f, a, mid, rule.nodes_per_segment) + _gl_panel(f, mid, b, rule.nodes_per_segment)
+    fine = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
     err = abs(fine - coarse)
     if err <= rule.abs_tol + rule.rel_tol * abs(fine):
         return fine
@@ -112,85 +109,27 @@ def _segment_sqrt_start(f, a, b, rule):
     # w = a + (b-a) * t^2 absorbs a (w-a)^(-1/2) singularity at the start
     def g(t):
         return f(a + (b - a) * t * t) * 2.0 * t * (b - a)
-    coarse = _gl_panel(g, 0.0, 1.0, rule.nodes_per_segment)
-    fine = _gl_panel(g, 0.0, 0.5, rule.nodes_per_segment) + _gl_panel(g, 0.5, 1.0, rule.nodes_per_segment)
+    coarse = _gl_panel(g, 0.0, 1.0)
+    fine = _gl_panel(g, 0.0, 0.5) + _gl_panel(g, 0.5, 1.0)
     if abs(fine - coarse) <= rule.abs_tol + rule.rel_tol * abs(fine):
         return fine
     return _adaptive(g, 0.0, 1.0, rule)
 
 
-def integrate_path(f, path, rule=DEFAULT_RULE, sqrt_start=False, sqrt_end=False):
+def integrate_path(f, path, rule=DEFAULT_RULE, sqrt_start=False):
     """Integrate f along the path.
 
-    ``sqrt_start``/``sqrt_end`` enable a square-root substitution on the
-    first/last segment, for integrands behaving like (w-p)^(±1/2) at a
-    declared branch-point endpoint of the path.
+    ``sqrt_start`` enables a square-root substitution on the first
+    segment, for integrands behaving like (w-p)^(±1/2) at a declared
+    branch-point start of the path.
     """
-    segs = path.segments()
     total = 0.0 + 0.0j
-    for i, (a, b) in enumerate(segs):
+    for i, (a, b) in enumerate(path.segments()):
         if sqrt_start and i == 0:
             total += _segment_sqrt_start(f, a, b, rule)
-        elif sqrt_end and i == len(segs) - 1:
-            total -= _segment_sqrt_start(f, b, a, rule)
         else:
             total += _adaptive(f, a, b, rule)
     return total
-
-
-def integrate_tail(f, ray_start, direction, rule=DEFAULT_RULE):
-    """Integral of f from infinity to ``ray_start`` along the given ray.
-
-    Requires |f(w)| = O(1/|w|^2) along the ray.  Uses the substitution
-    w = start + direction*t/(1-t), truncated where |w - start| reaches
-    TAIL_RADIUS, with the remainder checked against the tolerance.
-    """
-    start = complex(ray_start)
-    d = complex(direction)
-    d = d / abs(d)
-
-    def g(t):
-        w = start + d * t / (1.0 - t)
-        return f(w) * d / (1.0 - t) ** 2
-
-    t_max = TAIL_RADIUS / (1.0 + TAIL_RADIUS)
-    body = _adaptive(g, 0.0, t_max, rule)
-    # beyond the truncation radius the O(1/w^2) tail integrates to
-    # w*f(w) at the cutoff up to O(1/R^2), below tolerance at R = 1e6
-    w_cut = start + d * TAIL_RADIUS
-    remainder = _eval(f, np.array([w_cut]))[0] * w_cut
-    return -(body + remainder)
-
-
-def loop_around_segment(f, p, q, clearance=None, rule=DEFAULT_RULE, n_arc=None):
-    """Counterclockwise stadium-contour integral around the segment [p, q].
-
-    ``clearance`` is the offset distance of the straight sides from the
-    segment (default 10% of the segment length).  f must be analytic in
-    the swept annular neighborhood.
-    """
-    p = complex(p)
-    q = complex(q)
-    length = abs(q - p)
-    if length == 0:
-        raise ValueError("degenerate segment")
-    cl = 0.1 * length if clearance is None else float(clearance)
-    u = (q - p) / length
-    n = 1j * u
-
-    total = _adaptive(f, p - cl * n, q - cl * n, rule)
-    total += _arc(f, q, cl, u, -0.5 * np.pi, 0.5 * np.pi, rule)
-    total += _adaptive(f, q + cl * n, p + cl * n, rule)
-    total += _arc(f, p, cl, u, 0.5 * np.pi, 1.5 * np.pi, rule)
-    return total
-
-
-def _arc(f, center, radius, u, th0, th1, rule):
-    # arc angles are measured from the segment direction u
-    def g(th):
-        pt = center + radius * u * np.exp(1j * th)
-        return f(pt) * 1j * radius * u * np.exp(1j * th)
-    return _adaptive(g, th0, th1, rule)
 
 
 def cheb_theta_nodes(m):
@@ -206,12 +145,15 @@ def cheb_theta_nodes(m):
 
 # --- segment-crossing test for cut-avoiding paths ---
 
-def segments_cross(a0, a1, b0, b1, tol=1e-13):
-    """True if the open segments (a0,a1) and (b0,b1) properly intersect."""
+def segments_cross(a0, a1, b0, b1):
+    """True if the open segments (a0,a1) and (b0,b1) properly intersect.
+
+    Segments within a relative 1e-13 of parallel never cross.
+    """
     d1 = a1 - a0
     d2 = b1 - b0
     den = (d1.real * d2.imag - d1.imag * d2.real)
-    if abs(den) < tol * (abs(d1) * abs(d2) + 1e-300):
+    if abs(den) < 1e-13 * (abs(d1) * abs(d2) + 1e-300):
         return False
     w = b0 - a0
     s = (w.real * d2.imag - w.imag * d2.real) / den

@@ -38,8 +38,10 @@ import numpy as np
 from . import endpoints as ep
 from . import genus0
 from . import quadrature as quad
-from .errors import (AssumptionViolated, GridTooCoarse, HmcleodError, NearPole,
+from .errors import (AssumptionViolated, GridTooCoarse, HmcleodError,
                      NormalizationFailure, ThetaZero, TruncationInsufficient)
+
+THETA_TRUNCATION = 40
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class PeriodData:
 @dataclass(frozen=True)
 class ThetaParams:
     B_period: complex
-    truncation: int = 40
 
     def __post_init__(self):
         if self.B_period.real >= 0:
@@ -71,9 +72,9 @@ class ThetaParams:
 # ---------------------------------------------------------------------------
 
 def theta(z, p):
-    """Truncated lattice sum sum_k exp(k z + B k^2/2), |k| <= truncation."""
+    """Truncated lattice sum sum_k exp(k z + B k^2/2), |k| <= THETA_TRUNCATION."""
     z = complex(z)
-    k = np.arange(-p.truncation, p.truncation + 1)
+    k = np.arange(-THETA_TRUNCATION, THETA_TRUNCATION + 1)
     expo = k * z + 0.5 * p.B_period * k ** 2
     shift = np.max(expo.real)
     terms = np.exp(expo - shift)
@@ -81,15 +82,15 @@ def theta(z, p):
     tail = max(abs(terms[0]), abs(terms[-1]))
     if tail > 1e-14 * abs(total):
         raise TruncationInsufficient(
-            f"theta truncation {p.truncation} too short for |z|={abs(z):.3g}")
+            f"theta truncation {THETA_TRUNCATION} too short for |z|={abs(z):.3g}")
     return total * np.exp(shift)
 
 
-def log_theta_deriv(z, B, zero_tol=1e-12):
+def log_theta_deriv(z, B):
     """Theta'(z)/Theta(z), stable for arguments with large real part.
 
     The summation window is centered on the dominant lattice index; a
-    normalized theta value below ``zero_tol`` raises ThetaZero.
+    normalized theta value below 1e-12 raises ThetaZero.
     """
     z = complex(z)
     re_b = B.real
@@ -100,21 +101,10 @@ def log_theta_deriv(z, B, zero_tol=1e-12):
     shift = np.max(expo.real)
     terms = np.exp(expo - shift)
     den = np.sum(terms)
-    if abs(den) < zero_tol:
+    if abs(den) < 1e-12:
         raise ThetaZero(f"theta denominator ~{abs(den):.2e} at z={z}")
     num = np.sum(k * terms)
     return num / den
-
-
-def theta_is_zero(z, B, tol=1e-10):
-    z = complex(z)
-    re_b = B.real
-    j_star = -z.real / re_b
-    width = int(np.ceil(np.sqrt(90.0 / abs(re_b)))) + 2
-    k = np.arange(int(np.floor(j_star)) - width, int(np.ceil(j_star)) + width + 1)
-    expo = k * z + 0.5 * B * k ** 2
-    shift = np.max(expo.real)
-    return abs(np.sum(np.exp(expo - shift))) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +143,16 @@ def _far_point(e):
 class AbelMap:
     """Normalized incomplete integral of dw/R from the base endpoint A."""
 
-    def __init__(self, e, nu, rule=None):
+    def __init__(self, e, nu):
         self.e = e
         self.nu = nu
-        self.rule = rule or quad.QuadratureRule(abs_tol=1e-12, rel_tol=1e-12,
-                                                max_depth=18)
         self.router = ep.ChainRouter(e, include_log_cut=False)
         seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
         u1 = (e.B - e.A) / abs(e.B - e.A)
         self.stage = e.A - 0.4 * seg * u1
         self._inv_r = lambda w: 1.0 / ep.R_eval(w, e, guard=False)
         self._stage_val = ep.integrate_leg(
-            self._inv_r, quad.Path((e.A, self.stage)), self.rule, sqrt_start=True)
+            self._inv_r, quad.Path((e.A, self.stage)), ep.LEG_RULE, sqrt_start=True)
 
     def raw_integral(self, z):
         """int_A^z dw/R along the router's cut-avoiding path from the stage point."""
@@ -174,16 +162,13 @@ class AbelMap:
         path = self.router.path(self.stage, z)
         if path is None:
             return self._stage_val
-        return self._stage_val + ep.integrate_leg(self._inv_r, path, self.rule)
+        return self._stage_val + ep.integrate_leg(self._inv_r, path, ep.LEG_RULE)
 
-    def value(self, z, a_cycles=0, b_cycles=0, B_period=None):
-        out = self.nu * self.raw_integral(z) + 2j * np.pi * a_cycles
-        if b_cycles:
-            out = out + b_cycles * B_period
-        return out
+    def value(self, z):
+        return self.nu * self.raw_integral(z)
 
 
-def compute_periods(e, constants, m=128):
+def compute_periods(e, constants, m):
     """Period data needed by the two-band asymptotic value at one x.
 
     Returns the period data and the Abel map normalized by them.  The
@@ -269,14 +254,12 @@ def _check_offdiagonal_zero(e, pd, tol=1e-10):
 class Genus1Pipeline:
     """Everything needed to evaluate the two-band asymptotics at one x."""
 
-    def __init__(self, x=None, endpoint_set=None, seed=None, m=None,
-                 constants_hint=None):
+    def __init__(self, x=None, endpoint_set=None, seed=None, constants_hint=None):
         if endpoint_set is None:
             endpoint_set = ep.solve_endpoints(x, seed=seed)
         self.e = endpoint_set
         self.x = complex(self.e.x)
-        if m is None:
-            m = ep.adaptive_band_nodes(self.e)
+        m = ep.adaptive_band_nodes(self.e)
         self.constants = ep.spectral_constants(self.e, m=m, hint=constants_hint)
         self.periods, self.abel = compute_periods(self.e, self.constants, m=m)
         self.A_Q = self.abel.value(self.periods.Q)
@@ -294,10 +277,8 @@ class Genus1Pipeline:
         pd = self.periods
         return k * pd.F1 * pd.U + pd.B_period / 2.0
 
-    def value(self, k, a_cycles=0, b_cycles=0, pole_check=False, delta=0.5):
+    def value(self, k, a_cycles=0, b_cycles=0):
         """Leading asymptotic value of the scaled solution at this x."""
-        if pole_check and not in_Sk(self.x, k, delta, pipeline=self):
-            raise NearPole(f"x={self.x} is within {delta}/k^(2/3) of a predicted pole")
         pd = self.periods
         a_q = self.A_Q + 2j * np.pi * a_cycles + pd.B_period * b_cycles
         v_plus = pd.A_inf + a_q + pd.K
@@ -323,9 +304,9 @@ class Genus1Pipeline:
 
         z_far = _far_point(e)
         seg_val = ep.integrate_leg(upsilon_minus_one, quad.Path((e.A, abel.stage)),
-                                   abel.rule, sqrt_start=True)
+                                   ep.LEG_RULE, sqrt_start=True)
         seg_val += ep.integrate_leg(upsilon_minus_one, abel.router.path(abel.stage, z_far),
-                                    abel.rule)
+                                    ep.LEG_RULE)
         # series tail: (w^2 - cU*nu)/R - 1 = sum_{m>=2} (t_m - cU*nu*t_{m-2}) w^-m
         t = _series_inv_sqrt(e, 16)
         tail_up = 0.0 + 0.0j
@@ -363,21 +344,21 @@ def reduce_mod_lattice(v, B_period):
     return best
 
 
-def genus1_value(x, k, seed=None, pole_check=True, delta=0.5):
-    """Two-band asymptotic value at x for parameter k (alpha = k + 1/2)."""
-    pipe = Genus1Pipeline(x, seed=seed)
-    return pipe.value(k, pole_check=pole_check, delta=delta)
-
-
 # ---------------------------------------------------------------------------
 # predicted poles and the excised domain
 # ---------------------------------------------------------------------------
 
 class _PipelineCache:
-    """Continuation-aware cache of pipelines over an x-window."""
+    """Continuation-aware cache of pipelines over an x-window.
 
-    def __init__(self, m=None):
-        self.m = m
+    A new pipeline is seeded from the nearest solved one in the same
+    half-plane.  The two halves of the pole region meet the real axis
+    only at the boundary point x0, so a seed from across the axis starts
+    a chain of seeded solves through the pole-free region, which can end
+    on another solution of the endpoint system.
+    """
+
+    def __init__(self):
         self.solved = {}
 
     def get(self, x):
@@ -387,12 +368,13 @@ class _PipelineCache:
             return self.solved[key]
         seed = None
         hint = None
-        if self.solved:
-            nearest = min(self.solved.values(), key=lambda p: abs(p.x - x))
+        same_half = [p for p in self.solved.values() if (p.x.imag > 0) == (x.imag > 0)]
+        if same_half:
+            nearest = min(same_half, key=lambda p: abs(p.x - x))
             if abs(nearest.x - x) < 1.5:
                 seed = nearest.e
                 hint = nearest.constants
-        pipe = Genus1Pipeline(x, seed=seed, m=self.m, constants_hint=hint)
+        pipe = Genus1Pipeline(x, seed=seed, constants_hint=hint)
         self.solved[key] = pipe
         return pipe
 
@@ -428,7 +410,7 @@ def _newton_pole(cache, x0, k, sign, tol=1e-9, max_iter=18, fd=1e-4):
     return None
 
 
-def predict_poles(window, k, delta=0.5, spacing=0.45, cache=None, verify=True):
+def predict_poles(window, k, spacing=0.45, cache=None, verify=True):
     """Predicted pole locations of the asymptotic formula in a window.
 
     ``window`` is (re_min, re_max, im_min, im_max), contained in the
@@ -469,12 +451,10 @@ def predict_poles(window, k, delta=0.5, spacing=0.45, cache=None, verify=True):
     return poles
 
 
-def in_Sk(x, k, delta=0.5, pipeline=None, cache=None):
+def in_Sk(x, k, delta=0.5, cache=None):
     """True when x keeps distance delta/k^(2/3) from every predicted pole."""
     x = complex(x)
     cache = cache or _PipelineCache()
-    if pipeline is not None:
-        cache.solved[(round(x.real, 9), round(x.imag, 9))] = pipeline
     radius = delta / k ** (2.0 / 3.0)
     seeds = [x] + [x + 1.3 * radius * np.exp(2j * np.pi * j / 4) for j in range(4)]
     for sign in (+1, -1):

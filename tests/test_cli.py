@@ -69,6 +69,32 @@ def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
     assert all("nan" not in ln for ln in lines[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bvp", "--alpha", "1.5", "--step", "0.3"],
+    ["poles", "--k", "2", "--window", "-4", "0", "-9.5", "-8.5", "--seed", "1"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_asymptotic_masks_predicted_poles(pipe_refpoint, pipeline_cache):
+    # pipe_refpoint comes first: it must be a cold solve (exact Lambda) for
+    # the session tests that read its spectral constants
+    k = 3
+    poles = theta.predict_poles((-2.5, -1.0, -9.4, -8.6), k, spacing=0.5,
+                                cache=pipeline_cache, verify=False)
+    harness = cli.Harness()
+    harness._pipes = pipeline_cache
+    assert harness.asymptotic(poles[0], k, poles=poles) == (None, "pole-mask")
+    far = pipe_refpoint.x
+    assert min(abs(far - q) for q in poles) > harness.delta / k ** (2.0 / 3.0)
+    assert harness.asymptotic(far, k, poles=poles) == (pipeline_cache.get(far).value(k),
+                                                       "genus1")
+
+
 def test_boundary_contains_anchors(tmp_path):
     out = tmp_path / "b.csv"
     assert run(["boundary", "--res", "50", "--out", str(out)]) == 0

@@ -141,3 +141,14 @@ def test_band_identity_sum():
 def test_contours_noncrossing(solved):
     c = ep.contours_for(solved)
     assert len(c.cut_segments()) == 4
+
+
+def test_R_keeps_its_sign_along_the_abel_stage_leg():
+    # the leg from A to the Abel map's stage point runs on the real
+    # extension of the first band, where t = (z - m1)/h1 is real: R must
+    # not flip sign there because of a signed zero in Im t
+    e = ep.solve_endpoints(-4 + 8j)
+    seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
+    stage = e.A - 0.4 * seg * (e.B - e.A) / abs(e.B - e.A)
+    R = ep.R_eval(e.A + np.linspace(0.05, 1.0, 40) * (stage - e.A), e)
+    assert np.all((R[1:] * np.conj(R[:-1])).real > 0)

@@ -25,7 +25,6 @@ def test_theta_properties(periods):
 
 
 def test_theta_zero_at_riemann_constant(periods):
-    assert th.theta_is_zero(periods.K, periods.B_period, tol=1e-12)
     tp = th.ThetaParams(periods.B_period)
     assert abs(th.theta(periods.K, tp)) <= 1e-12
 
@@ -91,9 +90,9 @@ def test_large_z_fit_residuals_shrink(pipe_refpoint):
         seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
         u1 = (e.B - e.A) / abs(e.B - e.A)
         stage = e.A - 0.4 * seg * u1
-        val = ep.integrate_leg(fI, quad.Path((e.A, stage)), abel.rule, sqrt_start=True)
+        val = ep.integrate_leg(fI, quad.Path((e.A, stage)), ep.LEG_RULE, sqrt_start=True)
         path = abel.router.path(stage, z)
-        val += ep.integrate_leg(fI, path, abel.rule)
+        val += ep.integrate_leg(fI, path, ep.LEG_RULE)
         i_up = val + (z - e.A)
         return abs((z - i_up) - upsilon0_const - upsilon_minus1 / z)
 
@@ -166,3 +165,33 @@ def test_theta_zero_guard(pipe_refpoint):
     pd = pipe_refpoint.periods
     with pytest.raises(ThetaZero):
         th.log_theta_deriv(pd.K, pd.B_period)
+
+
+@pytest.mark.parametrize("x", [-4 + 8j, -3 + 9.5j, -2.5 + 6j, -4.85 + 9j])
+def test_upper_half_plane_matches_reflection(x):
+    # the ODE and its boundary data are real, so value(x) = conj(value(conj x))
+    upper = th.Genus1Pipeline(x)
+    lower = th.Genus1Pipeline(np.conj(x))
+    for k in (1, 2, 3):
+        assert abs(upper.value(k) - np.conj(lower.value(k))) <= 1e-9
+
+
+def test_pipeline_cache_hints_stay_in_their_half_plane(monkeypatch):
+    # a solved lower pipeline 1.0 away from an upper x is not its seed
+    seeds = []
+
+    class Recorder:
+        def __init__(self, x, seed=None, **kwargs):
+            self.x = complex(x)
+            seeds.append((seed, kwargs.get("constants_hint")))
+
+    class Solved:
+        x, e, constants = -2.0 - 0.5j, "lower endpoints", "lower constants"
+
+    monkeypatch.setattr(th, "Genus1Pipeline", Recorder)
+    cache = th._PipelineCache()
+    cache.solved[(-2.0, -0.5)] = Solved()
+    cache.get(-2.0 + 0.5j)
+    assert seeds == [(None, None)]
+    cache.get(-2.0 - 1.0j)
+    assert seeds[-1] == ("lower endpoints", "lower constants")
