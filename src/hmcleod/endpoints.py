@@ -25,6 +25,28 @@ the Boutroux conditions hold.
 Band and gap integrals use the substitution t = cos(theta), which turns
 the square-root endpoint behavior of R into smooth periodic integrands
 (midpoint rule in theta converges spectrally).
+
+Newton on the eight conditions uses a closed-form Jacobian.  Each
+condition is the real or imaginary part of a function g holomorphic in
+each endpoint P, so Cauchy-Riemann gives its columns (Re P, Im P) from
+g'(P): [Re g', -Im g'] in the Re g row and [Im g', Re g'] in the Im g
+row.  For the moments
+
+    de1/dP = 1,   de2/dP = e1 - P,   de3/dP = e2 - P (e1 - P).
+
+For the Boutroux integrals, R^2 = prod (w - P_j) gives
+dR/dP = -R / (2 (w - P)), and
+
+    d/dP int R dw = -1/2 int R / (w - P) dw
+
+over band 1 and over the gap.  The terms from moving the limits of
+integration vanish because R is zero at the ends of a band and of the
+gap; where P is such an end, the square-root zero of R times sin(theta)
+cancels the 1/(w - P), so the integrand stays smooth on the theta nodes.
+The code differentiates the t = cos(theta) rule itself, its nodes moving
+with the ends: the same formula up to quadrature error, and exactly the
+derivative of the residual that Newton drives to zero, also where a
+near-degenerate chain leaves the rule unresolved.
 """
 
 from __future__ import annotations
@@ -81,7 +103,7 @@ class SurfaceContours:
 
 @dataclass(frozen=True)
 class SpectralConstants:
-    Lambda: complex
+    Lambda: complex | None
     omega: float
     Omega: float
 
@@ -236,36 +258,77 @@ def _set_to_vec(e):
                      e.C.real, e.C.imag, e.D.real, e.D.imag])
 
 
+def _rule_derivatives(v, t, w, half, others):
+    """Endpoint derivatives of a t-rule sum over a band or the gap.
+
+    ``v`` are the weighted node values of int R dw over the segment
+    w = mid + half t, which vanish like half^2 (1 - t^2) at its ends.
+    The nodes move with the two ends, so differentiating the sum itself
+    gives, for the start, the end and the two ``others``,
+    sum v [(1 -+ t)/4 sum_others 1/(w - Q) -+ 1/half] and
+    -1/2 sum v/(w - Q): no division by a distance to a segment end.
+    """
+    inv = sum(1.0 / (w - q) for q in others)
+    return (np.sum(v * (0.25 * (1.0 - t) * inv - 1.0 / half)),
+            np.sum(v * (0.25 * (1.0 + t) * inv + 1.0 / half)),
+            *(-0.5 * np.sum(v / (w - q)) for q in others))
+
+
+def jacobian(e, m=96):
+    """Analytic 8x8 Jacobian of ``residuals`` in (Re A, Im A, ..., Re D, Im D).
+
+    Every condition is the real or imaginary part of a function g
+    holomorphic in each endpoint P, so its two columns for P follow from
+    g'(P) by Cauchy-Riemann (see the module docstring).  The Boutroux
+    derivatives are sums over the band-1 and gap nodes of ``residuals``.
+    """
+    A, B, C, D = pts = np.array(e.points())
+    e1, e2, _, _ = symmetric_functions(e)
+    de2 = e1 - pts
+    _, h1, _, _ = _halves(e)
+    theta, wt, w1, r_plus = band_plus_nodes(e, 1, m)
+    dA1, dB1, dC1, dD1 = _rule_derivatives(wt * r_plus * np.sin(theta) * h1,
+                                           np.cos(theta), w1, h1, (C, D))
+    theta, wt, wg, hg = gap_nodes(e, m)
+    dBg, dCg, dAg, dDg = _rule_derivatives(
+        wt * R_eval(wg, e, guard=False) * np.sin(theta) * hg,
+        np.cos(theta), wg, hg, (A, D))
+    g = np.array([np.ones(4), de2, e2 - pts * de2,
+                  [dA1, dB1, dC1, dD1], [dAg, dBg, dCg, dDg]])
+    J = np.empty((8, 8))
+    re_rows, im_rows = [0, 2, 4], [1, 3, 5, 6, 7]
+    J[re_rows, 0::2] = g[:3].real
+    J[re_rows, 1::2] = -g[:3].imag
+    J[im_rows, 0::2] = g.imag
+    J[im_rows, 1::2] = g.real
+    return J
+
+
 def _newton(x, v0):
     v = v0.copy()
-    F = residuals(_vec_to_set(v, x))
+    e = _vec_to_set(v, x)
+    F = residuals(e)
     n_iter = 0
     while np.max(np.abs(F)) > 1e-11:
         n_iter += 1
         if n_iter > 100:
             raise NoConvergence(f"endpoint Newton did not converge at x={x}")
-        J = np.empty((8, 8))
-        for j in range(8):
-            h = 1e-6 * (1.0 + abs(v[j]))
-            vp = v.copy(); vp[j] += h
-            vm = v.copy(); vm[j] -= h
-            J[:, j] = (residuals(_vec_to_set(vp, x))
-                       - residuals(_vec_to_set(vm, x))) / (2.0 * h)
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(jacobian(e), -F)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Jacobian at x={x}") from exc
         lam = 1.0
         norm0 = np.max(np.abs(F))
         for _ in range(30):
             v_try = v + lam * step
+            e_try = _vec_to_set(v_try, x)
             try:
-                F_try = residuals(_vec_to_set(v_try, x))
+                F_try = residuals(e_try)
             except DegenerateEndpoints:
                 lam *= 0.5
                 continue
             if np.max(np.abs(F_try)) < norm0:
-                v, F = v_try, F_try
+                v, e, F = v_try, e_try, F_try
                 break
             lam *= 0.5
         else:
@@ -466,6 +529,14 @@ def h_reference(e):
     return z_ref, val
 
 
+def _fold_gap(verts):
+    """Smallest distance from a polyline vertex to a segment it is not an end of."""
+    V = np.array(verts)
+    gaps = [_dist_to_segment(np.delete(V, [j, j + 1]), V[j], V[j + 1]).min()
+            for j in range(len(V) - 1)]
+    return min(gaps)
+
+
 class ChainRouter:
     """Paths around the cut chain (log ray + A-B-C-D) via an offset corridor.
 
@@ -485,7 +556,8 @@ class ChainRouter:
         self.verts = [complex(v) for v in verts]
         self.segments = list(zip(self.verts[:-1], self.verts[1:]))
         seg_lens = [abs(q - p) for p, q in zip(pts[:-1], pts[1:])]
-        c = 0.3 * min(seg_lens)
+        # a folded chain passes close to itself: the two banks must not meet
+        c = min(0.3 * min(seg_lens), 0.45 * _fold_gap(self.verts))
         for _ in range(4):
             corridor = self._offset_corridor(c)
             if self._corridor_clear(corridor):
@@ -667,8 +739,9 @@ def spectral_constants(e, m=None, hfield=None, hint=None):
     the Boutroux conditions.
 
     With ``hint`` (constants at a nearby x) the signs are taken by
-    continuity instead and the expensive H-field pass, including Lambda,
-    is skipped (Lambda is then propagated approximately from the hint).
+    continuity instead and the expensive H-field pass is skipped.  Lambda
+    comes only from that pass, so a hinted solve returns Lambda = None;
+    the asymptotic value and the periods never read it.
     """
     if m is None:
         m = adaptive_band_nodes(e)
@@ -680,7 +753,7 @@ def spectral_constants(e, m=None, hfield=None, hint=None):
         Omega_cyc = min((4.0 * Ig, -4.0 * Ig), key=lambda w: abs(w - hint.Omega))
         if abs(omega_cyc.imag) > 1e-8 or abs(Omega_cyc.imag) > 1e-8:
             raise RealityViolation("omega/Omega acquired an imaginary part > 1e-8")
-        return SpectralConstants(Lambda=hint.Lambda,
+        return SpectralConstants(Lambda=None,
                                  omega=float(omega_cyc.real),
                                  Omega=float(Omega_cyc.real))
 

@@ -261,20 +261,25 @@ def run_vault(window, anchor, alpha, config=None):
              for xr in np.arange(re0, re1 + 1e-9, cfg.h)
              for xi in np.arange(im0, im1 + 1e-9, cfg.h)]
     nodes.sort(key=lambda z: (z.real, z.imag))
+    nodes = np.array(nodes)
+    alive = np.ones(len(nodes), dtype=bool)
 
     y0, u0, u0p = anchor
     atlas = VaultAtlas(alpha=float(alpha), config=cfg)
     _record(atlas, y0, u0, u0p, cfg)
-    nodes = _remove_near(atlas, nodes, atlas.entries[-1].approx.center, cfg.h)
+    _remove_near(atlas, nodes, alive, atlas.entries[-1].approx.center, cfg.h)
 
     stall = 0
-    while nodes:
-        target = nodes[int(rng.integers(len(nodes)))]
+    while alive.any():
+        # the i-th alive node in sorted order, as a list of the alive
+        # nodes would draw it
+        i_target = np.flatnonzero(alive)[int(rng.integers(np.count_nonzero(alive)))]
+        target = complex(nodes[i_target])
         entry, _ = atlas.nearest_entry(target)
         steps_budget = int(abs(target - entry.approx.center) / cfg.h * 10) + 100
         progressed = False
         for _ in range(steps_budget):
-            if target not in nodes:
+            if not alive[i_target]:
                 break
             current = entry.approx.center
             aim = np.angle(target - current)
@@ -293,9 +298,7 @@ def run_vault(window, anchor, alpha, config=None):
                 except (Overflow, SingularSystem):
                     continue
                 entry = new_entry
-                before = len(nodes)
-                nodes = _remove_near(atlas, nodes, cand, cfg.h)
-                progressed = progressed or len(nodes) < before
+                progressed = _remove_near(atlas, nodes, alive, cand, cfg.h) or progressed
                 placed = True
                 break
             if not placed:
@@ -316,10 +319,18 @@ def _record(atlas, y, u, uprime, cfg):
     return entry
 
 
-def _remove_near(atlas, nodes, center, h):
-    kept = [n for n in nodes if abs(n - center) > h]
-    atlas.removed_nodes.extend(n for n in nodes if abs(n - center) <= h)
-    return kept
+def _remove_near(atlas, nodes, alive, center, h):
+    """Retire the alive nodes within h of center; True when there were any.
+
+    The distance is np.hypot of the parts, which rounds like Python's
+    abs of a complex (np.abs of a complex array does not, in the last
+    bit), so ties at distance exactly h fall as they always did.
+    """
+    d = nodes - center
+    near = alive & (np.hypot(d.real, d.imag) <= h)
+    atlas.removed_nodes.extend(nodes[near].tolist())
+    alive &= ~near
+    return bool(near.any())
 
 
 def evaluate(atlas, y):

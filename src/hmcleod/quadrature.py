@@ -85,10 +85,13 @@ def _gl_panel(f, a, b):
     return (b - a) * np.sum(wt * _eval(f, pts))
 
 
-def _adaptive(f, a, b, rule, depth=0, prev_err=np.inf):
-    coarse = _gl_panel(f, a, b)
+def _adaptive(f, a, b, rule, depth=0, prev_err=np.inf, coarse=None):
+    # ``coarse`` is the panel on [a, b] when the caller has it already
+    if coarse is None:
+        coarse = _gl_panel(f, a, b)
     mid = 0.5 * (a + b)
-    fine = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
+    left, right = _gl_panel(f, a, mid), _gl_panel(f, mid, b)
+    fine = left + right
     err = abs(fine - coarse)
     if err <= rule.abs_tol + rule.rel_tol * abs(fine):
         return fine
@@ -101,18 +104,14 @@ def _adaptive(f, a, b, rule, depth=0, prev_err=np.inf):
         raise NonConvergence(
             f"adaptive bisection hit depth {rule.max_depth} on [{a}, {b}] (err~{err:.2e})"
         )
-    return (_adaptive(f, a, mid, rule, depth + 1, err)
-            + _adaptive(f, mid, b, rule, depth + 1, err))
+    return (_adaptive(f, a, mid, rule, depth + 1, err, left)
+            + _adaptive(f, mid, b, rule, depth + 1, err, right))
 
 
 def _segment_sqrt_start(f, a, b, rule):
     # w = a + (b-a) * t^2 absorbs a (w-a)^(-1/2) singularity at the start
     def g(t):
         return f(a + (b - a) * t * t) * 2.0 * t * (b - a)
-    coarse = _gl_panel(g, 0.0, 1.0)
-    fine = _gl_panel(g, 0.0, 0.5) + _gl_panel(g, 0.5, 1.0)
-    if abs(fine - coarse) <= rule.abs_tol + rule.rel_tol * abs(fine):
-        return fine
     return _adaptive(g, 0.0, 1.0, rule)
 
 

@@ -124,20 +124,13 @@ def _series_inv_sqrt(e, order):
 
 def _far_point(e):
     """Point well outside the endpoint cluster with the most clearance from the chain."""
-    cuts = [(e.A, e.B), (e.B, e.C), (e.C, e.D)]
     pts = np.array(e.points())
     center = pts.mean()
     radius = max(4.0 * max(np.abs(pts - center)), 2.5 * max(np.abs(pts)) + 2.0)
-    best = None
-    for ang in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
-        d = np.exp(1j * ang)
-        z = center + radius * d
-        clear = min(min(abs(z - p), abs(z - q)) for p, q in cuts)
-        seg_clear = min(genus0._dist_to_segment(z, p, q) for p, q in cuts)
-        score = min(clear, seg_clear)
-        if best is None or score > best[0]:
-            best = (score, z)
-    return best[1]
+    z = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))
+    clear = np.min([genus0._dist_to_segment(z, p, q) for p, q in zip(pts[:-1], pts[1:])],
+                   axis=0)
+    return complex(z[np.argmax(clear)])
 
 
 class AbelMap:

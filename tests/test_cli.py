@@ -81,8 +81,6 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
 
 
 def test_asymptotic_masks_predicted_poles(pipe_refpoint, pipeline_cache):
-    # pipe_refpoint comes first: it must be a cold solve (exact Lambda) for
-    # the session tests that read its spectral constants
     k = 3
     poles = theta.predict_poles((-2.5, -1.0, -9.4, -8.6), k, spacing=0.5,
                                 cache=pipeline_cache, verify=False)

@@ -5,8 +5,6 @@ from hmcleod import endpoints as ep
 from hmcleod import genus0 as g0
 from hmcleod.errors import DegenerateEndpoints, OnCut, WrongRegion
 
-X_REF = -1.5 - 10j
-
 
 @pytest.fixture(scope="module")
 def solved(pipe_refpoint):
@@ -152,3 +150,39 @@ def test_R_keeps_its_sign_along_the_abel_stage_leg():
     stage = e.A - 0.4 * seg * (e.B - e.A) / abs(e.B - e.A)
     R = ep.R_eval(e.A + np.linspace(0.05, 1.0, 40) * (stage - e.A), e)
     assert np.all((R[1:] * np.conj(R[:-1])).real > 0)
+
+
+def _central_differences(e):
+    # central differences, relative step 1e-6
+    v = ep._set_to_vec(e)
+    J = np.empty((8, 8))
+    for j in range(8):
+        h = 1e-6 * (1.0 + abs(v[j]))
+        vp = v.copy(); vp[j] += h
+        vm = v.copy(); vm[j] -= h
+        J[:, j] = (ep.residuals(ep._vec_to_set(vp, e.x))
+                   - ep.residuals(ep._vec_to_set(vm, e.x))) / (2.0 * h)
+    return J
+
+
+def test_analytic_jacobian_matches_differences(solved):
+    upper = ep.solve_endpoints(-4 + 8j)
+    seed = ep.degenerate_seed(ep._wedge_anchor(False), rotate=0.5)
+    for e in (solved, upper, seed):
+        J_fd = _central_differences(e)
+        assert np.max(np.abs(ep.jacobian(e) - J_fd)) <= 1e-7 * np.max(np.abs(J_fd))
+
+
+def test_newton_makes_no_difference_quotients(solved, monkeypatch):
+    calls = []
+    residuals = ep.residuals
+
+    def counted(e, m=96):
+        calls.append(e)
+        return residuals(e, m=m)
+
+    monkeypatch.setattr(ep, "residuals", counted)
+    _, info = ep.solve_endpoints(solved.x + 0.05, seed=solved, return_info=True)
+    # the starting residual, then one trial per iteration: every full
+    # Newton step of a short continuation step is accepted
+    assert len(calls) == 1 + info["newton_iters"]

@@ -195,3 +195,22 @@ def test_pipeline_cache_hints_stay_in_their_half_plane(monkeypatch):
     assert seeds == [(None, None)]
     cache.get(-2.0 - 1.0j)
     assert seeds[-1] == ("lower endpoints", "lower constants")
+
+
+def test_hinted_pipeline_has_no_foreign_lambda(pipe_refpoint):
+    # Lambda comes only from a cold solve; a hinted one must not carry the
+    # Lambda of the pipeline it was seeded from
+    cache = th._PipelineCache()
+    th.predict_poles((-2.5, -1.0, -9.4, -8.6), 3, spacing=0.5, cache=cache)
+    Lambda = cache.get(pipe_refpoint.x).constants.Lambda
+    assert Lambda is None or abs(Lambda - pipe_refpoint.constants.Lambda) <= 1e-9
+
+
+def test_folded_chain_builds_a_router():
+    # at this x the chain folds back on itself: D lies 0.085 from B
+    x = -6 - 10.4347826j
+    lower = th.Genus1Pipeline(x)
+    upper = th.Genus1Pipeline(np.conj(x))
+    assert np.max(np.abs(ep.residuals(lower.e))) <= 1e-10
+    for k in (1, 2, 3):
+        assert abs(lower.value(k) - np.conj(upper.value(k))) <= 1e-9
