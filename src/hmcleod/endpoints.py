@@ -232,20 +232,39 @@ def symmetric_functions(e):
     return e1, e2, e3, e4
 
 
-def residuals(e, m=96):
-    """Eight real residuals: moments (6) and Boutroux imaginary parts (2)."""
+# t = cos(theta) nodes per segment of the Newton system
+NEWTON_NODES = 96
+
+
+def _system(e, m):
+    """Residuals at e and the band-1 and gap node terms they are summed from.
+
+    The node terms are (t, band1, gap), each segment as (v, w, half):
+    v the weighted node values of int R dw (their sum is the integral),
+    w the nodes and half the half-length of the segment.
+    """
     if e.separation() < 1e-6:
         raise DegenerateEndpoints("endpoint separation below 1e-6")
     e1, e2, e3, _ = symmetric_functions(e)
     m2_target = e.x / 2.0
-    bt1 = band_integral(e, 1, m=m)
-    btg = gap_integral(e, m=m)
-    return np.array([
+    theta, wt, w1, r_plus = band_plus_nodes(e, 1, m)
+    _, h1, _, _ = _halves(e)
+    _, _, wg, hg = gap_nodes(e, m)
+    v1 = wt * (r_plus * np.sin(theta) * h1)
+    vg = wt * (R_eval(wg, e, guard=False) * np.sin(theta) * hg)
+    bt1, btg = np.sum(v1), np.sum(vg)
+    F = np.array([
         e1.real, e1.imag,
         (e2 - m2_target).real, (e2 - m2_target).imag,
         (e3 + 1j).real, (e3 + 1j).imag,
         bt1.imag, btg.imag,
     ])
+    return F, (np.cos(theta), (v1, w1, h1), (vg, wg, hg))
+
+
+def residuals(e, m=NEWTON_NODES):
+    """Eight real residuals: moments (6) and Boutroux imaginary parts (2)."""
+    return _system(e, m)[0]
 
 
 def _vec_to_set(v, x):
@@ -274,25 +293,21 @@ def _rule_derivatives(v, t, w, half, others):
             *(-0.5 * np.sum(v / (w - q)) for q in others))
 
 
-def jacobian(e, m=96):
+def jacobian(e, nodes):
     """Analytic 8x8 Jacobian of ``residuals`` in (Re A, Im A, ..., Re D, Im D).
 
     Every condition is the real or imaginary part of a function g
     holomorphic in each endpoint P, so its two columns for P follow from
-    g'(P) by Cauchy-Riemann (see the module docstring).  The Boutroux
-    derivatives are sums over the band-1 and gap nodes of ``residuals``.
+    g'(P) by Cauchy-Riemann (see the module docstring).  ``nodes`` are the
+    node terms of ``_system`` at e, from which the Boutroux derivatives
+    are summed.
     """
     A, B, C, D = pts = np.array(e.points())
     e1, e2, _, _ = symmetric_functions(e)
     de2 = e1 - pts
-    _, h1, _, _ = _halves(e)
-    theta, wt, w1, r_plus = band_plus_nodes(e, 1, m)
-    dA1, dB1, dC1, dD1 = _rule_derivatives(wt * r_plus * np.sin(theta) * h1,
-                                           np.cos(theta), w1, h1, (C, D))
-    theta, wt, wg, hg = gap_nodes(e, m)
-    dBg, dCg, dAg, dDg = _rule_derivatives(
-        wt * R_eval(wg, e, guard=False) * np.sin(theta) * hg,
-        np.cos(theta), wg, hg, (A, D))
+    t, (v1, w1, h1), (vg, wg, hg) = nodes
+    dA1, dB1, dC1, dD1 = _rule_derivatives(v1, t, w1, h1, (C, D))
+    dBg, dCg, dAg, dDg = _rule_derivatives(vg, t, wg, hg, (A, D))
     g = np.array([np.ones(4), de2, e2 - pts * de2,
                   [dA1, dB1, dC1, dD1], [dAg, dBg, dCg, dDg]])
     J = np.empty((8, 8))
@@ -305,16 +320,18 @@ def jacobian(e, m=96):
 
 
 def _newton(x, v0):
+    # one residual pass per trial point; the Jacobian reuses the nodes of
+    # the accepted one
     v = v0.copy()
     e = _vec_to_set(v, x)
-    F = residuals(e)
+    F, nodes = _system(e, NEWTON_NODES)
     n_iter = 0
     while np.max(np.abs(F)) > 1e-11:
         n_iter += 1
         if n_iter > 100:
             raise NoConvergence(f"endpoint Newton did not converge at x={x}")
         try:
-            step = np.linalg.solve(jacobian(e), -F)
+            step = np.linalg.solve(jacobian(e, nodes), -F)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Jacobian at x={x}") from exc
         lam = 1.0
@@ -323,12 +340,12 @@ def _newton(x, v0):
             v_try = v + lam * step
             e_try = _vec_to_set(v_try, x)
             try:
-                F_try = residuals(e_try)
+                F_try, nodes_try = _system(e_try, NEWTON_NODES)
             except DegenerateEndpoints:
                 lam *= 0.5
                 continue
             if np.max(np.abs(F_try)) < norm0:
-                v, e, F = v_try, e_try, F_try
+                v, e, F, nodes = v_try, e_try, F_try, nodes_try
                 break
             lam *= 0.5
         else:

@@ -341,6 +341,11 @@ def reduce_mod_lattice(v, B_period):
 # predicted poles and the excised domain
 # ---------------------------------------------------------------------------
 
+def _cache_key(x):
+    """Key of x in ``_PipelineCache.solved``."""
+    return (round(x.real, 9), round(x.imag, 9))
+
+
 class _PipelineCache:
     """Continuation-aware cache of pipelines over an x-window.
 
@@ -356,7 +361,7 @@ class _PipelineCache:
 
     def get(self, x):
         x = complex(x)
-        key = (round(x.real, 9), round(x.imag, 9))
+        key = _cache_key(x)
         if key in self.solved:
             return self.solved[key]
         seed = None

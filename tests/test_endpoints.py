@@ -170,19 +170,21 @@ def test_analytic_jacobian_matches_differences(solved):
     seed = ep.degenerate_seed(ep._wedge_anchor(False), rotate=0.5)
     for e in (solved, upper, seed):
         J_fd = _central_differences(e)
-        assert np.max(np.abs(ep.jacobian(e) - J_fd)) <= 1e-7 * np.max(np.abs(J_fd))
+        J = ep.jacobian(e, ep._system(e, ep.NEWTON_NODES)[1])
+        assert np.max(np.abs(J - J_fd)) <= 1e-7 * np.max(np.abs(J_fd))
 
 
 def test_newton_makes_no_difference_quotients(solved, monkeypatch):
     calls = []
-    residuals = ep.residuals
+    system = ep._system
 
-    def counted(e, m=96):
+    def counted(e, m):
         calls.append(e)
-        return residuals(e, m=m)
+        return system(e, m)
 
-    monkeypatch.setattr(ep, "residuals", counted)
+    monkeypatch.setattr(ep, "_system", counted)
     _, info = ep.solve_endpoints(solved.x + 0.05, seed=solved, return_info=True)
-    # the starting residual, then one trial per iteration: every full
-    # Newton step of a short continuation step is accepted
+    # the starting residual pass, then one trial per iteration: every full
+    # Newton step of a short continuation step is accepted, and the
+    # Jacobian reuses the nodes of the accepted trial
     assert len(calls) == 1 + info["newton_iters"]
