@@ -26,7 +26,7 @@ def _fmt(z):
 
 
 class Harness:
-    """Shared numeric/asymptotic evaluators with per-k caches."""
+    """Shared numeric/asymptotic evaluators with per-k collocation solutions."""
 
     def __init__(self, seed=0, n_cheb=200, taylor_order=24, step=0.5, delta=0.5):
         self.seed = seed
@@ -35,9 +35,7 @@ class Harness:
         self.step = step
         self.delta = delta
         self._colloc = {}
-        self._atlas = {}
         self._pipes = theta._PipelineCache()
-        self._pole_masks = {}
 
     def collocation_solution(self, k):
         """Real-axis collocation solution on -12 <= y <= 12."""
@@ -49,12 +47,6 @@ class Harness:
 
     def atlas(self, k, y_points):
         """Vault atlas covering the y-points plus a corridor to the anchor."""
-        key = k
-        if key in self._atlas:
-            atlas = self._atlas[key]
-            if all(np.min(np.abs(atlas.centers - y)) <= 2 * atlas.config.h
-                   for y in y_points):
-                return atlas
         anchor_y = 2.0
         sol = self.collocation_solution(k)
         u0, up0 = collocation.eval_solution(sol, anchor_y)
@@ -62,26 +54,20 @@ class Harness:
         window = (float(ys.real.min()) - 1.0, float(ys.real.max()) + 1.0,
                   min(0.0, float(ys.imag.min()) - 1.0), float(ys.imag.max()) + 1.0)
         cfg = pade.VaultConfig(h=self.step, n=self.taylor_order, seed=self.seed)
-        self._atlas[key] = pade.run_vault(window, (anchor_y, u0, up0), k + 0.5, cfg)
-        return self._atlas[key]
+        return pade.run_vault(window, (anchor_y, u0, up0), k + 0.5, cfg)
 
     def numeric(self, x, k, atlas=None):
+        """Scaled numeric value: collocation on the real axis, else from ``atlas``."""
         y = y_from_x(x, k)
         if abs(x.imag) < 1e-12:
             sol = self.collocation_solution(k)
             u, _ = collocation.eval_solution(sol, y)
-        elif atlas is not None:
-            u = pade.evaluate(atlas, y)
         else:
-            u = pade.evaluate(self.atlas(k, [y]), y)
+            u = pade.evaluate(atlas, y)
         return scaled_from_u(u, k)
 
     def pole_mask(self, k, window):
-        key = (k, tuple(np.round(window, 6)))
-        if key not in self._pole_masks:
-            self._pole_masks[key] = theta.predict_poles(
-                window, k, cache=self._pipes, verify=False)
-        return self._pole_masks[key]
+        return theta.predict_poles(window, k, cache=self._pipes, verify=False)
 
     def asymptotic(self, x, k, poles=None):
         label = genus0.classify_region(x)
@@ -105,8 +91,6 @@ def cmd_slice(args):
     ks = args.k if args.k else [int(args.alpha - 0.5)]
     if args.mode == "real":
         args.im = 0.0
-    elif args.mode is None and abs(args.im) > 0:
-        args.mode = "horizontal"
     xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
     harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
                       taylor_order=args.taylor_order, step=args.step,
@@ -114,15 +98,12 @@ def cmd_slice(args):
     failures = 0
     for k in ks:
         rows = []
-        poles = None
+        poles = atlas = None
         if abs(args.im) > 1e-12:
             pad = 0.6
             window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
-            in_pole = any(not genus0.classify_region(x).pole_free for x in xs)
-            if in_pole:
+            if any(not genus0.classify_region(x).pole_free for x in xs):
                 poles = harness.pole_mask(k, window)
-        atlas = None
-        if abs(args.im) > 1e-12:
             atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
         for x in xs:
             asym = num = None

@@ -22,9 +22,10 @@ the constants -Lambda (across Sigma1), -i omega (across Gamma) and
 -Lambda - i Omega (across Sigma2); omega and Omega are real exactly when
 the Boutroux conditions hold.
 
-Band and gap integrals use the substitution t = cos(theta), which turns
-the square-root endpoint behavior of R into smooth periodic integrands
-(midpoint rule in theta converges spectrally).
+Every band and gap integral sums over one rule, ``segment_rule``: the
+substitution t = cos(theta), which turns the square-root endpoint
+behavior of R into smooth periodic integrands (midpoint rule in theta
+converges spectrally).
 
 Newton on the eight conditions uses a closed-form Jacobian.  Each
 condition is the real or imaginary part of a function g holomorphic in
@@ -60,7 +61,7 @@ from . import quadrature as quad
 from .errors import (DegenerateEndpoints, NoConvergence, NonConvergence, OnCut,
                      RealityViolation, WrongRegion)
 from .genus0 import (RegionLabel, _dist_to_segment, classify_region, cut_root,
-                     genus0_data, phase, phase_prime)
+                     dist_to_ray, genus0_data, phase, phase_prime)
 
 _L_RAY_LENGTH = 1e3
 
@@ -85,23 +86,6 @@ class EndpointSet:
 
 
 @dataclass(frozen=True)
-class SurfaceContours:
-    sigma1: quad.Path
-    gamma: quad.Path
-    sigma2: quad.Path
-    log_cut: tuple
-
-    def cut_segments(self):
-        """Segments that evaluation paths must not cross."""
-        return [
-            (self.sigma1.vertices[0], self.sigma1.vertices[-1]),
-            (self.gamma.vertices[0], self.gamma.vertices[-1]),
-            (self.sigma2.vertices[0], self.sigma2.vertices[-1]),
-            self.log_cut,
-        ]
-
-
-@dataclass(frozen=True)
 class SpectralConstants:
     Lambda: complex | None
     omega: float
@@ -109,10 +93,12 @@ class SpectralConstants:
 
 
 def contours_for(e):
-    """Straight-segment contours A-B (band), B-C (gap), C-D (band).
+    """The cuts that evaluation paths must not cross.
 
-    Raises DegenerateEndpoints when the chain self-intersects, in which
-    case the straight placement is invalid for this x.
+    These are the straight bands A-B and C-D, the gap B-C and the
+    logarithmic cut L.  Raises DegenerateEndpoints when the chain
+    self-intersects, in which case the straight placement is invalid for
+    this x.
     """
     segs = [(e.A, e.B), (e.B, e.C), (e.C, e.D)]
     if quad.segments_cross(e.A, e.B, e.C, e.D):
@@ -121,24 +107,17 @@ def contours_for(e):
     for p, q in segs[1:]:
         if quad.segments_cross(L[0], L[1], p, q):
             raise DegenerateEndpoints("logarithmic cut crosses a band")
-    return SurfaceContours(
-        sigma1=quad.Path((e.A, e.B)),
-        gamma=quad.Path((e.B, e.C)),
-        sigma2=quad.Path((e.C, e.D)),
-        log_cut=L,
-    )
+    return segs + [L]
 
 
 # ---------------------------------------------------------------------------
 # the square root R and its boundary values
 # ---------------------------------------------------------------------------
 
-def _halves(e):
-    m1 = 0.5 * (e.A + e.B)
-    h1 = 0.5 * (e.B - e.A)
-    m2 = 0.5 * (e.C + e.D)
-    h2 = 0.5 * (e.D - e.C)
-    return m1, h1, m2, h2
+def _band_root(p, q, z):
+    """sqrt((z - p)(z - q)) ~ z at infinity, cut on the band [p, q]."""
+    half = 0.5 * (q - p)
+    return cut_root(half, (z - 0.5 * (p + q)) / half)
 
 
 def R_eval(z, e, guard=True):
@@ -147,75 +126,49 @@ def R_eval(z, e, guard=True):
     if guard and (np.any(_dist_to_segment(z, e.A, e.B) < 1e-10)
                   or np.any(_dist_to_segment(z, e.C, e.D) < 1e-10)):
         raise OnCut("z lies on a band")
-    m1, h1, m2, h2 = _halves(e)
-    out = cut_root(h1, (z - m1) / h1) * cut_root(h2, (z - m2) / h2)
+    out = _band_root(e.A, e.B, z) * _band_root(e.C, e.D, z)
     return out if out.shape else complex(out)
 
 
 @lru_cache(maxsize=8)
 def _theta_nodes(m):
-    return quad.cheb_theta_nodes(m)
+    """cos(theta), sin(theta) and the weights of int_{-1}^{1} g(t) dt at m nodes."""
+    theta, wt = quad.cheb_theta_nodes(m)
+    sin = np.sin(theta)
+    return np.cos(theta), sin, wt * sin
 
 
-def band_plus_nodes(e, band, m):
-    """Nodes w(theta) on a band and the plus-boundary values of R there."""
-    m1, h1, m2, h2 = _halves(e)
-    theta, wt = _theta_nodes(m)
-    t = np.cos(theta)
-    if band == 1:
-        w = m1 + h1 * t
-        r_plus = 1j * h1 * np.sin(theta) * cut_root(h2, (w - m2) / h2)
+# the segments of the chain: band 1 [A, B], the gap [B, C], band 2 [C, D]
+BAND1, GAP, BAND2 = 0, 1, 2
+
+
+@lru_cache(maxsize=3)
+def segment_rule(e, seg, m):
+    """The t = cos(theta) rule with m nodes on band 1, the gap or band 2.
+
+    Returns the nodes w = mid + half t, the weights dw, with sum(dw f(w))
+    the integral of f from the first end of the segment to the second, and
+    R at the nodes: R_plus on a band, whose own root factor is
+    i half sin(theta) there.  R and dw both vanish like sin(theta) at the
+    ends, so f R dw and f dw / R are smooth in theta and the rule
+    converges spectrally for both.  The last three rules are kept
+    (read-only), so a pipeline's constants and periods build each segment
+    once.
+    """
+    p, q = e.points()[seg:seg + 2]
+    t, sin, wt = _theta_nodes(m)
+    half = 0.5 * (q - p)
+    w = 0.5 * (p + q) + half * t
+    if seg == BAND1:
+        R = 1j * half * sin * _band_root(e.C, e.D, w)
+    elif seg == BAND2:
+        R = _band_root(e.A, e.B, w) * 1j * half * sin
     else:
-        w = m2 + h2 * t
-        r_plus = cut_root(h1, (w - m1) / h1) * 1j * h2 * np.sin(theta)
-    return theta, wt, w, r_plus
-
-
-def band_integral(e, band, f=None, m=96):
-    """int over the band of f(w) R_plus(w) dw."""
-    m1, h1, m2, h2 = _halves(e)
-    h = h1 if band == 1 else h2
-    theta, wt, w, r_plus = band_plus_nodes(e, band, m)
-    vals = r_plus * np.sin(theta) * h
-    if f is not None:
-        vals = vals * f(w)
-    return np.sum(wt * vals)
-
-
-def band_integral_inv(e, band, f=None, m=96):
-    """int over the band of f(w) / R_plus(w) dw."""
-    m1, h1, m2, h2 = _halves(e)
-    h = h1 if band == 1 else h2
-    theta, wt, w, r_plus = band_plus_nodes(e, band, m)
-    vals = np.sin(theta) * h / r_plus
-    if f is not None:
-        vals = vals * f(w)
-    return np.sum(wt * vals)
-
-
-def gap_nodes(e, m):
-    mg = 0.5 * (e.B + e.C)
-    hg = 0.5 * (e.C - e.B)
-    theta, wt = _theta_nodes(m)
-    w = mg + hg * np.cos(theta)
-    return theta, wt, w, hg
-
-
-def gap_integral(e, f=None, m=96):
-    """int over the gap of f(w) R(w) dw (R is analytic across the gap)."""
-    theta, wt, w, hg = gap_nodes(e, m)
-    vals = R_eval(w, e, guard=False) * np.sin(theta) * hg
-    if f is not None:
-        vals = vals * f(w)
-    return np.sum(wt * vals)
-
-
-def gap_integral_inv(e, f=None, m=96):
-    theta, wt, w, hg = gap_nodes(e, m)
-    vals = np.sin(theta) * hg / R_eval(w, e, guard=False)
-    if f is not None:
-        vals = vals * f(w)
-    return np.sum(wt * vals)
+        R = R_eval(w, e, guard=False)
+    rule = (w, half * wt, R)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +193,26 @@ def _system(e, m):
     """Residuals at e and the band-1 and gap node terms they are summed from.
 
     The node terms are (t, band1, gap), each segment as (v, w, half):
-    v the weighted node values of int R dw (their sum is the integral),
-    w the nodes and half the half-length of the segment.
+    v = dw R, the node terms of int R dw, w the nodes and half the
+    half-length of the segment.
     """
     if e.separation() < 1e-6:
         raise DegenerateEndpoints("endpoint separation below 1e-6")
     e1, e2, e3, _ = symmetric_functions(e)
     m2_target = e.x / 2.0
-    theta, wt, w1, r_plus = band_plus_nodes(e, 1, m)
-    _, h1, _, _ = _halves(e)
-    _, _, wg, hg = gap_nodes(e, m)
-    v1 = wt * (r_plus * np.sin(theta) * h1)
-    vg = wt * (R_eval(wg, e, guard=False) * np.sin(theta) * hg)
-    bt1, btg = np.sum(v1), np.sum(vg)
+    terms = []
+    for seg in (BAND1, GAP):
+        w, dw, R = segment_rule(e, seg, m)
+        p, q = e.points()[seg:seg + 2]
+        terms.append((dw * R, w, 0.5 * (q - p)))
+    bt1, btg = np.sum(terms[0][0]), np.sum(terms[1][0])
     F = np.array([
         e1.real, e1.imag,
         (e2 - m2_target).real, (e2 - m2_target).imag,
         (e3 + 1j).real, (e3 + 1j).imag,
         bt1.imag, btg.imag,
     ])
-    return F, (np.cos(theta), (v1, w1, h1), (vg, wg, hg))
+    return F, (_theta_nodes(m)[0], *terms)
 
 
 def residuals(e, m=NEWTON_NODES):
@@ -445,10 +398,10 @@ def G_prime_quadrature(z, e, m=192):
     z = complex(z)
     x = e.x
 
-    def f(w):
-        return 1j * phase_prime(w, x) / (w - z)
-
-    total = band_integral_inv(e, 1, f=f, m=m) + band_integral_inv(e, 2, f=f, m=m)
+    total = 0.0
+    for seg in (BAND1, BAND2):
+        w, dw, R = segment_rule(e, seg, m)
+        total += np.sum(dw * 1j * phase_prime(w, x) / (w - z) / R)
     return R_eval(z, e) / (2j * np.pi) * total
 
 
@@ -458,27 +411,23 @@ def H_prime_oracle(z, e, m=192):
 
 
 def _tail_direction(e, cuts):
-    """Reference point and outgoing ray direction with clearance from cuts."""
+    """Reference point and outgoing ray direction with clearance from cuts.
+
+    Of 32 rays leaving a circle around the endpoints, the first that keeps
+    the largest distance from 41 sample points of each cut.
+    """
     pts = np.array(e.points())
     center = pts.mean()
     rho = 4.0 * max(1.0, np.max(np.abs(pts - center)))
-    best = None
-    for ang in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
-        d = np.exp(1j * ang)
-        z_ref = center + rho * d
-        far = z_ref + d * 1e4
-        clear = np.inf
-        for (p, q) in cuts:
-            for s in np.linspace(0.0, 1.0, 41):
-                seg_pt = p + s * (q - p)
-                w = seg_pt - z_ref
-                t = max((w.real * d.real + w.imag * d.imag), 0.0)
-                clear = min(clear, abs(w - t * d))
-        if best is None or clear > best[0]:
-            best = (clear, z_ref, d)
-    if best[0] < 0.3:
+    d = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False))[:, None]
+    z_ref = center + rho * d
+    s = np.linspace(0.0, 1.0, 41)
+    samples = np.concatenate([p + s * (q - p) for p, q in cuts])
+    clear = dist_to_ray(samples, z_ref, d).min(axis=1)
+    i = int(np.argmax(clear))
+    if clear[i] < 0.3:
         raise NoConvergence("no clear tail direction for the H normalization")
-    return best[1], best[2]
+    return z_ref[i, 0], d[i, 0]
 
 
 def _g_prime_regularized(w, e):
@@ -507,20 +456,23 @@ def _sqrt_series(coeffs, order):
     return s
 
 
-def _tail_series_value(e, z_from, order=12):
+def series_tail(coeffs, z):
+    """int_z^inf of sum_j coeffs[j] w^(-2-j) dw, a series that starts at w^-2."""
+    return sum(c * z ** (-1 - j) / (1 + j) for j, c in enumerate(coeffs))
+
+
+def _tail_series_value(e, z_from):
     """int from infinity to z_from of (2iR - i theta'/2 + 1/(w-A)).
 
     Valid once |z_from| is well outside the endpoint cluster: R/w^2 is
     expanded as a square-root series in 1/w and integrated term-wise
     (the 1/w coefficient vanishes identically by the moment conditions).
+    The w^-m coefficient, m = 2..12, is 2i s_(m+2) from 2iR plus A^(m-1)
+    from 1/(w-A).
     """
     e1, e2, e3, e4 = symmetric_functions(e)
-    s = _sqrt_series([1.0, -e1, e2, -e3, e4], order + 2)
-    total = 0.0 + 0.0j
-    for m_pow in range(2, order + 1):
-        a_m = 2j * s[m_pow + 2] + e.A ** (m_pow - 1)
-        total -= a_m / ((m_pow - 1) * z_from ** (m_pow - 1))
-    return total
+    s = _sqrt_series([1.0, -e1, e2, -e3, e4], 14)
+    return -series_tail([2j * s[m + 2] + e.A ** (m - 1) for m in range(2, 13)], z_from)
 
 
 def h_reference(e):
@@ -532,8 +484,7 @@ def h_reference(e):
     analytically; the remainder is integrated with the cancellation-free
     form of the integrand.
     """
-    cuts = contours_for(e).cut_segments()
-    z_ref, d = _tail_direction(e, cuts)
+    z_ref, d = _tail_direction(e, contours_for(e))
     x = e.x
 
     scale = max(abs(p) for p in e.points())
@@ -762,38 +713,26 @@ def spectral_constants(e, m=None, hfield=None, hint=None):
     """
     if m is None:
         m = adaptive_band_nodes(e)
-    I2 = band_integral(e, 2, m=m)
-    Ig = gap_integral(e, m=m)
+    I2, Ig = (np.sum(dw * R) for _, dw, R in (segment_rule(e, BAND2, m),
+                                               segment_rule(e, GAP, m)))
 
     if hint is not None:
-        omega_cyc = min((4.0 * I2, -4.0 * I2), key=lambda w: abs(w - hint.omega))
-        Omega_cyc = min((4.0 * Ig, -4.0 * Ig), key=lambda w: abs(w - hint.Omega))
-        if abs(omega_cyc.imag) > 1e-8 or abs(Omega_cyc.imag) > 1e-8:
-            raise RealityViolation("omega/Omega acquired an imaginary part > 1e-8")
-        return SpectralConstants(Lambda=None,
-                                 omega=float(omega_cyc.real),
-                                 Omega=float(Omega_cyc.real))
+        Lambda, omega_ref, Omega_ref = None, hint.omega, hint.Omega
+    else:
+        hf = hfield or HField(e)
+        sum1, _ = midpoint_two_sided(hf, e.A, e.B)
+        _, diff_g = midpoint_two_sided(hf, e.B, e.C)
+        sum2, _ = midpoint_two_sided(hf, e.C, e.D)
+        Lambda = complex(-sum1)
+        omega_ref = 1j * diff_g          # H_+ - H_- = -i omega on the gap
+        Omega_ref = 1j * (Lambda + sum2)  # H_+ + H_- = -Lambda - i Omega on band 2
 
-    hf = hfield or HField(e)
-    sum1, _ = midpoint_two_sided(hf, e.A, e.B)
-    _, diff_g = midpoint_two_sided(hf, e.B, e.C)
-    sum2, _ = midpoint_two_sided(hf, e.C, e.D)
-
-    Lambda = -sum1
-    omega_jump = 1j * diff_g          # H_+ - H_- = -i omega on the gap
-    Omega_jump = 1j * (Lambda + sum2)  # H_+ + H_- = -Lambda - i Omega on band 2
-
-    omega_cyc = min((4.0 * I2, -4.0 * I2), key=lambda w: abs(w - omega_jump))
-    Omega_cyc = min((4.0 * Ig, -4.0 * Ig), key=lambda w: abs(w - Omega_jump))
-
-    if abs(omega_cyc - omega_jump) > 1e-3 * max(1.0, abs(omega_cyc)):
-        raise RealityViolation(
-            f"cycle and jump values of omega disagree: {omega_cyc} vs {omega_jump}")
-    if abs(Omega_cyc - Omega_jump) > 1e-3 * max(1.0, abs(Omega_cyc)):
-        raise RealityViolation(
-            f"cycle and jump values of Omega disagree: {Omega_cyc} vs {Omega_jump}")
+    omega_cyc = min((4.0 * I2, -4.0 * I2), key=lambda w: abs(w - omega_ref))
+    Omega_cyc = min((4.0 * Ig, -4.0 * Ig), key=lambda w: abs(w - Omega_ref))
+    for name, cyc, jump in (("omega", omega_cyc, omega_ref), ("Omega", Omega_cyc, Omega_ref)):
+        if hint is None and abs(cyc - jump) > 1e-3 * max(1.0, abs(cyc)):
+            raise RealityViolation(f"cycle and jump values of {name} disagree: {cyc} vs {jump}")
     if abs(omega_cyc.imag) > 1e-8 or abs(Omega_cyc.imag) > 1e-8:
         raise RealityViolation("omega/Omega acquired an imaginary part > 1e-8")
-    return SpectralConstants(Lambda=complex(Lambda),
-                             omega=float(omega_cyc.real),
+    return SpectralConstants(Lambda=Lambda, omega=float(omega_cyc.real),
                              Omega=float(Omega_cyc.real))

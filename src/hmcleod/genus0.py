@@ -87,11 +87,15 @@ class Genus0Data:
 
 
 def dist_to_ray(x, apex, direction):
-    """Distance from x to the ray {apex + t*direction, t >= 0}."""
+    """Distance from x to the ray {apex + t*direction, t >= 0}.
+
+    Broadcasts over arrays.  np.hypot of the parts rounds like Python's
+    abs of a complex scalar.
+    """
     w = x - apex
-    t = (w.real * direction.real + w.imag * direction.imag)
-    t = max(t, 0.0)
-    return abs(w - t * direction)
+    t = np.maximum(w.real * direction.real + w.imag * direction.imag, 0.0)
+    d = w - t * direction
+    return np.hypot(d.real, d.imag)
 
 
 def dist_sigma_s(x):

@@ -190,9 +190,21 @@ class VaultAtlas:
     entries: list = field(default_factory=list)
     removed_nodes: list = field(default_factory=list)
 
+    def __post_init__(self):
+        # the centres of the entries, in a buffer that doubles when full
+        self._centers = np.array([e.approx.center for e in self.entries], dtype=complex)
+
+    def add(self, entry):
+        """Append an entry; entries are added only here, which keeps ``centers`` in step."""
+        n = len(self.entries)
+        if n == len(self._centers):
+            self._centers = np.concatenate([self._centers, np.empty(max(n, 16), complex)])
+        self._centers[n] = entry.approx.center
+        self.entries.append(entry)
+
     @property
     def centers(self):
-        return np.array([e.approx.center for e in self.entries])
+        return self._centers[:len(self.entries)]
 
     def nearest_entry(self, y):
         c = self.centers
@@ -235,9 +247,8 @@ class VaultAtlas:
             den = np.concatenate(([1.0 + 0.0j],
                                   [complex(re, im) for re, im in entry["b"]]))
             approx = PadeApprox(center=complex(*entry["y"]), num=num, den=den)
-            atlas.entries.append(AtlasEntry(approx=approx,
-                                            u=complex(*entry["u"]),
-                                            uprime=complex(*entry["uprime"])))
+            atlas.add(AtlasEntry(approx=approx, u=complex(*entry["u"]),
+                                 uprime=complex(*entry["uprime"])))
         return atlas
 
 
@@ -315,7 +326,7 @@ def _record(atlas, y, u, uprime, cfg):
     jet = taylor_from_ivp(y, u, uprime, atlas.alpha, n=cfg.n)
     approx = pade_from_taylor(jet)
     entry = AtlasEntry(approx=approx, u=complex(u), uprime=complex(uprime))
-    atlas.entries.append(entry)
+    atlas.add(entry)
     return entry
 
 

@@ -144,18 +144,26 @@ class AbelMap:
         u1 = (e.B - e.A) / abs(e.B - e.A)
         self.stage = e.A - 0.4 * seg * u1
         self._inv_r = lambda w: 1.0 / ep.R_eval(w, e, guard=False)
-        self._stage_val = ep.integrate_leg(
-            self._inv_r, quad.Path((e.A, self.stage)), ep.LEG_RULE, sqrt_start=True)
 
-    def raw_integral(self, z):
-        """int_A^z dw/R along the router's cut-avoiding path from the stage point."""
+    def integral(self, f, z):
+        """int_A^z f dw for f with at most a square-root singularity at A.
+
+        The path is the leg from A to the stage point, with the square-root
+        start, and then the router's cut-avoiding path to z.
+        """
         z = complex(z)
         if abs(z - self.e.A) < 1e-13:
             return 0.0 + 0.0j
+        total = ep.integrate_leg(f, quad.Path((self.e.A, self.stage)), ep.LEG_RULE,
+                                 sqrt_start=True)
         path = self.router.path(self.stage, z)
-        if path is None:
-            return self._stage_val
-        return self._stage_val + ep.integrate_leg(self._inv_r, path, ep.LEG_RULE)
+        if path is not None:
+            total += ep.integrate_leg(f, path, ep.LEG_RULE)
+        return total
+
+    def raw_integral(self, z):
+        """int_A^z dw/R."""
+        return self.integral(self._inv_r, z)
 
     def value(self, z):
         return self.nu * self.raw_integral(z)
@@ -168,25 +176,23 @@ def compute_periods(e, constants, m):
     straight chain placement is used throughout (every quantity here is
     invariant under deformations that do not cross other cuts).
     """
-    a_inv = -2.0 * ep.band_integral_inv(e, 1, m=m)
+    w1, dw1, R1 = ep.segment_rule(e, ep.BAND1, m)
+    wg, dwg, Rg = ep.segment_rule(e, ep.GAP, m)
+    _, dw2, R2 = ep.segment_rule(e, ep.BAND2, m)
+    a_inv = -2.0 * np.sum(dw1 / R1)
     nu = 2j * np.pi / a_inv
     A_minus1 = -nu
 
-    gap_inv = ep.gap_integral_inv(e, m=m)
-    b_sign = 0
-    for s in (+1, -1):
-        cand = nu * (s * 2.0 * gap_inv)
-        if cand.real < 0:
-            b_sign = s
-            B_period = cand
-            break
-    if b_sign == 0:
+    gap_inv = np.sum(dwg / Rg)
+    b_sign = 1 if (nu * (2.0 * gap_inv)).real < 0 else -1
+    B_period = nu * (b_sign * 2.0 * gap_inv)
+    if not B_period.real < 0:
         raise NormalizationFailure("no b-cycle orientation gives Re(B) < 0")
 
-    c_upsilon = (-2.0 * ep.band_integral_inv(e, 1, f=lambda w: w ** 2, m=m)) / (2j * np.pi)
-    U = b_sign * 2.0 * ep.gap_integral_inv(e, f=lambda w: w ** 2 - c_upsilon * nu, m=m)
+    c_upsilon = (-2.0 * np.sum(dw1 * w1 ** 2 / R1)) / (2j * np.pi)
+    U = b_sign * 2.0 * np.sum(dwg * (wg ** 2 - c_upsilon * nu) / Rg)
     F1 = (1j * constants.omega * gap_inv
-          + 1j * constants.Omega * ep.band_integral_inv(e, 2, m=m)) / (2j * np.pi)
+          + 1j * constants.Omega * np.sum(dw2 / R2)) / (2j * np.pi)
     K = 1j * np.pi + B_period / 2.0
     A, B, C, D = e.points()
     Q = (B * D - A * C) / (B + D - A - C)
@@ -195,10 +201,8 @@ def compute_periods(e, constants, m):
     z_far = _far_point(e)
     base = abel.raw_integral(z_far)
 
-    t = _series_inv_sqrt(e, 16)
     # tail of int dw/R: 1/R = sum t_k w^(-2-k)
-    tail_abel = sum(t[k] * z_far ** (-1 - k) / (1 + k) for k in range(len(t)))
-    A_inf = nu * (base + tail_abel)
+    A_inf = nu * (base + ep.series_tail(_series_inv_sqrt(e, 16), z_far))
 
     pd = PeriodData(A_minus1=complex(A_minus1), A_inf=complex(A_inf),
                     B_period=complex(B_period), K=complex(K), U=complex(U),
@@ -290,23 +294,17 @@ class Genus1Pipeline:
         Upsilon0_const = A - int_A^inf (Upsilon - dw) and Upsilon_minus1
         is the 1/z coefficient; only the endpoint dump reads them.
         """
-        e, pd, abel = self.e, self.periods, self.abel
+        e, pd = self.e, self.periods
 
         def upsilon_minus_one(w):
             return (w ** 2 - pd.c_upsilon * pd.nu) / ep.R_eval(w, e, guard=False) - 1.0
 
         z_far = _far_point(e)
-        seg_val = ep.integrate_leg(upsilon_minus_one, quad.Path((e.A, abel.stage)),
-                                   ep.LEG_RULE, sqrt_start=True)
-        seg_val += ep.integrate_leg(upsilon_minus_one, abel.router.path(abel.stage, z_far),
-                                    ep.LEG_RULE)
         # series tail: (w^2 - cU*nu)/R - 1 = sum_{m>=2} (t_m - cU*nu*t_{m-2}) w^-m
         t = _series_inv_sqrt(e, 16)
-        tail_up = 0.0 + 0.0j
-        for mm in range(2, len(t)):
-            coeff = t[mm] - pd.c_upsilon * pd.nu * t[mm - 2]
-            tail_up += coeff * z_far ** (1 - mm) / (mm - 1)
-        return (complex(e.A - (seg_val + tail_up)),
+        tail = ep.series_tail([t[m] - pd.c_upsilon * pd.nu * t[m - 2]
+                               for m in range(2, len(t))], z_far)
+        return (complex(e.A - (self.abel.integral(upsilon_minus_one, z_far) + tail)),
                 complex(-e.x / 4.0 + pd.A_minus1 * pd.c_upsilon))
 
     def pole_residual(self, k, family):

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hmcleod import cli, theta
+from hmcleod import cli, theta, y_from_x
 
 
 def run(argv):
@@ -91,6 +92,24 @@ def test_asymptotic_masks_predicted_poles(pipe_refpoint, pipeline_cache):
     assert min(abs(far - q) for q in poles) > harness.delta / k ** (2.0 / 3.0)
     assert harness.asymptotic(far, k, poles=poles) == (pipeline_cache.get(far).value(k),
                                                        "genus1")
+
+
+def test_upper_half_plane_matches_vault_reflection():
+    # the ODE and its boundary data are real: at mirrored x the vault
+    # values, the asymptotic values and their differences are conjugate.
+    # Each half gets its own vault; they agree to about 3e-10.
+    k = 2
+    upper = [complex(xr, 9.0) for xr in (-1.6, -1.5, -1.4)]
+    harness = cli.Harness(seed=1)
+    halves = []
+    for xs in (upper, [x.conjugate() for x in upper]):
+        atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
+        halves.append([(harness.asymptotic(x, k)[0], harness.numeric(x, k, atlas=atlas))
+                       for x in xs])
+    for (asym_up, num_up), (asym_dn, num_dn) in zip(*halves):
+        assert abs(num_up - np.conj(num_dn)) <= 1e-8
+        assert abs(asym_up - np.conj(asym_dn)) <= 1e-8
+        assert abs((asym_up - num_up) - np.conj(asym_dn - num_dn)) <= 1e-8
 
 
 def test_boundary_contains_anchors(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from hmcleod import endpoints as ep
 from hmcleod import genus0 as g0
-from hmcleod.errors import DegenerateEndpoints, OnCut, WrongRegion
+from hmcleod.errors import DegenerateEndpoints, NoConvergence, OnCut, WrongRegion
 
 
 @pytest.fixture(scope="module")
@@ -131,14 +131,47 @@ def test_anchor_solve_reports_info():
 def test_band_identity_sum():
     # residue of R at infinity forces I1 + I2 = pi/2
     e = ep.solve_endpoints(-4 - 8j)
-    I1 = ep.band_integral(e, 1, m=160)
-    I2 = ep.band_integral(e, 2, m=160)
+    I1, I2 = (np.sum(dw * R) for _, dw, R in (ep.segment_rule(e, ep.BAND1, 160),
+                                               ep.segment_rule(e, ep.BAND2, 160)))
     assert abs(I1 + I2 - np.pi / 2.0) < 1e-11
 
 
 def test_contours_noncrossing(solved):
-    c = ep.contours_for(solved)
-    assert len(c.cut_segments()) == 4
+    assert len(ep.contours_for(solved)) == 4
+
+
+def _tail_direction_loop(e, cuts):
+    # the scalar loop that _tail_direction replaced, kept as its reference
+    pts = np.array(e.points())
+    center = pts.mean()
+    rho = 4.0 * max(1.0, np.max(np.abs(pts - center)))
+    best = None
+    for ang in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
+        d = np.exp(1j * ang)
+        z_ref = center + rho * d
+        clear = np.inf
+        for (p, q) in cuts:
+            for s in np.linspace(0.0, 1.0, 41):
+                w = p + s * (q - p) - z_ref
+                t = max((w.real * d.real + w.imag * d.imag), 0.0)
+                clear = min(clear, abs(w - t * d))
+        if best is None or clear > best[0]:
+            best = (clear, z_ref, d)
+    return best if best[0] >= 0.3 else None
+
+
+def test_tail_direction_matches_scalar_loop(solved):
+    rng = np.random.default_rng(8)
+    chains = [solved] + [ep.EndpointSet(*(complex(*p) for p in 3.0 * rng.normal(size=(4, 2))),
+                                        x=0j) for _ in range(60)]
+    for e in chains:
+        cuts = [(e.A, e.B), (e.B, e.C), (e.C, e.D), (e.A, e.A - 1e3)]
+        ref = _tail_direction_loop(e, cuts)
+        if ref is None:
+            with pytest.raises(NoConvergence):
+                ep._tail_direction(e, cuts)
+        else:
+            assert ep._tail_direction(e, cuts) == ref[1:]
 
 
 def test_R_keeps_its_sign_along_the_abel_stage_leg():

@@ -52,9 +52,21 @@ def test_period_data_invariants(pipe_refpoint):
     assert abs(pd.Q - (B * D - A * C) / (B + D - A - C)) < 1e-13
     # normalized a-period of the second differential vanishes
     c_up = pd.c_upsilon
-    total = (-2.0) * ep.band_integral_inv(e, 1, f=lambda w: w ** 2 - c_up * pd.nu, m=256)
+    w, dw, R = ep.segment_rule(e, ep.BAND1, 256)
+    total = (-2.0) * np.sum(dw * (w ** 2 - c_up * pd.nu) / R)
     assert abs(total) < 1e-10
     assert abs(th.f_offdiagonal(pd.Q, e)) <= 1e-10
+
+
+def test_pipeline_evaluates_each_segment_rule_once(pipe_refpoint, monkeypatch):
+    # the constants and the periods share the three t = cos(theta) rules
+    # at the pipeline's node count; the seeded Newton uses its own count
+    counts = []
+    nodes = ep._theta_nodes
+    monkeypatch.setattr(ep, "_theta_nodes", lambda m: counts.append(m) or nodes(m))
+    ep.segment_rule.cache_clear()
+    pipe = th.Genus1Pipeline(pipe_refpoint.x + 0.05, seed=pipe_refpoint.e)
+    assert counts.count(ep.adaptive_band_nodes(pipe.e)) == 3
 
 
 def test_abel_base_and_infinity(pipe_refpoint):
@@ -85,15 +97,8 @@ def test_large_z_fit_residuals_shrink(pipe_refpoint):
         return abs(abel.value(z) - pd.A_inf - pd.A_minus1 / z)
 
     def upsilon_resid(z):
-        from hmcleod import quadrature as quad
         fI = lambda w: (w ** 2 - pd.c_upsilon * pd.nu) / ep.R_eval(w, e, guard=False) - 1.0
-        seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
-        u1 = (e.B - e.A) / abs(e.B - e.A)
-        stage = e.A - 0.4 * seg * u1
-        val = ep.integrate_leg(fI, quad.Path((e.A, stage)), ep.LEG_RULE, sqrt_start=True)
-        path = abel.router.path(stage, z)
-        val += ep.integrate_leg(fI, path, ep.LEG_RULE)
-        i_up = val + (z - e.A)
+        i_up = abel.integral(fI, z) + (z - e.A)
         return abs((z - i_up) - upsilon0_const - upsilon_minus1 / z)
 
     z0 = 30.0 + 18j
