@@ -646,6 +646,18 @@ def integrate_leg(f, path, rule, **kw):
         return quad.integrate_path(f, path, relaxed, **kw)
 
 
+def integrate_legs(f, paths, rule):
+    """``integrate_leg`` on each path, all their segments bisected together.
+
+    A NonConvergence sends the paths through ``integrate_leg`` one by one,
+    so that each relaxes on its own as before.
+    """
+    try:
+        return quad.integrate_paths(f, paths, rule)
+    except NonConvergence:
+        return [integrate_leg(f, p, rule) for p in paths]
+
+
 class HField:
     """Evaluator for H by propagating 2iR integrals from one reference."""
 
@@ -654,15 +666,16 @@ class HField:
         self.router = ChainRouter(e, include_log_cut=True)
         self.z_ref, self.h_ref = h_reference(e)
 
+    def values(self, zs):
+        """H at each z along cut-avoiding paths from the reference point."""
+        f = lambda w: 2j * R_eval(w, self.e, guard=False)
+        paths = [self.router.path(self.z_ref, complex(z)) for z in zs]
+        legs = iter(integrate_legs(f, [p for p in paths if p is not None], LEG_RULE))
+        return [self.h_ref if p is None else self.h_ref + next(legs) for p in paths]
+
     def value(self, z):
         """H(z) along a cut-avoiding path from the reference point."""
-        z = complex(z)
-        f = lambda w: 2j * R_eval(w, self.e, guard=False)
-        total = self.h_ref
-        path = self.router.path(self.z_ref, z)
-        if path is not None:
-            total += integrate_leg(f, path, LEG_RULE)
-        return total
+        return self.values([z])[0]
 
 
 def adaptive_band_nodes(e):
@@ -677,19 +690,17 @@ def adaptive_band_nodes(e):
 def midpoint_two_sided(hf, p, q):
     """Two-sided H limits at the midpoint of the cut [p, q].
 
-    H is evaluated at three transversal offsets on each side (the largest
-    is 1e-3 of the cut length) and the one-sided limits are obtained by
-    second-order Richardson elimination (the sum and difference of the
-    limits are the jump constants).
+    H is evaluated, in one batched call, at three transversal offsets on
+    each side (the largest is 1e-3 of the cut length) and the one-sided
+    limits are obtained by second-order Richardson elimination (the sum
+    and difference of the limits are the jump constants).
     """
     mid = 0.5 * (p + q)
     n = 1j * (q - p) / abs(q - p)
     E = 1e-3 * abs(q - p)
-    ladder = []
-    for s in (1.0, 0.5, 0.25):
-        up = hf.value(mid + s * E * n)
-        dn = hf.value(mid - s * E * n)
-        ladder.append((up + dn, up - dn))
+    steps = [s * E * n for s in (1.0, 0.5, 0.25)]
+    h = hf.values([z for d in steps for z in (mid + d, mid - d)])
+    ladder = [(up + dn, up - dn) for up, dn in zip(h[::2], h[1::2])]
     sum0 = (8.0 * ladder[2][0] - 6.0 * ladder[1][0] + ladder[0][0]) / 3.0
     diff0 = (8.0 * ladder[2][1] - 6.0 * ladder[1][1] + ladder[0][1]) / 3.0
     return sum0, diff0

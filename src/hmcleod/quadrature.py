@@ -2,11 +2,15 @@
 
 All analytic modules integrate along oriented polylines in the complex
 plane.  The workhorse is fixed-order Gauss-Legendre per segment with
-recursive bisection, plus a square-root substitution for a segment that
-starts at a branch point.  Integrands are expected to be vectorized over
-numpy arrays of complex points (scalar-only callables also work).  Paths
-that avoid the branch cuts are built by ``endpoints.ChainRouter`` from
-the segment-crossing test at the end of this module.
+adaptive bisection, plus a square-root substitution for a segment that
+starts at a branch point.  The bisection is level-synchronous: every
+segment that shares an integrand, over one path or several
+(``integrate_paths``), has all panels of one bisection level evaluated
+in a single integrand call, with the values of depth-first recursion bit
+for bit.  Integrands are expected to be vectorized over numpy arrays of
+complex points (scalar-only callables also work).  Paths that avoid the
+branch cuts are built by ``endpoints.ChainRouter`` from the
+segment-crossing test at the end of this module.
 """
 
 from __future__ import annotations
@@ -69,50 +73,106 @@ def _gl_nodes():
 
 
 def _eval(f, w):
-    vals = f(w)
-    vals = np.asarray(vals, dtype=complex)
+    vals = np.asarray(f(w), dtype=complex)
     if vals.shape != w.shape:
         vals = np.array([complex(f(wi)) for wi in w])
-    if not np.all(np.isfinite(vals)):
-        bad = w[~np.isfinite(vals)][:1]
-        raise NonFinite(f"integrand not finite near w={bad[0] if len(bad) else '?'}")
     return vals
 
 
-def _gl_panel(f, a, b):
+def _panels(f, lo, hi):
+    """Gauss-Legendre panels on [lo[i], hi[i]], all in one integrand call.
+
+    Returns the panel integrals, the nodes and where f is not finite.
+    """
     t, wt = _gl_nodes()
-    pts = a + (b - a) * t
-    return (b - a) * np.sum(wt * _eval(f, pts))
+    h = hi - lo
+    pts = lo[:, None] + h[:, None] * t
+    vals = _eval(f, pts.ravel()).reshape(pts.shape)
+    s = np.sum(wt * vals, axis=1)
+    # h * s with the real and imaginary products written out: numpy's
+    # array complex multiply rounds differently from its scalar one
+    out = np.empty(len(h), dtype=complex)
+    out.real = h.real * s.real - h.imag * s.imag
+    out.imag = h.real * s.imag + h.imag * s.real
+    return out, pts, ~np.isfinite(vals)
 
 
-def _adaptive(f, a, b, rule, depth=0, prev_err=np.inf, coarse=None):
-    # ``coarse`` is the panel on [a, b] when the caller has it already
-    if coarse is None:
-        coarse = _gl_panel(f, a, b)
-    mid = 0.5 * (a + b)
-    left, right = _gl_panel(f, a, mid), _gl_panel(f, mid, b)
-    fine = left + right
-    err = abs(fine - coarse)
-    if err <= rule.abs_tol + rule.rel_tol * abs(fine):
-        return fine
-    if (depth >= 4 and err >= 0.9 * prev_err
-            and err <= 300.0 * (rule.abs_tol + rule.rel_tol * abs(fine))):
-        # bisection has stopped reducing an already-tiny estimate:
-        # roundoff floor, not a genuine feature
-        return fine
-    if depth >= rule.max_depth:
-        raise NonConvergence(
-            f"adaptive bisection hit depth {rule.max_depth} on [{a}, {b}] (err~{err:.2e})"
-        )
-    return (_adaptive(f, a, mid, rule, depth + 1, err, left)
-            + _adaptive(f, mid, b, rule, depth + 1, err, right))
+def _bisect(f, ends, rule):
+    """Adaptive Gauss-Legendre integrals of f over the intervals ``ends``.
+
+    Level-synchronous bisection: at each level the two halves of every
+    unresolved interval, across all intervals, go to f in one call (the
+    first level adds each whole interval, the coarse panel).  A node is
+    resolved when its halves agree with its coarse panel to
+    abs_tol + rel_tol |fine|, or, at depth >= 4, when bisection has
+    stopped reducing an already-tiny estimate (roundoff floor, not a
+    genuine feature).  An unresolved node at ``max_depth`` raises
+    NonConvergence, a non-finite f NonFinite.  Each tree is summed
+    bottom-up, left + right per node, so the values and the error raised
+    are those of depth-first recursion over the intervals in turn.
+    """
+    a = np.array([p for p, _ in ends])
+    b = np.array([q for _, q in ends])
+    coarse = prev_err = None
+    # where each node starts, in units of its interval: failures are
+    # reported in depth-first order
+    key = np.arange(len(ends), dtype=float)
+    levels = []     # per depth: each node's fine sum and whether it was split
+    failures = []   # (key, error)
+    depth = 0
+    while len(a):
+        mid = 0.5 * (a + b)
+        if coarse is None:
+            lo, hi = np.stack([a, a, mid], axis=1), np.stack([b, mid, b], axis=1)
+        else:
+            lo, hi = np.stack([a, mid], axis=1), np.stack([mid, b], axis=1)
+        vals, pts, nonfinite = _panels(f, lo.ravel(), hi.ravel())
+        vals = vals.reshape(lo.shape)
+        panel_bad = nonfinite.any(axis=1).reshape(lo.shape)
+        bad = panel_bad.any(axis=1)
+        for i in np.flatnonzero(bad):
+            j = i * lo.shape[1] + np.argmax(panel_bad[i])
+            failures.append((key[i], NonFinite(
+                f"integrand not finite near w={pts[j][nonfinite[j]][0]}")))
+        if coarse is None:
+            coarse = vals[:, 0]
+            lo, hi, vals = lo[:, 1:], hi[:, 1:], vals[:, 1:]
+        fine = vals[:, 0] + vals[:, 1]
+        diff = fine - coarse
+        err = np.hypot(diff.real, diff.imag)
+        tol = rule.abs_tol + rule.rel_tol * np.hypot(fine.real, fine.imag)
+        done = err <= tol
+        if depth >= 4:
+            done |= (err >= 0.9 * prev_err) & (err <= 300.0 * tol)
+        if depth >= rule.max_depth:
+            for i in np.flatnonzero(~bad & ~done):
+                failures.append((key[i], NonConvergence(
+                    f"adaptive bisection hit depth {rule.max_depth} on "
+                    f"[{a[i].item()}, {b[i].item()}] (err~{err[i]:.2e})")))
+        split = ~bad & ~done & (depth < rule.max_depth)
+        if failures:
+            # depth-first recursion never reaches the nodes after a failure
+            split &= key < min(k for k, _ in failures)
+        levels.append((fine, split))
+        a, b, coarse = lo[split].ravel(), hi[split].ravel(), vals[split].ravel()
+        prev_err = np.repeat(err[split], 2)
+        key = np.stack([key, key + 0.5 ** (depth + 1)], axis=1)[split].ravel()
+        depth += 1
+    if failures:
+        raise min(failures, key=lambda kf: kf[0])[1]
+    total = np.empty(0, dtype=complex)
+    for fine, split in reversed(levels):
+        node = fine.copy()
+        node[split] = total[::2] + total[1::2]
+        total = node
+    return total
 
 
 def _segment_sqrt_start(f, a, b, rule):
     # w = a + (b-a) * t^2 absorbs a (w-a)^(-1/2) singularity at the start
     def g(t):
         return f(a + (b - a) * t * t) * 2.0 * t * (b - a)
-    return _adaptive(g, 0.0, 1.0, rule)
+    return _bisect(g, [(0.0, 1.0)], rule)[0]
 
 
 def integrate_path(f, path, rule=DEFAULT_RULE, sqrt_start=False):
@@ -122,13 +182,31 @@ def integrate_path(f, path, rule=DEFAULT_RULE, sqrt_start=False):
     segment, for integrands behaving like (w-p)^(±1/2) at a declared
     branch-point start of the path.
     """
+    segs = path.segments()
     total = 0.0 + 0.0j
-    for i, (a, b) in enumerate(path.segments()):
-        if sqrt_start and i == 0:
-            total += _segment_sqrt_start(f, a, b, rule)
-        else:
-            total += _adaptive(f, a, b, rule)
+    if sqrt_start:
+        total += _segment_sqrt_start(f, *segs[0], rule)
+        segs = segs[1:]
+    for v in _bisect(f, segs, rule):
+        total += v
     return total
+
+
+def integrate_paths(f, paths, rule=DEFAULT_RULE):
+    """``integrate_path`` on each path, all their segments bisected together.
+
+    The values are those of one ``integrate_path`` call per path, bit
+    for bit, and an error is the one the first failing path would raise.
+    """
+    segs = [p.segments() for p in paths]
+    vals = iter(_bisect(f, [s for ss in segs for s in ss], rule))
+    totals = []
+    for ss in segs:
+        total = 0.0 + 0.0j
+        for _ in ss:
+            total += next(vals)
+        totals.append(total)
+    return totals
 
 
 def cheb_theta_nodes(m):

@@ -145,34 +145,40 @@ class AbelMap:
         self.stage = e.A - 0.4 * seg * u1
         self._inv_r = lambda w: 1.0 / ep.R_eval(w, e, guard=False)
 
-    def integral(self, f, z):
-        """int_A^z f dw for f with at most a square-root singularity at A.
+    def integrals(self, f, zs):
+        """int_A^z f dw at each z, for f with at most a square-root singularity at A.
 
-        The path is the leg from A to the stage point, with the square-root
-        start, and then the router's cut-avoiding path to z.
+        Each path is the leg from A to the stage point, with the square-root
+        start, and then the router's cut-avoiding path to z.  The stage leg
+        is integrated once and the router paths together.
         """
-        z = complex(z)
-        if abs(z - self.e.A) < 1e-13:
-            return 0.0 + 0.0j
-        total = ep.integrate_leg(f, quad.Path((self.e.A, self.stage)), ep.LEG_RULE,
+        at_a = [abs(complex(z) - self.e.A) < 1e-13 for z in zs]
+        if all(at_a):
+            return [0.0 + 0.0j for _ in zs]
+        stage = ep.integrate_leg(f, quad.Path((self.e.A, self.stage)), ep.LEG_RULE,
                                  sqrt_start=True)
-        path = self.router.path(self.stage, z)
-        if path is not None:
-            total += ep.integrate_leg(f, path, ep.LEG_RULE)
-        return total
+        paths = [None if a else self.router.path(self.stage, z) for z, a in zip(zs, at_a)]
+        legs = iter(ep.integrate_legs(f, [p for p in paths if p is not None], ep.LEG_RULE))
+        return [0.0 + 0.0j if a else stage if p is None else stage + next(legs)
+                for a, p in zip(at_a, paths)]
 
-    def raw_integral(self, z):
-        """int_A^z dw/R."""
-        return self.integral(self._inv_r, z)
+    def integral(self, f, z):
+        """int_A^z f dw (see ``integrals``)."""
+        return self.integrals(f, [z])[0]
+
+    def raw_integral(self, zs):
+        """int_A^z dw/R at each z of zs."""
+        return self.integrals(self._inv_r, zs)
 
     def value(self, z):
-        return self.nu * self.raw_integral(z)
+        return self.nu * self.raw_integral([z])[0]
 
 
 def compute_periods(e, constants, m):
     """Period data needed by the two-band asymptotic value at one x.
 
-    Returns the period data and the Abel map normalized by them.  The
+    Returns the period data, the Abel map normalized by them and its
+    value A(Q), from one pass over the Abel paths to z_far and Q.  The
     straight chain placement is used throughout (every quantity here is
     invariant under deformations that do not cross other cuts).
     """
@@ -199,7 +205,7 @@ def compute_periods(e, constants, m):
 
     abel = AbelMap(e, nu)
     z_far = _far_point(e)
-    base = abel.raw_integral(z_far)
+    base, raw_q = abel.raw_integral((z_far, Q))
 
     # tail of int dw/R: 1/R = sum t_k w^(-2-k)
     A_inf = nu * (base + ep.series_tail(_series_inv_sqrt(e, 16), z_far))
@@ -209,7 +215,7 @@ def compute_periods(e, constants, m):
                     F1=complex(F1), Q=complex(Q),
                     nu=complex(nu), b_sign=b_sign, c_upsilon=complex(c_upsilon))
     _check_offdiagonal_zero(e, pd)
-    return pd, abel
+    return pd, abel, nu * raw_q
 
 
 def gamma_quarter(z, e):
@@ -258,8 +264,7 @@ class Genus1Pipeline:
         self.x = complex(self.e.x)
         m = ep.adaptive_band_nodes(self.e)
         self.constants = ep.spectral_constants(self.e, m=m, hint=constants_hint)
-        self.periods, self.abel = compute_periods(self.e, self.constants, m=m)
-        self.A_Q = self.abel.value(self.periods.Q)
+        self.periods, self.abel, self.A_Q = compute_periods(self.e, self.constants, m=m)
 
     def theta_shift(self, k):
         """Argument shift of the theta ratios: k F1 U plus a half period.
@@ -356,6 +361,25 @@ class _PipelineCache:
 
     def __init__(self):
         self.solved = {}
+        # per half-plane (Im x > 0): the solved x in insertion order, with
+        # spare room at the end, their pipelines, and each key's slot
+        self._x = {True: np.empty(64, dtype=complex), False: np.empty(64, dtype=complex)}
+        self._pipes = {True: [], False: []}
+        self._slot = {}
+
+    def add(self, pipe):
+        """Register a solved pipeline, in the place of one with the same key."""
+        key = _cache_key(pipe.x)
+        if key not in self._slot:
+            upper = pipe.x.imag > 0
+            self._slot[key] = (upper, len(self._pipes[upper]))
+            self._pipes[upper].append(None)
+            if len(self._pipes[upper]) > len(self._x[upper]):
+                self._x[upper] = np.concatenate([self._x[upper], np.empty_like(self._x[upper])])
+        upper, i = self._slot[key]
+        self._pipes[upper][i] = pipe
+        self._x[upper][i] = pipe.x
+        self.solved[key] = pipe
 
     def get(self, x):
         x = complex(x)
@@ -364,29 +388,39 @@ class _PipelineCache:
             return self.solved[key]
         seed = None
         hint = None
-        same_half = [p for p in self.solved.values() if (p.x.imag > 0) == (x.imag > 0)]
-        if same_half:
-            nearest = min(same_half, key=lambda p: abs(p.x - x))
-            if abs(nearest.x - x) < 1.5:
-                seed = nearest.e
-                hint = nearest.constants
+        upper = x.imag > 0
+        pipes = self._pipes[upper]
+        if pipes:
+            d = self._x[upper][:len(pipes)] - x
+            dist = np.hypot(d.real, d.imag)
+            i = int(np.argmin(dist))
+            if dist[i] < 1.5:
+                seed = pipes[i].e
+                hint = pipes[i].constants
         pipe = Genus1Pipeline(x, seed=seed, constants_hint=hint)
-        self.solved[key] = pipe
+        self.add(pipe)
         return pipe
 
 
-def _newton_pole(cache, x0, k, sign, tol=1e-9, max_iter=18, fd=1e-4):
+# Newton on the pole condition: residual tolerance, iteration cap and the
+# step of the finite-difference Jacobian
+POLE_TOL = 1e-9
+POLE_MAX_ITER = 18
+POLE_FD = 1e-4
+
+
+def _newton_pole(cache, x0, k, sign):
     x = complex(x0)
     r = cache.get(x).pole_residual(k, sign)
     J = None
-    for _ in range(max_iter):
-        if abs(r) < tol:
+    for _ in range(POLE_MAX_ITER):
+        if abs(r) < POLE_TOL:
             return x
         if J is None:
-            rpp = cache.get(x + fd).pole_residual(k, sign)
-            rip = cache.get(x + 1j * fd).pole_residual(k, sign)
-            J = np.array([[(rpp - r).real / fd, (rip - r).real / fd],
-                          [(rpp - r).imag / fd, (rip - r).imag / fd]])
+            rpp = cache.get(x + POLE_FD).pole_residual(k, sign)
+            rip = cache.get(x + 1j * POLE_FD).pole_residual(k, sign)
+            J = np.array([[(rpp - r).real / POLE_FD, (rip - r).real / POLE_FD],
+                          [(rpp - r).imag / POLE_FD, (rip - r).imag / POLE_FD]])
         try:
             step = np.linalg.solve(J, -np.array([r.real, r.imag]))
         except np.linalg.LinAlgError:

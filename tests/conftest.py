@@ -18,7 +18,7 @@ def pipe_refpoint(pipeline_cache):
     session cache, so that no test order can put a hinted one there first.
     """
     pipe = theta.Genus1Pipeline(X_REF)
-    pipeline_cache.solved[theta._cache_key(X_REF)] = pipe
+    pipeline_cache.add(pipe)
     return pipe
 
 

@@ -221,3 +221,17 @@ def test_newton_makes_no_difference_quotients(solved, monkeypatch):
     # Newton step of a short continuation step is accepted, and the
     # Jacobian reuses the nodes of the accepted trial
     assert len(calls) == 1 + info["newton_iters"]
+
+
+def test_cold_constants_batch_the_h_field_ladders(solved, pipe_refpoint, monkeypatch):
+    # each cut midpoint's six ladder values come from one batched H-field
+    # call, three calls in all, with the constants of the pipeline
+    legs = []
+    integrate_leg, integrate_legs = ep.integrate_leg, ep.integrate_legs
+    monkeypatch.setattr(ep, "integrate_leg",
+                        lambda f, path, rule, **kw: legs.append(1) or integrate_leg(f, path, rule, **kw))
+    monkeypatch.setattr(ep, "integrate_legs",
+                        lambda f, paths, rule: legs.append(len(paths)) or integrate_legs(f, paths, rule))
+    sc = ep.spectral_constants(solved, m=ep.adaptive_band_nodes(solved))
+    assert legs == [6, 6, 6]
+    assert sc == pipe_refpoint.constants

@@ -3,7 +3,7 @@ import pytest
 
 from hmcleod import endpoints as ep
 from hmcleod import quadrature as quad
-from hmcleod.errors import NonFinite
+from hmcleod.errors import HmcleodError, NonConvergence, NonFinite
 
 
 RULE = quad.QuadratureRule()
@@ -107,3 +107,128 @@ def test_chain_router_avoids_cuts(pipe_refpoint):
     # a clear straight segment comes back as a single leg
     away = start - (e.B - e.A)
     assert router.path(start, away).vertices == (start, away)
+
+
+# --- the depth-first recursive rule, kept as the reference of the batched one ---
+
+def _ref_panel(f, a, b):
+    t, wt = quad._gl_nodes()
+    pts = a + (b - a) * t
+    vals = np.asarray(f(pts), dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite(f"integrand not finite near w={pts[~np.isfinite(vals)][0]}")
+    return (b - a) * np.sum(wt * vals)
+
+
+def _ref_adaptive(f, a, b, rule, depth=0, prev_err=np.inf, coarse=None):
+    if coarse is None:
+        coarse = _ref_panel(f, a, b)
+    mid = 0.5 * (a + b)
+    left, right = _ref_panel(f, a, mid), _ref_panel(f, mid, b)
+    fine = left + right
+    err = abs(fine - coarse)
+    if err <= rule.abs_tol + rule.rel_tol * abs(fine):
+        return fine
+    if (depth >= 4 and err >= 0.9 * prev_err
+            and err <= 300.0 * (rule.abs_tol + rule.rel_tol * abs(fine))):
+        return fine
+    if depth >= rule.max_depth:
+        raise NonConvergence(
+            f"adaptive bisection hit depth {rule.max_depth} on [{a}, {b}] (err~{err:.2e})")
+    return (_ref_adaptive(f, a, mid, rule, depth + 1, err, left)
+            + _ref_adaptive(f, mid, b, rule, depth + 1, err, right))
+
+
+def _ref_integrate_path(f, path, rule, sqrt_start=False):
+    total = 0.0 + 0.0j
+    for i, (a, b) in enumerate(path.segments()):
+        if sqrt_start and i == 0:
+            g = lambda t: f(a + (b - a) * t * t) * 2.0 * t * (b - a)
+            total += _ref_adaptive(g, 0.0, 1.0, rule)
+        else:
+            total += _ref_adaptive(f, a, b, rule)
+    return total
+
+
+def _outcome(fn):
+    """The value as its two floats, or the error as its type and message."""
+    try:
+        v = complex(fn())
+    except HmcleodError as exc:
+        return type(exc).__name__, str(exc)
+    return v.real, v.imag
+
+
+def _random_integrand(rng):
+    # a rational part with poles near the plane's centre, times an exponential
+    poles = rng.normal(size=3) + 1j * rng.normal(size=3)
+    res = rng.normal(size=3) + 1j * rng.normal(size=3)
+    alpha = complex(rng.normal(), rng.normal())
+    return lambda w: sum(c / (w - p) for c, p in zip(res, poles)) * np.exp(alpha * w)
+
+
+def test_batched_rule_matches_recursive_reference_bitwise():
+    rng = np.random.default_rng(2024)
+    rule = quad.QuadratureRule(max_depth=18)
+    for _ in range(200):
+        f = _random_integrand(rng)
+        path = quad.Path(tuple(2.0 * (rng.normal(size=4) + 1j * rng.normal(size=4))))
+        assert (_outcome(lambda: quad.integrate_path(f, path, rule))
+                == _outcome(lambda: _ref_integrate_path(f, path, rule)))
+
+
+def test_batched_paths_match_reference_path_by_path():
+    rng = np.random.default_rng(7)
+    f = _random_integrand(rng)
+    paths = [quad.Path(tuple(1.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))))
+             for n in (2, 3, 5, 2)]
+    ref = [_outcome(lambda: _ref_integrate_path(f, p, RULE)) for p in paths]
+    got = quad.integrate_paths(f, paths, RULE)
+    assert [(v.real, v.imag) for v in got] == ref
+
+
+def test_batched_sqrt_start_matches_reference():
+    a = 0.3 - 0.2j
+    f = lambda w: np.exp(w) / np.sqrt(w - a) + 1.0 / (w + 2.0)
+    path = quad.Path((a, 1.5 + 0.7j, 2.0 - 1.0j))
+    assert (_outcome(lambda: quad.integrate_path(f, path, RULE, sqrt_start=True))
+            == _outcome(lambda: _ref_integrate_path(f, path, RULE, sqrt_start=True)))
+
+
+def test_deep_tree_matches_reference():
+    # a pole 1e-6 off the segment forces some 20 levels of bisection
+    calls = []
+
+    def f(w):
+        calls.append(1)
+        return 1.0 / (w - (0.37 + 1e-6j))
+
+    path = quad.Path((0.0, 1.0))
+    rule = quad.QuadratureRule(max_depth=40)
+    val = _outcome(lambda: quad.integrate_path(f, path, rule))
+    assert len(calls) >= 15
+    assert val == _outcome(lambda: _ref_integrate_path(f, path, rule))
+
+
+def test_max_depth_and_nonfinite_errors_match_reference():
+    near = lambda w: 1.0 / (w - (0.37 + 1e-6j))
+    shallow = quad.QuadratureRule(max_depth=3)
+    path = quad.Path((0.0, 1.0, 1.0 + 1.0j))
+    ref = _outcome(lambda: _ref_integrate_path(near, path, shallow))
+    assert ref[0] == "NonConvergence"
+    with pytest.raises(NonConvergence):
+        quad.integrate_path(near, path, shallow)
+    assert _outcome(lambda: quad.integrate_path(near, path, shallow)) == ref
+    # not finite on the second segment only
+    hole = lambda w: np.where(w.imag > 0.5, np.nan, 1.0 / (w + 3.0))
+    ref = _outcome(lambda: _ref_integrate_path(hole, path, RULE))
+    assert ref[0] == "NonFinite"
+    with pytest.raises(NonFinite):
+        quad.integrate_path(hole, path, RULE)
+    assert _outcome(lambda: quad.integrate_path(hole, path, RULE)) == ref
+    # over several paths, the error is the first failing path's
+    both = lambda w: near(w) + hole(w)
+    paths = [quad.Path((0.0, 1.0)), quad.Path((1.0, 1.0 + 1.0j))]
+    with pytest.raises(NonConvergence) as info:
+        quad.integrate_paths(both, paths, shallow)
+    assert str(info.value) == _outcome(lambda: _ref_integrate_path(both, paths[0], shallow))[1]

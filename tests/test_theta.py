@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hmcleod import endpoints as ep
+from hmcleod import quadrature as quad
 from hmcleod import theta as th
 from hmcleod.errors import NonFinite, NormalizationFailure, ThetaZero
 
@@ -195,7 +196,7 @@ def test_pipeline_cache_hints_stay_in_their_half_plane(monkeypatch):
 
     monkeypatch.setattr(th, "Genus1Pipeline", Recorder)
     cache = th._PipelineCache()
-    cache.solved[(-2.0, -0.5)] = Solved()
+    cache.add(Solved())
     cache.get(-2.0 + 0.5j)
     assert seeds == [(None, None)]
     cache.get(-2.0 - 1.0j)
@@ -219,3 +220,19 @@ def test_folded_chain_builds_a_router():
     assert np.max(np.abs(ep.residuals(lower.e))) <= 1e-10
     for k in (1, 2, 3):
         assert abs(lower.value(k) - np.conj(upper.value(k))) <= 1e-9
+
+
+def test_pipeline_integrates_the_abel_stage_leg_once(pipe_refpoint, monkeypatch):
+    # the square-root leg from A to the stage point serves both Abel paths,
+    # to z_far and to Q, and A(Q) is the Abel map's own value at Q
+    sqrt_legs = []
+    integrate_path = quad.integrate_path
+
+    def counting(f, path, rule=quad.DEFAULT_RULE, sqrt_start=False):
+        sqrt_legs.append(sqrt_start)
+        return integrate_path(f, path, rule, sqrt_start=sqrt_start)
+
+    monkeypatch.setattr(quad, "integrate_path", counting)
+    pipe = th.Genus1Pipeline(pipe_refpoint.x + 0.05, seed=pipe_refpoint.e)
+    assert sqrt_legs.count(True) == 1
+    assert pipe.A_Q == pipe.abel.value(pipe.periods.Q)
