@@ -69,10 +69,17 @@ class Harness:
     def pole_mask(self, k, window):
         return theta.predict_poles(window, k, cache=self._pipes, verify=False)
 
-    def asymptotic(self, x, k, poles=None):
-        label = genus0.classify_region(x)
+    def asymptotic(self, x, k, poles=None, label=None, genus0_value=None):
+        """(value, backend) at x.
+
+        ``label`` and ``genus0_value``, x's region and its genus-0 value,
+        come from one genus0.classify_and_value call over all the sample
+        points; without them x is classified here.
+        """
+        if label is None:
+            label, genus0_value = genus0.classify_and_value(x)
         if label.pole_free:
-            return genus0.genus0_value(x), "genus0"
+            return complex(genus0_value), "genus0"
         radius = self.delta / k ** (2.0 / 3.0)
         if poles is not None and any(abs(x - q) <= radius for q in poles):
             return None, "pole-mask"
@@ -95,6 +102,8 @@ def cmd_slice(args):
     harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
                       taylor_order=args.taylor_order, step=args.step,
                       delta=args.delta)
+    # the labels and genus-0 values do not depend on k
+    labels, g0_values = genus0.classify_and_value(xs)
     failures = 0
     for k in ks:
         rows = []
@@ -102,14 +111,15 @@ def cmd_slice(args):
         if abs(args.im) > 1e-12:
             pad = 0.6
             window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
-            if any(not genus0.classify_region(x).pole_free for x in xs):
+            if not all(label.pole_free for label in labels):
                 poles = harness.pole_mask(k, window)
             atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
-        for x in xs:
+        for x, label, g0_value in zip(xs, labels, g0_values):
             asym = num = None
             flag = "ok"
             try:
-                asym, backend = harness.asymptotic(x, k, poles=poles)
+                asym, backend = harness.asymptotic(x, k, poles=poles, label=label,
+                                                   genus0_value=g0_value)
                 if asym is None:
                     flag = "pole-mask"
             except HmcleodError as exc:
@@ -145,25 +155,31 @@ def cmd_grid(args):
                       delta=args.delta)
     poles = None
     grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
-    if (args.quantity in ("asymptotic", "error")
-            and any(not genus0.classify_region(x).pole_free for x in grid_pts)):
-        poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
+    if args.quantity in ("asymptotic", "error"):
+        labels, g0_values = genus0.classify_and_value(grid_pts)
+        if not all(label.pole_free for label in labels):
+            poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
     atlas = None
     if args.quantity in ("numeric", "error"):
         off_axis = [y_from_x(x, k) for x in grid_pts if abs(x.imag) > 1e-12]
         if off_axis:
             atlas = harness.atlas(k, off_axis)
+
+    def asymptotic(i):
+        return harness.asymptotic(grid_pts[i], k, poles=poles, label=labels[i],
+                                  genus0_value=g0_values[i])[0]
+
     failures = 0
     rows = []
-    for x in grid_pts:
+    for i, x in enumerate(grid_pts):
         val = None
         try:
             if args.quantity == "asymptotic":
-                val, _ = harness.asymptotic(x, k, poles=poles)
+                val = asymptotic(i)
             elif args.quantity == "numeric":
                 val = harness.numeric(x, k, atlas=atlas)
             else:
-                a, _ = harness.asymptotic(x, k, poles=poles)
+                a = asymptotic(i)
                 n = harness.numeric(x, k, atlas=atlas)
                 val = abs(a - n) if a is not None and n is not None else None
         except HmcleodError:
@@ -203,8 +219,11 @@ def cmd_boundary(args):
 def cmd_poles(args):
     k = args.k[0] if args.k else int(args.alpha - 0.5)
     re0, re1, im0, im1 = args.window
-    corners = [complex(re0, im0), complex(re0, im1), complex(re1, im0), complex(re1, im1)]
-    if all(genus0.classify_region(c).pole_free for c in corners):
+    # the corners and the Newton seeds of predict_poles: a window whose
+    # corners are pole-free may still cross the pole region inside
+    probes = [complex(re0, im0), complex(re0, im1), complex(re1, im0), complex(re1, im1)]
+    probes += theta.seed_grid((re0, re1, im0, im1), theta.SEED_SPACING)
+    if all(label.pole_free for label in genus0.classify_region(probes)):
         raise WrongRegion("pole window lies in the pole-free region")
     poles = theta.predict_poles((re0, re1, im0, im1), k, verify=args.verify)
     doc = {

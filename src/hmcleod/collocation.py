@@ -14,6 +14,7 @@ Re y -> -inf, i.e. v_1 = alpha/y2 (node t_1 = +1) and v_N = sqrt(-y1/2)
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,12 +88,11 @@ def _check_region(p):
     k = p.alpha - 0.5
     if k <= 0:
         return
-    for t in np.linspace(-1.0, 1.0, 33):
-        y = p.map_to_segment(t)
-        x = x_from_y(y, k)
-        label = genus0.classify_region(x)
-        if label in (genus0.RegionLabel.POLE_REGION_UP,
-                     genus0.RegionLabel.POLE_REGION_DOWN):
+    ys = [p.map_to_segment(t) for t in np.linspace(-1.0, 1.0, 33)]
+    xs = [x_from_y(y, k) for y in ys]
+    pole = (genus0.RegionLabel.POLE_REGION_UP, genus0.RegionLabel.POLE_REGION_DOWN)
+    for y, x, label in zip(ys, xs, genus0.classify_region(xs)):
+        if label in pole:
             raise RegionViolation(
                 f"segment point y={y} maps to x={x} inside the pole region")
 
@@ -106,14 +106,11 @@ def _initial_guess(p, f_nodes):
     k = p.alpha - 0.5
     v = np.empty(len(f_nodes), dtype=complex)
     if k > 0:
-        import warnings as _warnings
-        hint = None
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            for i, y in enumerate(f_nodes):
-                S = genus0.solve_S(x_from_y(y, k), hint=hint)
-                hint = S
-                v[i] = (2.0 * k) ** (1.0 / 3.0) * 1j * S / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            S = genus0.solve_S_chain([x_from_y(y, k) for y in f_nodes])
+        for i, Si in enumerate(S):
+            v[i] = (2.0 * k) ** (1.0 / 3.0) * 1j * Si / 2.0
         return v
     for i, y in enumerate(f_nodes):
         left = np.sqrt((abs(y) - y) / 2.0 + 0.25)

@@ -31,6 +31,12 @@ between the pole-free and pole regions; its zero-level set consists of
 the two rays of Sigma_S, a curved arc joining the apexes 3 e^(+-2pi i/3)
 through a real root x0 ~ -1.588, and two curved branches leaving the
 apexes into the right half-plane.
+
+``solve_S``, ``classify_region`` and ``classify_and_value`` take a scalar
+or an array of x.  The branch continuation is level-synchronous: one
+eigvals call on stacked companion matrices gives the roots at every x
+of a level, and each x keeps the step rule, root picks and rounding of
+a one-point solve, so a batch gives every point's S to the bit.
 """
 
 from __future__ import annotations
@@ -104,8 +110,41 @@ def dist_sigma_s(x):
                dist_to_ray(x, APEX_MINUS, _RAY_DIR_MINUS))
 
 
+# ---------------------------------------------------------------------------
+# the branch S: one batched kernel
+#
+# A call solves all its x together: the cubic's roots come from stacked
+# companion matrices, one eigvals call per continuation level, while
+# each point's step, prediction, root pick and polish are the scalar
+# complex arithmetic of a one-point solve.  A point's S is therefore the
+# same to the bit whether it is solved alone or in a batch.
+# ---------------------------------------------------------------------------
+
+_S_AT_ZERO = -1j * 2.0 ** (1.0 / 3.0)      # the anchor S(0), a Python complex
+_SIDE_PLUS = 1j * _RAY_DIR_PLUS             # left of the outward ray orientation
+_SIDE_MINUS = 1j * _RAY_DIR_MINUS
+_MAX_LEVELS = 10000
+# the companion matrix np.roots builds for S^3 + xS - 2i, less its -x entry
+_COMPANION = np.zeros((3, 3), dtype=complex)
+_COMPANION[0] = -np.array([1.0, 0.0, 0.0, -2.0j])[1:] / (1.0 + 0.0j)
+_COMPANION[1, 0] = _COMPANION[2, 1] = 1.0
+
+
 def _cubic_roots(x):
-    return np.roots([1.0, 0.0, x, -2.0j])
+    """Roots of S^3 + xS - 2i for each x of a 1-d array, shape (n, 3).
+
+    The companion matrices are the ones np.roots builds (its -x entry is
+    -x / (1 + 0j)), stacked, so one eigvals call gives np.roots' values
+    bit for bit.
+    """
+    A = np.repeat(_COMPANION[None], len(x), axis=0)
+    A[:, 0, 1] = -x / (1.0 + 0.0j)
+    return np.linalg.eigvals(A)
+
+
+# At t = 0 the roots are those of S^3 = 2i: t x is a signed zero, and no
+# sign of it changes the roots' bits.
+_ROOTS_AT_ZERO = _cubic_roots(np.zeros(1, dtype=complex))[0]
 
 
 def _polish(S, x):
@@ -114,61 +153,120 @@ def _polish(S, x):
     return S
 
 
+def _points(x):
+    """The x of a 1-d array as a one-point solve computes with them.
+
+    That is a Python complex, or, for an x on Sigma_S, the numpy complex
+    that nudging it to the plus (pole-free) side makes of it, with a
+    warning.
+    """
+    pts = [complex(v) for v in x]
+    on_cut = [i for i, v in enumerate(pts)
+              if abs(v) >= 3.0 - 1e-10 and dist_sigma_s(v) < 1e-10]
+    if on_cut:
+        warnings.warn("x lies on the branch cut of S; returning the plus-side value",
+                      OnCutWarning, stacklevel=3)
+    for i in on_cut:
+        v = pts[i]
+        side = _SIDE_PLUS if v.imag > 0 else _SIDE_MINUS
+        pts[i] = v + 1e-12 * (1.0 + abs(v)) * side
+    return pts
+
+
+def _continue_from_zero(pts):
+    """Cold branch values: continuation from S(0) along the segments [0, x].
+
+    Level-synchronous: each level advances every x still short of t = 1
+    by its own step, and the roots at all the new t x come from one call.
+    x = 0 keeps S(0), unpolished; every other S is polished.
+    """
+    S = [_S_AT_ZERO] * len(pts)
+    t = [0.0] * len(pts)
+    roots = [_ROOTS_AT_ZERO] * len(pts)
+    live = [i for i, x in enumerate(pts) if x != 0]
+    levels = 0
+    while live:
+        levels += 1
+        if levels > _MAX_LEVELS:
+            raise TraceFailure("branch continuation for S stalled")
+        preds, targets = [], []
+        for i in live:
+            x, Si, ti = pts[i], S[i], t[i]
+            dS = -Si / (3.0 * Si ** 2 + ti * x)
+            sep = min(abs(r - Si) for r in roots[i] if abs(r - Si) > 1e-14)
+            # step keeps the predicted move well under the root separation
+            dt_max = 0.2 * sep / (abs(dS) * abs(x) + 1e-300)
+            dt = min(1.0 - ti, max(dt_max, 1e-6), 0.5)
+            t[i] = ti + dt
+            preds.append(Si + dS * (x * dt))
+            targets.append(t[i] * x)
+        # the roots at the new t x are also the next level's
+        for i, r, pred in zip(live, _cubic_roots(np.array(targets)), preds):
+            S[i] = r[np.argmin(np.abs(r - pred))]
+            roots[i] = r
+        live = [i for i in live if t[i] < 1.0]
+    return [_polish(Si, x) if x != 0 else Si for Si, x in zip(S, pts)]
+
+
 def solve_S(x, hint=None):
     """Branch of S^3 + xS - 2i = 0 continuous off Sigma_S, S ~ -i sqrt(x).
 
-    Solved by Cardano (companion matrix) plus continuation: the branch is
+    Takes a scalar or an array of x (the result has its shape).  Solved
+    by Cardano (companion matrix) plus continuation: the branch is
     anchored at S(0) = -i 2^(1/3) and tracked along the straight segment
-    from 0 to x, which never crosses the radial rays of Sigma_S.  Inputs
-    on the cut are nudged to the plus (pole-free) side and warned about.
+    from 0 to x, which never crosses the radial rays of Sigma_S.  With a
+    ``hint`` (broadcast against x) the root nearest it is taken instead
+    and polished.  Inputs on the cut are nudged to the plus (pole-free)
+    side and warned about.
     """
-    x = complex(x)
-    if dist_sigma_s(x) < 1e-10 and abs(x) >= 3.0 - 1e-10:
-        warnings.warn("x lies on the branch cut of S; returning the plus-side value",
-                      OnCutWarning, stacklevel=2)
-        apex = APEX_PLUS if x.imag > 0 else APEX_MINUS
-        ray = _RAY_DIR_PLUS if x.imag > 0 else _RAY_DIR_MINUS
-        side = 1j * ray  # left of the outward ray orientation
-        x = x + 1e-12 * (1.0 + abs(x)) * side
+    x = np.asarray(x, dtype=complex)
+    pts = _points(x.ravel())
+    if hint is None:
+        S = _continue_from_zero(pts)
+    else:
+        hints = np.full(x.shape, hint, dtype=complex).ravel()
+        S = [_polish(r[np.argmin(np.abs(r - h))], p)
+             for r, h, p in zip(_cubic_roots(np.array(pts)), hints, pts)]
+    return np.array(S, dtype=complex).reshape(x.shape)[()]
 
-    if hint is not None:
-        roots = _cubic_roots(x)
-        return _polish(roots[np.argmin(np.abs(roots - hint))], x)
 
-    S = -1j * 2.0 ** (1.0 / 3.0)
-    if x == 0:
-        return S
-    t = 0.0
-    guard = 0
-    while t < 1.0:
-        guard += 1
-        if guard > 10000:
-            raise TraceFailure("branch continuation for S stalled")
-        x_here = t * x
-        dS = -S / (3.0 * S ** 2 + x_here)
-        roots = _cubic_roots(x_here)
-        sep = min(abs(r - S) for r in roots if abs(r - S) > 1e-14) if len(roots) else np.inf
-        # step keeps the predicted move well under the root separation
-        dt_max = 0.2 * sep / (abs(dS) * abs(x) + 1e-300)
-        dt = min(1.0 - t, max(dt_max, 1e-6), 0.5)
-        t_new = t + dt
-        pred = S + dS * (x * dt)
-        roots = _cubic_roots(t_new * x)
-        S = roots[np.argmin(np.abs(roots - pred))]
-        t = t_new
-    return _polish(S, x)
+def solve_S_chain(xs):
+    """S along a chain of nearby points, as successive hinted solves give it.
+
+    The first point is solved cold; each next one takes the root nearest
+    the S before it, polished.  All roots come from one batched call.
+    """
+    pts = _points(np.asarray(xs, dtype=complex).ravel())
+    S = _continue_from_zero(pts[:1])
+    for r, p in zip(_cubic_roots(np.array(pts[1:])), pts[1:]):
+        S.append(_polish(r[np.argmin(np.abs(r - S[-1]))], p))
+    return np.array(S, dtype=complex)
+
+
+def _cmul(a, b):
+    """a * b with the products written out, as scalar complex arithmetic
+    rounds it (numpy's array loop may fuse them)."""
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out[()]
 
 
 def genus0_data(x, hint=None):
-    x = complex(x)
+    """Branch data at x; for an array x every field is an array of its shape."""
+    x = np.asarray(x, dtype=complex)[()]
     S = solve_S(x, hint=hint)
     Delta = np.sqrt(-4.0j / S)
     a = (S - Delta) / 2.0
     b = (S + Delta) / 2.0
     c = -S / 2.0
-    lam = -2.0 * (1j * x * S / 6.0 + np.log(-4.0 / Delta) + 1.0 / 3.0)
-    return Genus0Data(x=x, S=complex(S), Delta=complex(Delta), a=complex(a),
-                      b=complex(b), c=complex(c), lam=complex(lam))
+    lam = -2.0 * (_cmul(1j * x, S) / 6.0 + np.log(-4.0 / Delta) + 1.0 / 3.0)
+    fields = (x, S, Delta, a, b, c, lam)
+    if np.ndim(x) == 0:
+        fields = tuple(complex(f) for f in fields)
+    return Genus0Data(*fields)
 
 
 def _dist_to_segment(z, p, q):
@@ -238,9 +336,17 @@ def h_prime(z, d, guard=True):
 
 
 def frak_c(x, hint=None):
-    """Boundary functional: Re(2 h(c(x); x) + lambda(x))."""
-    d = genus0_data(x, hint=hint)
-    return float(np.real(two_h_plus_lambda(d.c, d, guard=False)))
+    """Boundary functional: Re(2 h(c(x); x) + lambda(x)).
+
+    Broadcasts over an array x.  numpy's array loops then evaluate the
+    closed form, and its last bit may differ from the scalar value's.
+    """
+    return _frak_c_of(genus0_data(x, hint=hint))
+
+
+def _frak_c_of(d):
+    val = np.real(two_h_plus_lambda(d.c, d, guard=False))
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def x0_root():
@@ -356,11 +462,42 @@ def _boundary_data():
     return {"arc": arc, "branch_up": branch_up}
 
 
+_LABEL_ORDER = np.array([RegionLabel.POLE_FREE_LEFT, RegionLabel.POLE_FREE_RIGHT,
+                         RegionLabel.POLE_REGION_UP, RegionLabel.POLE_REGION_DOWN,
+                         RegionLabel.BOUNDARY_POINT, RegionLabel.APEX_POINT], dtype=object)
+
+
+def _classify(x):
+    """Region labels of the array x, and S at each classified point.
+
+    The classified point is x itself where Im x >= 0 and conj(x) below
+    the axis.  An apex point stands in as x = 0, which needs no
+    continuation, and gets S = NaN.
+    """
+    to_plus, to_minus = x - APEX_PLUS, x - APEX_MINUS
+    apex = np.minimum(np.hypot(to_plus.real, to_plus.imag),
+                      np.hypot(to_minus.real, to_minus.imag)) <= 1e-8
+    mirrored = x.imag < 0
+    xu = np.where(apex, 0.0, np.where(mirrored, np.conj(x), x))
+    d = genus0_data(xu)
+    c = _frak_c_of(d)
+    w = _cmul(xu - APEX_PLUS, np.conj(_RAY_DIR_PLUS))
+    # indices into _LABEL_ORDER, by the rules of classify_region
+    code = np.where(w.real > 0, np.where(mirrored, 3, 2), 0)
+    code = np.where(c < 0, 1, code)
+    code = np.where((w.real > 0) & (w.imag > 0), 0, code)
+    code = np.where(np.abs(c) <= 1e-8, 4, code)
+    code = np.where(apex, 5, code)
+    return _LABEL_ORDER[code], np.where(apex, np.nan, d.S)
+
+
 def classify_region(x):
     """Label x by its region of the scaled plane, from the sign of frak_c.
 
-    Points within 1e-8 of an apex are APEX_POINT.  Points below the real
-    axis are classified by their mirror image x -> conj(x), since
+    Takes a scalar (gives a RegionLabel) or an array (gives an object
+    array of them), one cold solve of S per point.  Points within 1e-8
+    of an apex are APEX_POINT.  Points below the real axis are
+    classified by their mirror image x -> conj(x), since
     frak_c(conj x) = frak_c(x), and a pole-region label becomes DOWN.
     |frak_c| <= 1e-8 gives BOUNDARY_POINT.  Otherwise, with
     w = (x - 3 e^(2pi i/3)) e^(-2pi i/3) the point in the frame of the
@@ -369,32 +506,34 @@ def classify_region(x):
     ray and the zero curve) is the pole region; the rest, where
     frak_c > 0 left of the arc through x0, is POLE_FREE_LEFT.
     """
-    x = complex(x)
-    if min(abs(x - APEX_PLUS), abs(x - APEX_MINUS)) <= 1e-8:
-        return RegionLabel.APEX_POINT
+    return _classify(np.asarray(x, dtype=complex))[0]
 
-    mirrored = x.imag < 0
-    xu = np.conj(x) if mirrored else x
-    up_label = RegionLabel.POLE_REGION_DOWN if mirrored else RegionLabel.POLE_REGION_UP
 
-    c = frak_c(xu)
-    if abs(c) <= 1e-8:
-        return RegionLabel.BOUNDARY_POINT
+def classify_and_value(x):
+    """Region labels of x and the leading asymptotic values -i S(x)/2.
 
-    w = (xu - APEX_PLUS) * np.conj(_RAY_DIR_PLUS)
-    if w.real > 0 and w.imag > 0:
-        return RegionLabel.POLE_FREE_LEFT
-    if c < 0:
-        return RegionLabel.POLE_FREE_RIGHT
-    if w.real > 0:
-        return up_label
-    return RegionLabel.POLE_FREE_LEFT
+    The value is NaN where x is not pole-free.  The S of the
+    classification is S(x) itself where Im x >= 0, so a point costs one
+    cold solve of S there and two below the real axis.
+    """
+    x = np.asarray(x, dtype=complex)
+    labels, S = _classify(x)
+    free = np.vectorize(lambda lab: lab.pole_free, otypes=[bool])(labels)
+    below = x.imag < 0
+    S = np.where(below, np.nan, S)
+    S[free & below] = solve_S(x[free & below])
+    return labels, np.where(free, _cmul(-1j, S) / 2.0, np.nan)[()]
 
 
 def genus0_value(x):
-    """Leading asymptotic value -i S(x)/2 in the pole-free region."""
-    label = classify_region(x)
-    if not label.pole_free:
-        raise WrongRegion(f"x={x} classified {label.value}; the elementary "
-                          "asymptotic formula only applies in the pole-free region")
-    return -1j * genus0_data(x).S / 2.0
+    """Leading asymptotic value -i S(x)/2 in the pole-free region.
+
+    Takes a scalar or an array; raises WrongRegion if any x is not
+    pole-free.
+    """
+    labels, values = classify_and_value(x)
+    for xi, label in zip(np.ravel(x), np.ravel(labels)):
+        if not label.pole_free:
+            raise WrongRegion(f"x={xi} classified {label.value}; the elementary "
+                              "asymptotic formula only applies in the pole-free region")
+    return values

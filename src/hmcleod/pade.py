@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,14 @@ class PadeApprox:
                 f"Pade denominator ~{abs(den):.1e} at offset {h}", pole_estimate=pole)
         return np.polynomial.polynomial.polyval(h, self.num) / den
 
+    @cached_property
+    def _derivative_coeffs(self):
+        """Coefficients of P' and Q', computed once per approximant."""
+        return (np.polynomial.polynomial.polyder(self.num),
+                np.polynomial.polynomial.polyder(self.den))
+
     def derivative(self, h):
-        cnum = np.polynomial.polynomial.polyder(self.num)
-        cden = np.polynomial.polynomial.polyder(self.den)
+        cnum, cden = self._derivative_coeffs
         P = np.polynomial.polynomial.polyval(h, self.num)
         Q = np.polynomial.polynomial.polyval(h, self.den)
         Pp = np.polynomial.polynomial.polyval(h, cnum)
@@ -136,11 +142,8 @@ def pade_from_taylor(jet, nu=None):
         nu = nu0 - drop
         if nu < 1:
             break
-        T = np.empty((nu, nu), dtype=complex)
-        for i in range(nu):
-            for j in range(nu):
-                idx = nu + 1 + i - 1 - j
-                T[i, j] = c[idx] if idx >= 0 else 0.0
+        # T[i, j] = c[nu + i - j]; every index is at least 1
+        T = c[nu + np.arange(nu)[:, None] - np.arange(nu)]
         rhs = -c[nu + 1: 2 * nu + 1]
         try:
             b = np.linalg.solve(T, rhs)

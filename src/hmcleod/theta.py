@@ -440,7 +440,17 @@ def _newton_pole(cache, x0, k, sign):
     return None
 
 
-def predict_poles(window, k, spacing=0.45, cache=None, verify=True):
+SEED_SPACING = 0.45
+
+
+def seed_grid(window, h):
+    """The Newton seeds of predict_poles: a grid of spacing h from the window's low corner."""
+    re0, re1, im0, im1 = window
+    return [complex(xr, xi) for xr in np.arange(re0, re1 + 1e-12, h)
+            for xi in np.arange(im0, im1 + 1e-12, h)]
+
+
+def predict_poles(window, k, spacing=SEED_SPACING, cache=None, verify=True):
     """Predicted pole locations of the asymptotic formula in a window.
 
     ``window`` is (re_min, re_max, im_min, im_max), contained in the
@@ -453,22 +463,21 @@ def predict_poles(window, k, spacing=0.45, cache=None, verify=True):
 
     def sweep(h):
         res = []
-        for xr in np.arange(re0, re1 + 1e-12, h):
-            for xi in np.arange(im0, im1 + 1e-12, h):
-                for sign in (+1, -1):
-                    try:
-                        root = _newton_pole(cache, complex(xr, xi), k, sign)
-                    except HmcleodError:
-                        continue
-                    if root is None:
-                        continue
-                    if not (re0 - 0.25 <= root.real <= re1 + 0.25
-                            and im0 - 0.25 <= root.imag <= im1 + 0.25):
-                        continue
-                    if genus0.classify_region(root).pole_free:
-                        continue
-                    if all(abs(root - q) > 1e-4 for q in res):
-                        res.append(root)
+        for seed in seed_grid(window, h):
+            for sign in (+1, -1):
+                try:
+                    root = _newton_pole(cache, seed, k, sign)
+                except HmcleodError:
+                    continue
+                if root is None:
+                    continue
+                if not (re0 - 0.25 <= root.real <= re1 + 0.25
+                        and im0 - 0.25 <= root.imag <= im1 + 0.25):
+                    continue
+                if genus0.classify_region(root).pole_free:
+                    continue
+                if all(abs(root - q) > 1e-4 for q in res):
+                    res.append(root)
         return sorted(res, key=lambda z: (z.real, z.imag))
 
     poles = sweep(spacing)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmcleod import cli, theta, y_from_x
+from hmcleod import cli, genus0, theta, y_from_x
+from hmcleod.errors import WrongRegion
 
 
 def run(argv):
@@ -131,6 +132,45 @@ def test_poles_window_in_pole_free_region_fails(tmp_path):
     code = run(["poles", "--k", "2", "--window", "0", "1", "-1", "1",
                 "--out", str(out)])
     assert code == 1
+
+
+def test_poles_window_with_pole_free_corners_runs(tmp_path, monkeypatch):
+    # the four corners are pole-free, but the window crosses the pole
+    # region inside; the pole Newton itself is not under test here
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    out = tmp_path / "p.json"
+    assert run(["poles", "--k", "2", "--window", "-3", "2", "2.5", "3.5",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["poles"] == []
+    args = cli.build_parser().parse_args(["poles", "--k", "2", "--window", "0", "1", "-1", "1",
+                                          "--out", str(out)])
+    with pytest.raises(WrongRegion):
+        cli.cmd_poles(args)
+
+
+def test_grid_solves_each_point_at_most_twice(tmp_path, monkeypatch):
+    # one batched classification and value pass: at most two cold solves
+    # of S per point, and the roots of many points per root call
+    cold, root_calls = [], []
+    solve_S, cubic_roots = genus0.solve_S, genus0._cubic_roots
+
+    def counting_solve(x, hint=None):
+        if hint is None:
+            cold.append(np.size(x))
+        return solve_S(x, hint=hint)
+
+    def counting_roots(x):
+        root_calls.append(1)
+        return cubic_roots(x)
+
+    monkeypatch.setattr(genus0, "solve_S", counting_solve)
+    monkeypatch.setattr(genus0, "_cubic_roots", counting_roots)
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--k", "2", "--window", "-1", "3", "-2", "2", "--res", "24",
+                "--quantity", "asymptotic", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 577
+    assert sum(cold) <= 2 * 576
+    assert len(root_calls) < 100
 
 
 def test_endpoints_dump(tmp_path):

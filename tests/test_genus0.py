@@ -1,14 +1,163 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hmcleod import genus0 as g0
+from hmcleod import x_from_y
 from hmcleod.errors import OnCut, OnCutWarning, WrongRegion
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
+# ---------------------------------------------------------------------------
+# reference: the one-point continuation the batched kernel replaced
+# ---------------------------------------------------------------------------
+
+def _ref_solve_S(x, hint=None):
+    """S(x) one point at a time, with np.roots; the batched kernel must match its bits."""
+    def roots_at(v):
+        return np.roots([1.0, 0.0, v, -2.0j])
+
+    def polish(S, v):
+        for _ in range(2):
+            S = S - (S ** 3 + v * S - 2.0j) / (3.0 * S ** 2 + v)
+        return S
+
+    x = complex(x)
+    dist = min(g0.dist_to_ray(x, g0.APEX_PLUS, g0._RAY_DIR_PLUS),
+               g0.dist_to_ray(x, g0.APEX_MINUS, g0._RAY_DIR_MINUS))
+    if dist < 1e-10 and abs(x) >= 3.0 - 1e-10:
+        warnings.warn("x lies on the branch cut of S", OnCutWarning)
+        ray = g0._RAY_DIR_PLUS if x.imag > 0 else g0._RAY_DIR_MINUS
+        x = x + 1e-12 * (1.0 + abs(x)) * (1j * ray)
+    if hint is not None:
+        roots = roots_at(x)
+        return polish(roots[np.argmin(np.abs(roots - hint))], x)
+    S = -1j * 2.0 ** (1.0 / 3.0)
+    if x == 0:
+        return S
+    t = 0.0
+    while t < 1.0:
+        x_here = t * x
+        dS = -S / (3.0 * S ** 2 + x_here)
+        roots = roots_at(x_here)
+        sep = min(abs(r - S) for r in roots if abs(r - S) > 1e-14)
+        dt_max = 0.2 * sep / (abs(dS) * abs(x) + 1e-300)
+        dt = min(1.0 - t, max(dt_max, 1e-6), 0.5)
+        t_new = t + dt
+        pred = S + dS * (x * dt)
+        roots = roots_at(t_new * x)
+        S = roots[np.argmin(np.abs(roots - pred))]
+        t = t_new
+    return polish(S, x)
+
+
+def _bits(z):
+    """The bit patterns of complex values, so that -0.0 differs from 0.0."""
+    return np.atleast_1d(np.asarray(z, dtype=complex)).view(np.int64)
+
+
+def _assert_batch_matches_reference(xs, hints=None):
+    xs = np.asarray(xs, dtype=complex)
+    if hints is None:
+        ref = [_ref_solve_S(x) for x in xs]
+    else:
+        ref = [_ref_solve_S(x, hint=h) for x, h in zip(xs, np.broadcast_to(hints, xs.shape))]
+    got = g0.solve_S(xs, hint=hints)
+    assert got.shape == xs.shape
+    assert np.array_equal(_bits(got), _bits(ref))
+
+
+POLE_FREE_GRID = [complex(xr, xi) for xi in np.linspace(-2.0, 2.0, 24)
+                  for xr in np.linspace(-1.0, 3.0, 24)]
+
+
 def cubic_residual(S, x):
     return abs(S ** 3 + x * S - 2.0j)
+
+
+def test_batched_solve_matches_reference_on_the_pole_free_grid():
+    _assert_batch_matches_reference(POLE_FREE_GRID)
+
+
+def test_batched_solve_matches_reference_on_random_points():
+    rng = np.random.default_rng(37)
+    xs = rng.uniform(-12.0, 12.0, 3000) + 1j * rng.uniform(-12.0, 12.0, 3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OnCutWarning)
+        _assert_batch_matches_reference(xs)
+
+
+def test_batched_solve_matches_reference_on_the_real_axis():
+    xs = np.concatenate([[0.0, -0.0], np.linspace(-3.0, 3.0, 61), np.linspace(0.0, 3.0, 40)])
+    _assert_batch_matches_reference(xs)
+    # signed zeros in the parts of x
+    _assert_batch_matches_reference([complex(2.0, -0.0), complex(-2.0, -0.0),
+                                     complex(-0.0, 1.5), complex(-0.0, -1.5)])
+    assert g0.solve_S(0.0) == -1j * CBRT2
+
+
+def test_batched_solve_nudges_points_on_the_cut_like_the_reference():
+    ts = np.linspace(0.0, 20.0, 41)
+    on_ray = np.concatenate([g0.APEX_PLUS + ts * g0._RAY_DIR_PLUS,
+                             g0.APEX_MINUS + ts * g0._RAY_DIR_MINUS])
+    side = np.repeat([1j * g0._RAY_DIR_PLUS, 1j * g0._RAY_DIR_MINUS], 41)
+    near = on_ray + 0.9e-10 * side
+    for xs in (on_ray, near, np.conj(near)):
+        with pytest.warns(OnCutWarning):
+            _assert_batch_matches_reference(xs)
+    # a point 1e-9 off the ray is not nudged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OnCutWarning)
+        g0.solve_S(on_ray[10:11] + 1e-9 * side[10:11])
+
+
+def test_batched_hinted_solves_match_reference():
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-12.0, 12.0, 400) + 1j * rng.uniform(-12.0, 12.0, 400)
+    noise = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    hints = np.array([_ref_solve_S(x) for x in xs]) + 0.3 * noise
+    _assert_batch_matches_reference(xs, hints)
+    # one hint for every point
+    _assert_batch_matches_reference(xs[:50], 0.3 - 1.0j)
+
+
+def test_scalar_solve_is_the_one_point_batch():
+    for x in [1.3 - 0.7j, -4.0 + 5.0j, 0.0, 3.0, complex(-2.0, -0.0)]:
+        assert _bits(g0.solve_S(x)).tolist() == _bits(_ref_solve_S(x)).tolist()
+        assert _bits(g0.solve_S(x, hint=0.3 - 1j)).tolist() == _bits(
+            _ref_solve_S(x, hint=0.3 - 1j)).tolist()
+    assert np.ndim(g0.solve_S(1.0)) == 0
+    assert g0.solve_S(np.ones((2, 3))).shape == (2, 3)
+    assert g0.solve_S([]).shape == (0,)
+
+
+def test_cubic_roots_match_np_roots():
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-20.0, 20.0, 2000) + 1j * rng.uniform(-20.0, 20.0, 2000)
+    ref = [np.roots([1.0, 0.0, x, -2.0j]) for x in xs]
+    assert np.array_equal(_bits(g0._cubic_roots(xs)), _bits(ref))
+
+
+def test_roots_at_zero_do_not_depend_on_the_sign_of_zero():
+    # the continuation's first level takes its roots from the constant
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    for z in zeros:
+        assert _bits(np.roots([1.0, 0.0, z, -2.0j])).tolist() == _bits(g0._ROOTS_AT_ZERO).tolist()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5])
+def test_chain_matches_successive_hinted_solves(alpha):
+    # the collocation seed: the branch along the Chebyshev nodes of [-12, 12]
+    k = alpha - 0.5
+    ys = 12.0 * np.cos(np.arange(200) * np.pi / 199) + 0j
+    xs = [x_from_y(y, k) for y in ys]
+    ref, hint = [], None
+    for x in xs:
+        hint = _ref_solve_S(x, hint=hint)
+        ref.append(hint)
+    assert np.array_equal(_bits(g0.solve_S_chain(xs)), _bits(ref))
 
 
 def test_solve_S_anchor_values():
@@ -230,7 +379,8 @@ def test_classify_region_far_field_follows_frak_c():
         assert g0.classify_region(np.conj(x)) is down
 
 
-def test_classify_region_across_boundary_curves():
+def _boundary_pairs():
+    """Points 1e-3 either side of each boundary curve, with their labels."""
     L, R, UP, DOWN = (g0.RegionLabel.POLE_FREE_LEFT, g0.RegionLabel.POLE_FREE_RIGHT,
                       g0.RegionLabel.POLE_REGION_UP, g0.RegionLabel.POLE_REGION_DOWN)
     data = g0._boundary_data()
@@ -245,14 +395,78 @@ def test_classify_region_across_boundary_curves():
     cases.append((g0.APEX_PLUS + ts * g0._RAY_DIR_PLUS, g0._RAY_DIR_PLUS, L, UP))
     cases.append((g0.APEX_MINUS + ts * g0._RAY_DIR_MINUS, g0._RAY_DIR_MINUS, DOWN, L))
     eps = 1e-3
+    pairs = []
     for pts, tan, left, right in cases:
         for x, n in np.broadcast(pts, 1j * tan):
-            assert g0.classify_region(x + eps * n) is left, x
-            assert g0.classify_region(x - eps * n) is right, x
+            pairs += [(x + eps * n, left), (x - eps * n, right)]
+    return pairs
+
+
+def test_classify_region_across_boundary_curves():
+    for x, label in _boundary_pairs():
+        assert g0.classify_region(x) is label, x
+
+
+def _apex_rings():
+    angles = np.linspace(-np.pi, np.pi, 48, endpoint=False)
+    return np.concatenate([apex + r * np.exp(1j * angles)
+                           for apex in (g0.APEX_PLUS, g0.APEX_MINUS)
+                           for r in (5e-9, 1e-6, 1e-3, 0.05, 0.5)])
+
+
+def test_array_classification_gives_the_scalar_labels():
+    pairs = _boundary_pairs()
+    xs = np.array([x for x, _ in pairs])
+    assert list(g0.classify_region(xs)) == [label for _, label in pairs]
+    rings = _apex_rings()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OnCutWarning)
+        scalar = [g0.classify_region(x) for x in rings]
+        batched = g0.classify_region(rings)
+    assert list(batched) == scalar
+    assert scalar.count(g0.RegionLabel.APEX_POINT) == 96
+    assert set(scalar) == set(g0.RegionLabel)
+    grid = np.array(POLE_FREE_GRID).reshape(24, 24)
+    assert g0.classify_region(grid).shape == (24, 24)
+    assert list(g0.classify_region(grid).ravel()) == [g0.classify_region(x) for x in POLE_FREE_GRID]
+
+
+def test_classify_and_value_reuse_the_solve_above_the_axis():
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(-8.0, 8.0, 300) + 1j * rng.uniform(-8.0, 8.0, 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OnCutWarning)
+        labels, values = g0.classify_and_value(xs)
+        for x, label, value in zip(xs, labels, values):
+            assert label is g0.classify_region(x)
+            if label.pole_free:
+                ref = -1j * complex(_ref_solve_S(x)) / 2.0
+                assert _bits(value).tolist() == _bits(ref).tolist()
+                assert _bits(g0.genus0_value(x)).tolist() == _bits(ref).tolist()
+            else:
+                assert np.isnan(value)
+    cold = []
+    real_solve = g0.solve_S
+
+    def counting(x, hint=None):
+        cold.append(np.size(x))
+        return real_solve(x, hint=hint)
+
+    g0.solve_S = counting
+    try:
+        g0.classify_and_value(np.array(POLE_FREE_GRID))
+    finally:
+        g0.solve_S = real_solve
+    # one solve for every point, one more for the points below the axis
+    assert sum(cold) == 576 + 288
 
 
 def test_genus0_value_examples():
     assert abs(g0.genus0_value(0.0) - (-(2.0 ** (-2.0 / 3.0)))) < 1e-12
+    vals = g0.genus0_value([0.0, 3.0])
+    assert abs(vals[1] - (-1.0)) < 1e-12
+    with pytest.raises(WrongRegion):
+        g0.genus0_value([0.0, -1.5 - 10.0j])
     assert abs(g0.genus0_value(3.0) - (-1.0)) < 1e-12
     assert abs(g0.genus0_value(1e4) - (-50.0)) < 0.01
     with pytest.raises(WrongRegion):

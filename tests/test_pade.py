@@ -48,6 +48,29 @@ def test_jet_bitwise_equals_direct_recursion():
         assert pade.jet_residual(jet) <= 1e-12
 
 
+def test_pade_fit_matches_the_looped_toeplitz_system():
+    # the denominator system filled entry by entry, as a reference
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        y0 = complex(*rng.uniform(-6.0, 6.0, 2))
+        jet = pade.taylor_from_ivp(y0, complex(*rng.standard_normal(2)),
+                                   complex(*rng.standard_normal(2)), 2.5, n=24)
+        c, nu = jet.coefficients, 12
+        T = np.empty((nu, nu), dtype=complex)
+        for i in range(nu):
+            for j in range(nu):
+                T[i, j] = c[nu + i - j]
+        den = np.concatenate(([1.0 + 0.0j], np.linalg.solve(T, -c[nu + 1:2 * nu + 1])))
+        approx = pade.pade_from_taylor(jet)
+        assert approx.den.tobytes() == den.tobytes()
+        assert approx.num.tobytes() == np.convolve(c, den)[:nu + 1].tobytes()
+        h = 0.3 - 0.2j
+        P, Q = (np.polynomial.polynomial.polyval(h, a) for a in (approx.num, approx.den))
+        Pp, Qp = (np.polynomial.polynomial.polyval(h, np.polynomial.polynomial.polyder(a))
+                  for a in (approx.num, approx.den))
+        assert approx.derivative(h) == (Pp * Q - P * Qp) / Q ** 2
+
+
 def test_zero_solution_jet():
     jet = pade.taylor_from_ivp(1.3, 0.0, 0.0, 0.0, n=24)
     assert np.max(np.abs(jet.coefficients)) == 0.0
