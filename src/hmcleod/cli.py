@@ -69,15 +69,13 @@ class Harness:
     def pole_mask(self, k, window):
         return theta.predict_poles(window, k, cache=self._pipes, verify=False)
 
-    def asymptotic(self, x, k, poles=None, label=None, genus0_value=None):
+    def asymptotic(self, x, k, region, poles=None):
         """(value, backend) at x.
 
-        ``label`` and ``genus0_value``, x's region and its genus-0 value,
-        come from one genus0.classify_and_value call over all the sample
-        points; without them x is classified here.
+        ``region`` is x's (label, genus-0 value), as genus0.classify_and_value
+        gives them.
         """
-        if label is None:
-            label, genus0_value = genus0.classify_and_value(x)
+        label, genus0_value = region
         if label.pole_free:
             return complex(genus0_value), "genus0"
         radius = self.delta / k ** (2.0 / 3.0)
@@ -85,6 +83,29 @@ class Harness:
             return None, "pole-mask"
         pipe = self._pipes.get(x)
         return pipe.value(k), "genus1"
+
+
+def _regions(xs):
+    """Each x's (label, genus-0 value), or the HmcleodError its classification raised.
+
+    All the points are classified in one call; only when that call fails
+    are they classified one by one, so that a failure flags its own row.
+    """
+    try:
+        return list(zip(*genus0.classify_and_value(xs)))
+    except HmcleodError:
+        pass
+    regions = []
+    for x in xs:
+        try:
+            regions.append(genus0.classify_and_value(x))
+        except HmcleodError as exc:
+            regions.append(exc)
+    return regions
+
+
+def _needs_pole_mask(regions):
+    return any(not isinstance(r, HmcleodError) and not r[0].pole_free for r in regions)
 
 
 def _write_rows(path, header, rows):
@@ -103,7 +124,7 @@ def cmd_slice(args):
                       taylor_order=args.taylor_order, step=args.step,
                       delta=args.delta)
     # the labels and genus-0 values do not depend on k
-    labels, g0_values = genus0.classify_and_value(xs)
+    regions = _regions(xs)
     failures = 0
     for k in ks:
         rows = []
@@ -111,15 +132,16 @@ def cmd_slice(args):
         if abs(args.im) > 1e-12:
             pad = 0.6
             window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
-            if not all(label.pole_free for label in labels):
+            if _needs_pole_mask(regions):
                 poles = harness.pole_mask(k, window)
             atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
-        for x, label, g0_value in zip(xs, labels, g0_values):
+        for x, region in zip(xs, regions):
             asym = num = None
             flag = "ok"
             try:
-                asym, backend = harness.asymptotic(x, k, poles=poles, label=label,
-                                                   genus0_value=g0_value)
+                if isinstance(region, HmcleodError):
+                    raise region
+                asym, backend = harness.asymptotic(x, k, region, poles=poles)
                 if asym is None:
                     flag = "pole-mask"
             except HmcleodError as exc:
@@ -156,8 +178,8 @@ def cmd_grid(args):
     poles = None
     grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
     if args.quantity in ("asymptotic", "error"):
-        labels, g0_values = genus0.classify_and_value(grid_pts)
-        if not all(label.pole_free for label in labels):
+        regions = _regions(grid_pts)
+        if _needs_pole_mask(regions):
             poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
     atlas = None
     if args.quantity in ("numeric", "error"):
@@ -166,8 +188,9 @@ def cmd_grid(args):
             atlas = harness.atlas(k, off_axis)
 
     def asymptotic(i):
-        return harness.asymptotic(grid_pts[i], k, poles=poles, label=labels[i],
-                                  genus0_value=g0_values[i])[0]
+        if isinstance(regions[i], HmcleodError):
+            raise regions[i]
+        return harness.asymptotic(grid_pts[i], k, regions[i], poles=poles)[0]
 
     failures = 0
     rows = []

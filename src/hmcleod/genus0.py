@@ -42,6 +42,7 @@ a one-point solve, so a batch gives every point's S to the bit.
 from __future__ import annotations
 
 import enum
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -153,6 +154,11 @@ def _polish(S, x):
     return S
 
 
+def _nearest_root(roots, hint, x):
+    """The root nearest the hint, polished at x."""
+    return _polish(roots[np.argmin(np.abs(roots - hint))], x)
+
+
 def _points(x):
     """The x of a 1-d array as a one-point solve computes with them.
 
@@ -225,7 +231,7 @@ def solve_S(x, hint=None):
         S = _continue_from_zero(pts)
     else:
         hints = np.full(x.shape, hint, dtype=complex).ravel()
-        S = [_polish(r[np.argmin(np.abs(r - h))], p)
+        S = [_nearest_root(r, h, p)
              for r, h, p in zip(_cubic_roots(np.array(pts)), hints, pts)]
     return np.array(S, dtype=complex).reshape(x.shape)[()]
 
@@ -239,7 +245,7 @@ def solve_S_chain(xs):
     pts = _points(np.asarray(xs, dtype=complex).ravel())
     S = _continue_from_zero(pts[:1])
     for r, p in zip(_cubic_roots(np.array(pts[1:])), pts[1:]):
-        S.append(_polish(r[np.argmin(np.abs(r - S[-1]))], p))
+        S.append(_nearest_root(r, S[-1], p))
     return np.array(S, dtype=complex)
 
 
@@ -276,7 +282,7 @@ def _dist_to_segment(z, p, q):
     return np.abs(z - (p + t * d))
 
 
-def cut_root(scale, t):
+def cut_root(scale, t, mul=operator.mul):
     """scale * sqrt(t - 1) * sqrt(t + 1), the root of t^2 - 1 cut on [-1, 1].
 
     The root behaves like t at infinity.  Adding +0j first gives a real t
@@ -284,10 +290,11 @@ def cut_root(scale, t):
     imaginary part of -0.0 while t + 1 (a float promoted with +0j) gets
     +0.0, the two principal roots sit on opposite sides of their cuts,
     and the product flips sign along the real extension of the band
-    beyond t = -1.
+    beyond t = -1.  ``mul`` takes the two products, left to right; the
+    phase h passes _cmul.
     """
     t = t + 0j
-    return scale * np.sqrt(t - 1.0) * np.sqrt(t + 1.0)
+    return mul(mul(scale, np.sqrt(t - 1.0)), np.sqrt(t + 1.0))
 
 
 def r_eval(z, d, guard=True):
@@ -297,13 +304,13 @@ def r_eval(z, d, guard=True):
         raise OnCut("z lies on the band [a, b]")
     m = 0.5 * (d.a + d.b)
     half = 0.5 * (d.b - d.a)
-    out = cut_root(half, (z - m) / half)
+    out = cut_root(half, (z - m) / half, mul=_cmul)
     return out if out.shape else complex(out)
 
 
 def _arcsine_branch(w):
     """U(w) = -i log(i w + eta(w)) with eta cut on [-1, 1], eta ~ i w."""
-    eta = cut_root(1j, w)
+    eta = cut_root(1j, w, mul=_cmul)
     return -1j * np.log(1j * w + eta)
 
 
@@ -313,11 +320,17 @@ def two_h_plus_lambda(z, d, guard=True):
     At the endpoint z = b the value is exactly 0; the formula itself
     only reaches sqrt(machine-eps) there because of the 3/2-power
     branch point, so that limit is special-cased.
+
+    An array of z or of branch data gives each point the value a scalar
+    call gives it, to the bit.  The general complex products are written
+    out (_cmul), as scalar arithmetic rounds them; numpy's array loops
+    may fuse them.  2 S z is the exception: a scalar z is a 0-d array
+    here, so both paths take it from the same numpy loop.
     """
     z = np.asarray(z, dtype=complex)
     r = r_eval(z, d, guard=guard)
     w = np.sqrt((d.a - z) / (d.a - d.b))
-    val = (1j / 3.0) * r * (4.0 * z ** 2 + 2.0 * d.S * z + 2.0 * d.x) \
+    val = _cmul((1j / 3.0) * r, 4.0 * z ** 2 + 2.0 * d.S * z + 2.0 * d.x) \
         - 4.0j * _arcsine_branch(w) + 2j * np.pi
     val = np.where(z == d.b, 0.0 + 0.0j, val)
     return val if val.shape else complex(val)
@@ -338,8 +351,7 @@ def h_prime(z, d, guard=True):
 def frak_c(x, hint=None):
     """Boundary functional: Re(2 h(c(x); x) + lambda(x)).
 
-    Broadcasts over an array x.  numpy's array loops then evaluate the
-    closed form, and its last bit may differ from the scalar value's.
+    Broadcasts over an array x; each value is the scalar one to the bit.
     """
     return _frak_c_of(genus0_data(x, hint=hint))
 
@@ -413,7 +425,7 @@ def _zero_directions_near_apex(apex, radius=0.12, n=720):
     with warnings.catch_warnings():
         # scan points that brentq pushes onto the ray are discarded later
         warnings.simplefilter("ignore", OnCutWarning)
-        vals = np.array([frak_c(apex + radius * np.exp(1j * t)) for t in angles])
+        vals = frak_c(apex + radius * np.exp(1j * angles))
     hits = []
     f = lambda t: frak_c(apex + radius * np.exp(1j * t))
     with warnings.catch_warnings():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hmcleod import cli, genus0, theta, y_from_x
-from hmcleod.errors import WrongRegion
+from hmcleod.errors import TraceFailure, WrongRegion
 
 
 def run(argv):
@@ -44,6 +44,37 @@ def test_slice_determinism(tmp_path):
     run(argv + ["--out", str(a)])
     run(argv + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_classification_failure_flags_only_its_row(tmp_path, monkeypatch):
+    # a point whose branch continuation stalls gets its own flag; the
+    # other rows keep the values of an unbroken run
+    argv = ["slice", "--k", "1", "--xmin", "-1", "--xmax", "3", "--samples", "5"]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    assert run(argv + ["--out", str(good)]) == 0
+    continue_from_zero = genus0._continue_from_zero
+
+    def stall_at_two(pts):
+        if 2.0 in pts:
+            raise TraceFailure("branch continuation for S stalled")
+        return continue_from_zero(pts)
+
+    monkeypatch.setattr(genus0, "_continue_from_zero", stall_at_two)
+    assert run(argv + ["--out", str(bad)]) == 2
+    good_rows = good.read_text().strip().split("\n")
+    bad_rows = bad.read_text().strip().split("\n")
+    for g, b in zip(good_rows, bad_rows):
+        if b.startswith("2.000000000000e+00,"):
+            fields = b.split(",")
+            assert fields[2:4] == ["nan", "nan"] and fields[-1] == "TraceFailure"
+            assert fields[4:6] == g.split(",")[4:6]
+        else:
+            assert b == g
+    grid = tmp_path / "g.csv"
+    assert run(["grid", "--k", "1", "--window", "-1", "3", "-1", "1", "--res", "5",
+                "--quantity", "asymptotic", "--out", str(grid)]) == 2
+    nan_rows = [r for r in grid.read_text().strip().split("\n") if "nan" in r]
+    assert nan_rows == ["2.000000000000e+00,0.000000000000e+00,nan,nan"]
 
 
 def test_grid_smoke(tmp_path):
@@ -88,11 +119,12 @@ def test_asymptotic_masks_predicted_poles(pipe_refpoint, pipeline_cache):
                                 cache=pipeline_cache, verify=False)
     harness = cli.Harness()
     harness._pipes = pipeline_cache
-    assert harness.asymptotic(poles[0], k, poles=poles) == (None, "pole-mask")
+    assert harness.asymptotic(poles[0], k, genus0.classify_and_value(poles[0]),
+                              poles=poles) == (None, "pole-mask")
     far = pipe_refpoint.x
     assert min(abs(far - q) for q in poles) > harness.delta / k ** (2.0 / 3.0)
-    assert harness.asymptotic(far, k, poles=poles) == (pipeline_cache.get(far).value(k),
-                                                       "genus1")
+    assert harness.asymptotic(far, k, genus0.classify_and_value(far),
+                              poles=poles) == (pipeline_cache.get(far).value(k), "genus1")
 
 
 def test_upper_half_plane_matches_vault_reflection():
@@ -105,7 +137,7 @@ def test_upper_half_plane_matches_vault_reflection():
     halves = []
     for xs in (upper, [x.conjugate() for x in upper]):
         atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
-        halves.append([(harness.asymptotic(x, k)[0], harness.numeric(x, k, atlas=atlas))
+        halves.append([(harness.asymptotic(x, k, genus0.classify_and_value(x))[0], harness.numeric(x, k, atlas=atlas))
                        for x in xs])
     for (asym_up, num_up), (asym_dn, num_dn) in zip(*halves):
         assert abs(num_up - np.conj(num_dn)) <= 1e-8

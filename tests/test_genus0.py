@@ -431,6 +431,20 @@ def test_array_classification_gives_the_scalar_labels():
     assert list(g0.classify_region(grid).ravel()) == [g0.classify_region(x) for x in POLE_FREE_GRID]
 
 
+def test_array_frak_c_is_the_scalar_value():
+    # the labels read the sign of frak_c and compare it with 1e-8, so the
+    # values themselves must agree, also on the boundary curves
+    data = g0._boundary_data()
+    xs = np.concatenate([[x for x, _ in _boundary_pairs()], data["arc"], data["branch_up"],
+                         np.conj(data["branch_up"]), _apex_rings(), POLE_FREE_GRID])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OnCutWarning)
+        scalar = np.array([g0.frak_c(x) for x in xs])
+        batched = g0.frak_c(xs)
+    assert np.sum(np.abs(scalar) <= 1e-8) > 100
+    assert np.array_equal(batched.view(np.int64), scalar.view(np.int64))
+
+
 def test_classify_and_value_reuse_the_solve_above_the_axis():
     rng = np.random.default_rng(8)
     xs = rng.uniform(-8.0, 8.0, 300) + 1j * rng.uniform(-8.0, 8.0, 300)
