@@ -61,10 +61,6 @@ class ThetaZero(HmcleodError):
     """A theta denominator in the asymptotic formula is (numerically) zero."""
 
 
-class GridTooCoarse(HmcleodError):
-    """Pole-search grid refinement gave inconsistent results."""
-
-
 class AssumptionViolated(HmcleodError):
     """The diagonal factor vanishes at Q instead of the off-diagonal one."""
 

@@ -26,7 +26,15 @@ where L22/L12 are differences of log-derivatives of Theta at the four
 arguments A(inf) +- (A(Q) + K) with and without the shift k F1 U, and
 Q = (BD - AC)/(B+D-A-C).  The asymptotic formula blows up exactly where
 a theta denominator vanishes; those x form the predicted pole set, and
-the excised domain keeps a distance delta/k^(2/3) away from it.
+the excised domain keeps a distance delta/k^(2/3) away from it.  Since
+Theta vanishes exactly on K + lattice, x is a pole of the family s = +-1
+where
+
+    r(x) = A(inf) + s (A(Q) + K) + k F1 U + B/2 - K = 2 pi i m + B n
+
+for integers m, n.  The lattice coordinates (m, n) of r are
+c(x) = c0(x; s) + k c1(x), with c1 those of F1 U, so the poles are the
+preimages of the integer points under a smooth map of the x-plane.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import numpy as np
 from . import endpoints as ep
 from . import genus0
 from . import quadrature as quad
-from .errors import (AssumptionViolated, GridTooCoarse, HmcleodError,
+from .errors import (AssumptionViolated, HmcleodError,
                      NormalizationFailure, ThetaZero, TruncationInsufficient)
 
 THETA_TRUNCATION = 40
@@ -324,10 +332,31 @@ class Genus1Pipeline:
         r = v + self.theta_shift(k) - pd.K
         return reduce_mod_lattice(r, pd.B_period)
 
+    def lattice_coords(self, family):
+        """Lattice coordinates (c0, c1) of the unreduced pole residual of one family.
+
+        Before its reduction, ``pole_residual`` is 2 pi i m + B n with
+        (m, n) = c0 + k c1: c1 are the coordinates of F1 U and c0 those of
+        the rest, which does not depend on k.
+        """
+        pd = self.periods
+        r0 = pd.A_inf + family * (self.A_Q + pd.K) + pd.B_period / 2.0 - pd.K
+        return np.linalg.solve(_lattice_basis(pd.B_period), _real2([r0, pd.F1 * pd.U])).T
+
+
+def _lattice_basis(B_period):
+    """The real 2x2 matrix taking lattice coordinates (m, n) to 2 pi i m + B n as (Re, Im)."""
+    return np.array([[0.0, B_period.real], [2.0 * np.pi, B_period.imag]])
+
+
+def _real2(z):
+    """2 x n real matrix (Re z; Im z) of complex z."""
+    z = np.asarray(z, dtype=complex)
+    return np.array([z.real, z.imag])
+
 
 def reduce_mod_lattice(v, B_period):
-    basis = np.array([[0.0, B_period.real], [2.0 * np.pi, B_period.imag]])
-    coeff = np.linalg.solve(basis, np.array([v.real, v.imag]))
+    coeff = np.linalg.solve(_lattice_basis(B_period), np.array([v.real, v.imag]))
     n = np.round(coeff)
     red = v - n[0] * 2j * np.pi - n[1] * B_period
     # rounding ties: check the 8 neighbors for the true minimum
@@ -346,7 +375,7 @@ def reduce_mod_lattice(v, B_period):
 
 def _cache_key(x):
     """Key of x in ``_PipelineCache.solved``."""
-    return (round(x.real, 9), round(x.imag, 9))
+    return (round(x.real, 12), round(x.imag, 12))
 
 
 class _PipelineCache:
@@ -402,25 +431,22 @@ class _PipelineCache:
         return pipe
 
 
-# Newton on the pole condition: residual tolerance, iteration cap and the
-# step of the finite-difference Jacobian
+# Newton polish of the pole condition: residual tolerance and iteration cap
 POLE_TOL = 1e-9
 POLE_MAX_ITER = 18
-POLE_FD = 1e-4
 
 
-def _newton_pole(cache, x0, k, sign):
+def _newton_pole(cache, x0, k, sign, J):
+    """Polish x0 to a root of the reduced pole residual, or None.
+
+    ``J`` is the starting 2x2 Jacobian of (Re r, Im r) in (Re x, Im x);
+    Broyden updates refine it from step to step.
+    """
     x = complex(x0)
     r = cache.get(x).pole_residual(k, sign)
-    J = None
     for _ in range(POLE_MAX_ITER):
         if abs(r) < POLE_TOL:
             return x
-        if J is None:
-            rpp = cache.get(x + POLE_FD).pole_residual(k, sign)
-            rip = cache.get(x + 1j * POLE_FD).pole_residual(k, sign)
-            J = np.array([[(rpp - r).real / POLE_FD, (rip - r).real / POLE_FD],
-                          [(rpp - r).imag / POLE_FD, (rip - r).imag / POLE_FD]])
         try:
             step = np.linalg.solve(J, -np.array([r.real, r.imag]))
         except np.linalg.LinAlgError:
@@ -434,74 +460,131 @@ def _newton_pole(cache, x0, k, sign):
         s = np.array([step_c.real, step_c.imag])
         dr = np.array([(r_new - r).real, (r_new - r).imag])
         J = J + np.outer(dr - J @ s, s) / np.dot(s, s)
-        if abs(r_new) > 3.0 * abs(r):
-            J = None  # fresh Jacobian next round
         x, r = x_new, r_new
     return None
 
 
-SEED_SPACING = 0.45
+# node spacing of the pole grid, and how far outside its window a
+# predicted pole is still kept
+POLE_GRID = 0.3
+POLE_MARGIN = 0.25
 
 
-def seed_grid(window, h):
-    """The Newton seeds of predict_poles: a grid of spacing h from the window's low corner."""
+def pole_grid(window):
+    """The nodes of predict_poles: spacing at most POLE_GRID over the window +- POLE_MARGIN.
+
+    A 2-D array, one row per Im x.
+    """
     re0, re1, im0, im1 = window
-    return [complex(xr, xi) for xr in np.arange(re0, re1 + 1e-12, h)
-            for xi in np.arange(im0, im1 + 1e-12, h)]
+    re, im = (np.linspace(lo - POLE_MARGIN, hi + POLE_MARGIN,
+                          int(np.ceil((hi - lo + 2.0 * POLE_MARGIN) / POLE_GRID)) + 1)
+              for lo, hi in ((re0, re1), (im0, im1)))
+    return re[None, :] + 1j * im[:, None]
 
 
-def predict_poles(window, k, spacing=SEED_SPACING, cache=None, verify=True):
+def _triangles(shape):
+    """Corner index triples of the two triangles of every grid cell."""
+    for i in range(shape[0] - 1):
+        for j in range(shape[1] - 1):
+            yield (i, j), (i, j + 1), (i + 1, j + 1)
+            yield (i, j), (i + 1, j + 1), (i + 1, j)
+
+
+def _cell_seeds(xs, cs):
+    """Preimages of the integer points of one grid triangle's c-image.
+
+    ``xs`` are the corner x and ``cs`` the corner lattice coordinates;
+    gives the seeds and dc/dx of the affine map through the corners, or
+    no seeds and None where that map is singular.
+    """
+    dx = _real2([xs[1] - xs[0], xs[2] - xs[0]])
+    dc = np.array([cs[1] - cs[0], cs[2] - cs[0]]).T
+    if abs(np.linalg.det(dc)) <= 1e-12 * np.abs(dc).max() ** 2:
+        return [], None
+    lo, hi = np.floor(np.min(cs, axis=0)), np.ceil(np.max(cs, axis=0))
+    ints = np.stack(np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1)),
+                    axis=-1).reshape(-1, 2)
+    lam = np.linalg.solve(dc, (ints - cs[0]).T)
+    inside = (lam[0] >= -1e-9) & (lam[1] >= -1e-9) & (lam[0] + lam[1] <= 1.0 + 1e-9)
+    pre = dx @ lam[:, inside]
+    seeds = [xs[0] + complex(a, b) for a, b in pre.T]
+    return seeds, dc @ np.linalg.inv(dx)
+
+
+def predict_poles(window, k, cache=None):
     """Predicted pole locations of the asymptotic formula in a window.
 
-    ``window`` is (re_min, re_max, im_min, im_max), contained in the
-    pole region.  Newton on the lattice-reduced pole condition is run
-    from a coarse grid of seeds for both sign choices; ``verify``
-    re-runs a refined seed grid and demands a consistent pole set.
+    ``window`` is (re_min, re_max, im_min, im_max).  The unreduced pole
+    residual is r = L(c0 + k c1), with L the lattice basis and (c0, c1)
+    from ``Genus1Pipeline.lattice_coords``, so a pole is an x where the
+    lattice coordinates c(x) = c0 + k c1 are integers.  c is computed at
+    the pole-region nodes of ``pole_grid``; in each grid triangle the
+    affine map through the corner values of c gives one seed per
+    integer point of the triangle's image, which ``_newton_pole``
+    polishes from the Jacobian L dc/dx of that map.  A corner whose c0
+    differs from the first corner's by an integer vector (the Abel map
+    took another representative of A(Q) or A(inf)) is unwrapped first.
+    A triangle with a corner outside the pole region or without a
+    pipeline, or whose corners disagree on the b-cycle orientation, takes
+    its corner values of c from the affine map of the nearest regular
+    triangle.  Roots outside the window +- POLE_MARGIN and pole-free
+    roots are dropped, and roots within 1e-4 of each other are one pole.
     """
     re0, re1, im0, im1 = window
     cache = cache or _PipelineCache()
-
-    def sweep(h):
-        res = []
-        for seed in seed_grid(window, h):
-            for sign in (+1, -1):
-                try:
-                    root = _newton_pole(cache, seed, k, sign)
-                except HmcleodError:
-                    continue
-                if root is None:
-                    continue
-                if not (re0 - 0.25 <= root.real <= re1 + 0.25
-                        and im0 - 0.25 <= root.imag <= im1 + 0.25):
-                    continue
-                if genus0.classify_region(root).pole_free:
-                    continue
-                if all(abs(root - q) > 1e-4 for q in res):
-                    res.append(root)
-        return sorted(res, key=lambda z: (z.real, z.imag))
-
-    poles = sweep(spacing)
-    if verify:
-        refined = sweep(spacing / 1.7)
-        for p in poles:
-            if min((abs(p - q) for q in refined), default=np.inf) > 1e-6:
-                raise GridTooCoarse("pole set changed under seed refinement")
-        poles = refined
-    return poles
-
-
-def in_Sk(x, k, delta=0.5, cache=None):
-    """True when x keeps distance delta/k^(2/3) from every predicted pole."""
-    x = complex(x)
-    cache = cache or _PipelineCache()
-    radius = delta / k ** (2.0 / 3.0)
-    seeds = [x] + [x + 1.3 * radius * np.exp(2j * np.pi * j / 4) for j in range(4)]
-    for sign in (+1, -1):
-        for s in seeds:
+    nodes = pole_grid(window)
+    labels = genus0.classify_region(nodes.ravel()).reshape(nodes.shape)
+    pipes = {}
+    for idx, label in np.ndenumerate(labels):
+        if not label.pole_free:
             try:
-                root = _newton_pole(cache, s, k, sign)
+                pipes[idx] = cache.get(nodes[idx])
             except HmcleodError:
+                pass
+
+    roots = []
+
+    def polish(x0, sign, dcdx):
+        try:
+            pipe = cache.get(x0)
+            J = _lattice_basis(pipe.periods.B_period) @ dcdx
+            root = _newton_pole(cache, x0, k, sign, J)
+        except HmcleodError:
+            return
+        if root is not None and (re0 - POLE_MARGIN <= root.real <= re1 + POLE_MARGIN
+                                 and im0 - POLE_MARGIN <= root.imag <= im1 + POLE_MARGIN):
+            roots.append(root)
+
+    for sign in (+1, -1):
+        coords = {idx: pipe.lattice_coords(sign) for idx, pipe in pipes.items()}
+        regular, irregular = [], []
+        for tri in _triangles(nodes.shape):
+            xs = [nodes[idx] for idx in tri]
+            if (any(idx not in pipes for idx in tri)
+                    or len({pipes[idx].periods.b_sign for idx in tri}) > 1):
+                irregular.append(xs)
                 continue
-            if root is not None and abs(root - x) <= radius:
-                return False
-    return True
+            c0 = np.array([coords[idx][0] for idx in tri])
+            c0[1:] -= np.round(c0[1:] - c0[0])
+            cs = c0 + k * np.array([coords[idx][1] for idx in tri])
+            seeds, dcdx = _cell_seeds(xs, cs)
+            if dcdx is None:
+                irregular.append(xs)
+                continue
+            regular.append((np.mean(xs), np.mean(cs, axis=0), dcdx))
+            for x0 in seeds:
+                polish(x0, sign, dcdx)
+        if not regular:
+            continue
+        centres = np.array([x for x, _, _ in regular])
+        for xs in irregular:
+            x_mid, c_mid, dcdx = regular[int(np.argmin(np.abs(centres - np.mean(xs))))]
+            cs = c_mid + (dcdx @ _real2(np.array(xs) - x_mid)).T
+            for x0 in _cell_seeds(xs, cs)[0]:
+                polish(x0, sign, dcdx)
+
+    poles = []
+    for root, label in zip(roots, genus0.classify_region(roots)):
+        if not label.pole_free and all(abs(root - q) > 1e-4 for q in poles):
+            poles.append(root)
+    return sorted(poles, key=lambda z: (z.real, z.imag))

@@ -68,7 +68,7 @@ def slice_poles(shared_cache):
     for k in (1, 2, 3):
         out[k] = th.predict_poles((SLICE_RE[0] - 0.2, SLICE_RE[1] + 0.2,
                                    SLICE_IM - pad, SLICE_IM + pad), k,
-                                  spacing=0.5, cache=shared_cache, verify=False)
+                                  cache=shared_cache)
     return out
 
 

@@ -77,6 +77,26 @@ def test_classification_failure_flags_only_its_row(tmp_path, monkeypatch):
     assert nan_rows == ["2.000000000000e+00,0.000000000000e+00,nan,nan"]
 
 
+def test_masked_slice_rows_are_not_failures(tmp_path, monkeypatch):
+    # a row inside the pole mask is flagged but exits 0; a failed row
+    # still exits 2
+    x = -4.85 - 9.0j
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [x])
+    monkeypatch.setattr(cli.Harness, "atlas", lambda self, k, ys: None)
+    monkeypatch.setattr(cli.Harness, "numeric", lambda self, x, k, atlas=None: 0j)
+    out = tmp_path / "m.csv"
+    argv = ["slice", "--k", "3", "--slice", "horizontal", "--im", "-9",
+            "--xmin", "-4.85", "--xmax", "-4.85", "--samples", "1", "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_text().strip().split("\n")[1].split(",")[-1] == "pole-mask"
+
+    def fail(self, x, k, atlas=None):
+        raise WrongRegion("no numeric value")
+
+    monkeypatch.setattr(cli.Harness, "numeric", fail)
+    assert run(argv) == 2
+
+
 def test_grid_smoke(tmp_path):
     out = tmp_path / "g.csv"
     code = run(["grid", "--k", "1", "--window", "-2", "2", "-2", "2",
@@ -115,8 +135,7 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
 
 def test_asymptotic_masks_predicted_poles(pipe_refpoint, pipeline_cache):
     k = 3
-    poles = theta.predict_poles((-2.5, -1.0, -9.4, -8.6), k, spacing=0.5,
-                                cache=pipeline_cache, verify=False)
+    poles = theta.predict_poles((-2.5, -1.0, -9.4, -8.6), k, cache=pipeline_cache)
     harness = cli.Harness()
     harness._pipes = pipeline_cache
     assert harness.asymptotic(poles[0], k, genus0.classify_and_value(poles[0]),

@@ -128,39 +128,37 @@ def test_genus1_value_cycle_invariance(pipe_refpoint):
 
 
 def test_pole_prediction_and_exclusion(pipeline_cache):
+    # the mask built from these poles is tested in
+    # test_cli::test_asymptotic_masks_predicted_poles
     k = 3
-    poles = th.predict_poles((-2.5, -1.0, -9.4, -8.6), k, spacing=0.5,
-                             cache=pipeline_cache, verify=False)
+    poles = th.predict_poles((-2.5, -1.0, -9.4, -8.6), k, cache=pipeline_cache)
     assert len(poles) >= 3
     # residual is tiny at each reported pole for one of the families
     for z in poles:
         pipe = pipeline_cache.get(z)
         r = min(abs(pipe.pole_residual(k, +1)), abs(pipe.pole_residual(k, -1)))
         assert r < 1e-7
-    # in_Sk: a point sitting on a pole is excluded, a far point is not
-    assert not th.in_Sk(poles[0], k, delta=0.5, cache=pipeline_cache)
-    far = poles[0] + 0.5 * (poles[1] - poles[0])
-    if min(abs(far - q) for q in poles) > 0.5 / k ** (2.0 / 3.0):
-        assert th.in_Sk(far, k, delta=0.5, cache=pipeline_cache)
 
 
-def test_failed_seed_does_not_abort_pole_search(monkeypatch):
-    # each seed "converges" to a point next to it, except the first one
-    calls = []
+def test_failed_seed_does_not_abort_pole_search(pipeline_cache, monkeypatch):
+    # one raising polish is skipped: every other seed "converges" to
+    # itself and is kept
+    seeds = []
 
-    def fake_newton(cache, x0, k, sign):
-        calls.append(x0 + 0.01 * sign)
-        if len(calls) == 1:
+    def fake_newton(cache, x0, k, sign, J):
+        seeds.append(x0)
+        if len(seeds) == 1:
             raise NonFinite("integrand not finite")
-        return calls[-1]
+        return x0
 
     monkeypatch.setattr(th, "_newton_pole", fake_newton)
-    poles = th.predict_poles((-2.5, -1.0, -9.4, -8.6), 3, spacing=0.5,
-                             cache=object(), verify=False)
-    assert len(calls) == 16
-    assert poles == sorted(calls[1:], key=lambda z: (z.real, z.imag))
-    calls.clear()
-    assert not th.in_Sk(-1.5 - 9.0j, 3, cache=object())
+    poles = th.predict_poles((-2.5, -1.0, -9.4, -8.6), 3, cache=pipeline_cache)
+    assert len(seeds) >= 3
+    kept = []
+    for x0 in seeds[1:]:
+        if all(abs(x0 - q) > 1e-4 for q in kept):
+            kept.append(x0)
+    assert poles == sorted(kept, key=lambda z: (z.real, z.imag))
 
 
 def test_excision_radius_scales():
@@ -207,7 +205,7 @@ def test_hinted_pipeline_has_no_foreign_lambda(pipe_refpoint):
     # Lambda comes only from a cold solve; a hinted one must not carry the
     # Lambda of the pipeline it was seeded from
     cache = th._PipelineCache()
-    th.predict_poles((-2.5, -1.0, -9.4, -8.6), 3, spacing=0.5, cache=cache)
+    th.predict_poles((-2.5, -1.0, -9.4, -8.6), 3, cache=cache)
     Lambda = cache.get(pipe_refpoint.x).constants.Lambda
     assert Lambda is None or abs(Lambda - pipe_refpoint.constants.Lambda) <= 1e-9
 
