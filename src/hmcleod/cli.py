@@ -17,13 +17,16 @@ import numpy as np
 from . import collocation, endpoints, genus0, pade, scaled_from_u, theta, y_from_x
 from .errors import HmcleodError, WrongRegion
 
-SLICE_HEADER = "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag"
-
 
 def _fmt(z):
     if z is None or (isinstance(z, float) and np.isnan(z)):
         return "nan"
     return f"{z:.12e}"
+
+
+def _fmt_pair(z):
+    """The real and imaginary part columns of z, both nan for a missing z."""
+    return [_fmt(None), _fmt(None)] if z is None else [_fmt(z.real), _fmt(z.imag)]
 
 
 class Harness:
@@ -109,6 +112,33 @@ def _needs_pole_mask(regions):
     return any(not isinstance(r, HmcleodError) and not r[0].pole_free for r in regions)
 
 
+def _evaluate(harness, x, k, region, poles, atlas, numeric=True):
+    """(asym, num, flag, failed) at one point of a slice or grid.
+
+    ``region`` is x's entry of ``_regions``, or None for no asymptotic
+    value.  The flag is "ok", "pole-mask" or the first HmcleodError's
+    name; a masked point is no failure, but its numeric value counts.
+    """
+    asym = num = None
+    flag = "ok"
+    try:
+        if isinstance(region, HmcleodError):
+            raise region
+        if region is not None:
+            asym, _ = harness.asymptotic(x, k, region, poles=poles)
+            flag = "ok" if asym is not None else "pole-mask"
+    except HmcleodError as exc:
+        flag = type(exc).__name__
+    failed = flag not in ("ok", "pole-mask")
+    if numeric:
+        try:
+            num = harness.numeric(x, k, atlas=atlas)
+        except HmcleodError as exc:
+            flag = flag if flag != "ok" else type(exc).__name__
+            failed = True
+    return asym, num, flag, failed
+
+
 def _write_rows(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -117,7 +147,6 @@ def _write_rows(path, header, rows):
 
 
 def cmd_slice(args):
-    ks = args.k if args.k else [int(args.alpha - 0.5)]
     if args.mode == "real":
         args.im = 0.0
     xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
@@ -127,7 +156,7 @@ def cmd_slice(args):
     # the labels and genus-0 values do not depend on k
     regions = _regions(xs)
     failures = 0
-    for k in ks:
+    for k in args.k:
         rows = []
         poles = atlas = None
         if abs(args.im) > 1e-12:
@@ -137,83 +166,46 @@ def cmd_slice(args):
                 poles = harness.pole_mask(k, window)
             atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
         for x, region in zip(xs, regions):
-            asym = num = None
-            flag = "ok"
-            try:
-                if isinstance(region, HmcleodError):
-                    raise region
-                asym, backend = harness.asymptotic(x, k, region, poles=poles)
-                if asym is None:
-                    flag = "pole-mask"
-            except HmcleodError as exc:
-                flag = type(exc).__name__
-            # a masked row is no failure, but its numeric value still counts
-            failed = flag not in ("ok", "pole-mask")
-            try:
-                num = harness.numeric(x, k, atlas=atlas)
-            except HmcleodError as exc:
-                flag = flag if flag != "ok" else type(exc).__name__
-                failed = True
+            asym, num, flag, failed = _evaluate(harness, x, k, region, poles, atlas)
             failures += failed
             err = abs(asym - num) if (asym is not None and num is not None) else None
-            rows.append([
-                _fmt(x.real), _fmt(x.imag),
-                _fmt(asym.real if asym is not None else None),
-                _fmt(asym.imag if asym is not None else None),
-                _fmt(num.real if num is not None else None),
-                _fmt(num.imag if num is not None else None),
-                _fmt(err), flag,
-            ])
-        out = args.out if len(ks) == 1 else f"{args.out}.k{k}.csv"
-        _write_rows(out, SLICE_HEADER, rows)
+            rows.append([*_fmt_pair(x), *_fmt_pair(asym), *_fmt_pair(num), _fmt(err), flag])
+        out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
+        _write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", rows)
         print(f"wrote {out} ({len(rows)} rows)")
     return 2 if failures else 0
 
 
 def cmd_grid(args):
-    k = args.k[0] if args.k else int(args.alpha - 0.5)
+    k, = args.k
     re0, re1, im0, im1 = args.window
     xs = np.linspace(re0, re1, args.res)
     ys = np.linspace(im0, im1, args.res)
     harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
                       taylor_order=args.taylor_order, step=args.step,
                       delta=args.delta)
-    poles = None
+    poles = atlas = None
     grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
+    regions = [None] * len(grid_pts)
     if args.quantity in ("asymptotic", "error"):
         regions = _regions(grid_pts)
         if _needs_pole_mask(regions):
             poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
-    atlas = None
     if args.quantity in ("numeric", "error"):
         off_axis = [y_from_x(x, k) for x in grid_pts if abs(x.imag) > 1e-12]
         if off_axis:
             atlas = harness.atlas(k, off_axis)
 
-    def asymptotic(i):
-        if isinstance(regions[i], HmcleodError):
-            raise regions[i]
-        return harness.asymptotic(grid_pts[i], k, regions[i], poles=poles)[0]
-
     failures = 0
     rows = []
-    for i, x in enumerate(grid_pts):
-        val = None
-        try:
-            if args.quantity == "asymptotic":
-                val = asymptotic(i)
-            elif args.quantity == "numeric":
-                val = harness.numeric(x, k, atlas=atlas)
-            else:
-                a = asymptotic(i)
-                n = harness.numeric(x, k, atlas=atlas)
-                val = abs(a - n) if a is not None and n is not None else None
-        except HmcleodError:
-            failures += 1
-        rows.append([_fmt(x.real), _fmt(x.imag),
-                     _fmt(val.real if isinstance(val, complex) else val),
-                     _fmt(val.imag if isinstance(val, complex) else (0.0 if val is not None else None))])
-    _write_rows(args.out, "x_re,x_im,value_re,value_im", rows)
+    for x, region in zip(grid_pts, regions):
+        asym, num, flag, failed = _evaluate(harness, x, k, region, poles, atlas,
+                                            numeric=args.quantity != "asymptotic")
+        failures += failed
+        err = abs(asym - num) if asym is not None and num is not None else None
+        val = {"asymptotic": asym, "numeric": num, "error": err}[args.quantity]
+        rows.append([*_fmt_pair(x), *_fmt_pair(val), flag])
+    _write_rows(args.out, "x_re,x_im,value_re,value_im,flag", rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 2 if failures else 0
 
@@ -243,7 +235,7 @@ def cmd_boundary(args):
 
 
 def cmd_poles(args):
-    k = args.k[0] if args.k else int(args.alpha - 0.5)
+    k, = args.k
     re0, re1, im0, im1 = args.window
     # the nodes of predict_poles: a window whose corners are pole-free
     # may still cross the pole region inside
@@ -277,7 +269,7 @@ def cmd_endpoints(args):
         "endpoints": {n: c2l(getattr(e, n)) for n in "ABCD"},
         "residual": float(np.max(np.abs(endpoints.residuals(e, m=160)))),
         "spectral_constants": {
-            "Lambda": c2l(sc.Lambda), "omega": sc.omega, "Omega": sc.Omega,
+            "Lambda": c2l(endpoints.jump_lambda(e, sc)), "omega": sc.omega, "Omega": sc.Omega,
         },
         "periods": {
             "A_minus1": c2l(pd.A_minus1), "A_inf": c2l(pd.A_inf),
@@ -298,16 +290,14 @@ def cmd_endpoints(args):
 
 
 def cmd_vault(args):
-    k = args.k[0] if args.k else None
-    alpha = args.alpha if args.alpha is not None else (k + 0.5)
     harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
                       taylor_order=args.taylor_order, step=args.step)
     re0, re1, im0, im1 = args.window
-    sol = harness.collocation_solution(alpha - 0.5)
+    sol = harness.collocation_solution(args.alpha - 0.5)
     u0, up0 = collocation.eval_solution(sol, 2.0)
     cfg = pade.VaultConfig(h=args.step, n=args.taylor_order, seed=args.seed)
     atlas = pade.run_vault((min(re0, 1.0), max(re1, 3.0), min(im0, 0.0), im1),
-                           (2.0, u0, up0), alpha, cfg)
+                           (2.0, u0, up0), args.alpha, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(atlas.to_json())
     print(f"wrote {args.out} ({len(atlas.entries)} centers)")
@@ -315,14 +305,12 @@ def cmd_vault(args):
 
 
 def cmd_bvp(args):
-    alpha = args.alpha if args.alpha is not None else args.k[0] + 0.5
-    prob = collocation.BvpProblem(alpha=alpha, y1=complex(args.y1, args.y_im),
+    prob = collocation.BvpProblem(alpha=args.alpha, y1=complex(args.y1, args.y_im),
                                   y2=complex(args.y2, args.y_im), N=args.n_cheb,
                                   allow_pole_region=args.allow_pole_region)
     sol = collocation.solve_bvp(prob)
     ys = prob.map_to_segment(sol.grid.nodes)
-    rows = [[_fmt(y.real), _fmt(y.imag), _fmt(u.real), _fmt(u.imag),
-             _fmt(up.real), _fmt(up.imag)]
+    rows = [[*_fmt_pair(y), *_fmt_pair(u), *_fmt_pair(up)]
             for y, u, up in zip(ys, sol.values, sol.derivative_values)]
     _write_rows(args.out, "y_re,y_im,u_re,u_im,uprime_re,uprime_im", rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -335,17 +323,50 @@ _SHARED_FLAGS = {
     "taylor-order": {"type": int, "default": 24},
     "step": {"type": float, "default": 0.5},
     "delta": {"type": float, "default": 0.5},
+    "window": {"type": float, "nargs": 4, "required": True,
+               "metavar": ("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX")},
 }
 # the Harness settings of the commands that build a collocation solution
 # and a vault atlas
 _HARNESS_FLAGS = ("seed", "n-cheb", "taylor-order", "step")
 
 
-def _add_common(sp, *flags):
-    """--k/--alpha, --out and the named flags of ``_SHARED_FLAGS``."""
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, nargs="+", help="parameter k (alpha = k + 1/2)")
-    group.add_argument("--alpha", type=float, help="inhomogeneity parameter alpha")
+def _number_type(rule, test, convert):
+    """argparse type: ``convert`` of the number given where ``test`` holds of it, else ``rule``."""
+    def parse(text):
+        try:
+            if test(float(text)):
+                return convert(float(text))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return parse
+
+
+# the asymptotics need alpha = k + 1/2 with an integer k >= 1; vault and
+# bvp take any alpha > -1/2
+_K = _number_type("k must be an integer >= 1", lambda k: k.is_integer() and k >= 1, int)
+_K_OF_ALPHA = _number_type("alpha must be k + 1/2 for an integer k >= 1",
+                           lambda a: (a - 0.5).is_integer() and a >= 1.5, lambda a: int(a - 0.5))
+_ALPHA_OF_K = _number_type("k must be an integer >= 0", lambda k: k.is_integer() and k >= 0,
+                           lambda k: int(k) + 0.5)
+_ALPHA = _number_type("alpha must be > -1/2", lambda a: a > -0.5, float)
+
+
+def _add_common(sp, *flags, ks="one"):
+    """--k/--alpha, --out and the named flags of ``_SHARED_FLAGS``.
+
+    ``ks`` "many" or "one": ``args.k`` lists the ks given, or the k of
+    --alpha.  "alpha": ``args.alpha`` is --alpha, or k + 1/2 of --k.
+    """
+    if ks == "alpha":
+        k_kw, alpha_kw = dict(type=_ALPHA_OF_K, dest="alpha", metavar="K"), dict(type=_ALPHA)
+    else:
+        k_kw = dict(type=_K, nargs="+" if ks == "many" else 1)
+        alpha_kw = dict(type=_K_OF_ALPHA, nargs=1, dest="k", metavar="ALPHA")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--k", help="parameter k (alpha = k + 1/2)", **k_kw)
+    group.add_argument("--alpha", help="inhomogeneity parameter alpha", **alpha_kw)
     for name in flags:
         sp.add_argument(f"--{name}", **_SHARED_FLAGS[name])
     sp.add_argument("--out", default="out.csv")
@@ -357,7 +378,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("slice", help="compare asymptotic and numeric values on a slice")
-    _add_common(sp, *_HARNESS_FLAGS, "delta")
+    _add_common(sp, *_HARNESS_FLAGS, "delta", ks="many")
     sp.add_argument("--slice", dest="mode", choices=["real", "horizontal"], default=None)
     sp.add_argument("--im", type=float, default=0.0, help="imaginary offset of the slice")
     sp.add_argument("--xmin", type=float, default=-3.0)
@@ -366,9 +387,7 @@ def build_parser():
     sp.set_defaults(func=cmd_slice)
 
     sp = sub.add_parser("grid", help="density-grid CSV over an x-window")
-    _add_common(sp, *_HARNESS_FLAGS, "delta")
-    sp.add_argument("--window", type=float, nargs=4, required=True,
-                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
+    _add_common(sp, *_HARNESS_FLAGS, "delta", "window")
     sp.add_argument("--res", type=int, default=16)
     sp.add_argument("--quantity", choices=["asymptotic", "numeric", "error"],
                     default="asymptotic")
@@ -380,9 +399,7 @@ def build_parser():
     sp.set_defaults(func=cmd_boundary)
 
     sp = sub.add_parser("poles", help="predicted poles of the asymptotic formula")
-    _add_common(sp, "delta")
-    sp.add_argument("--window", type=float, nargs=4, required=True,
-                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
+    _add_common(sp, "delta", "window")
     sp.set_defaults(func=cmd_poles)
 
     sp = sub.add_parser("endpoints", help="dump the two-band data at one x as JSON")
@@ -391,14 +408,14 @@ def build_parser():
     sp.set_defaults(func=cmd_endpoints)
 
     sp = sub.add_parser("vault", help="build and serialize a Pade atlas")
-    _add_common(sp, *_HARNESS_FLAGS)
+    _add_common(sp, *_HARNESS_FLAGS, ks="alpha")
     sp.add_argument("--window", type=float, nargs=4, required=True,
                     metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
                     help="window in the y-plane")
     sp.set_defaults(func=cmd_vault)
 
     sp = sub.add_parser("bvp", help="run the collocation solver, dump the grid")
-    _add_common(sp, "n-cheb")
+    _add_common(sp, "n-cheb", ks="alpha")
     sp.add_argument("--y1", type=float, default=-12.0)
     sp.add_argument("--y2", type=float, default=12.0)
     sp.add_argument("--y-im", type=float, default=0.0)

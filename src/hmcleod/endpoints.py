@@ -87,7 +87,6 @@ class EndpointSet:
 
 @dataclass(frozen=True)
 class SpectralConstants:
-    Lambda: complex | None
     omega: float
     Omega: float
 
@@ -346,38 +345,32 @@ def solve_endpoints(x, seed=None, return_info=False):
     continuation step and may be asked for any x.
     """
     x = complex(x)
-    if seed is None:
-        label = classify_region(x)
-        if label not in (RegionLabel.POLE_REGION_UP, RegionLabel.POLE_REGION_DOWN):
-            raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
-
     if seed is not None:
         v, F, n_iter = _newton(x, _set_to_vec(seed))
         e = _vec_to_set(v, x)
-        contours_for(e)
-        if return_info:
-            return e, {"newton_iters": n_iter, "residual": float(np.max(np.abs(F)))}
-        return e
-
-    e, F, n_iter = _bootstrap(upper=(x.imag > 0))
-    x_cur = complex(e.x)
-    step = 0.5
-    guard = 0
-    while x_cur != x:
-        guard += 1
-        if guard > 400:
-            raise NoConvergence(f"continuation toward x={x} stalled")
-        remaining = x - x_cur
-        dx = remaining if abs(remaining) <= step else remaining / abs(remaining) * step
-        try:
-            v, F, n_iter = _newton(x_cur + dx, _set_to_vec(e))
-            e = _vec_to_set(v, x_cur + dx)
-            x_cur = x_cur + dx
-            step = min(0.5, step * 1.5)
-        except (NoConvergence, DegenerateEndpoints):
-            step *= 0.5
-            if step < 1e-3:
-                raise
+    else:
+        label = classify_region(x)
+        if label not in (RegionLabel.POLE_REGION_UP, RegionLabel.POLE_REGION_DOWN):
+            raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
+        e, F, n_iter = _bootstrap(upper=(x.imag > 0))
+        x_cur = complex(e.x)
+        step = 0.5
+        guard = 0
+        while x_cur != x:
+            guard += 1
+            if guard > 400:
+                raise NoConvergence(f"continuation toward x={x} stalled")
+            remaining = x - x_cur
+            dx = remaining if abs(remaining) <= step else remaining / abs(remaining) * step
+            try:
+                v, F, n_iter = _newton(x_cur + dx, _set_to_vec(e))
+                e = _vec_to_set(v, x_cur + dx)
+                x_cur = x_cur + dx
+                step = min(0.5, step * 1.5)
+            except (NoConvergence, DegenerateEndpoints):
+                step *= 0.5
+                if step < 1e-3:
+                    raise
     contours_for(e)
     if return_info:
         return e, {"newton_iters": n_iter, "residual": float(np.max(np.abs(F)))}
@@ -673,10 +666,6 @@ class HField:
         legs = iter(integrate_legs(f, [p for p in paths if p is not None], LEG_RULE))
         return [self.h_ref if p is None else self.h_ref + next(legs) for p in paths]
 
-    def value(self, z):
-        """H(z) along a cut-avoiding path from the reference point."""
-        return self.values([z])[0]
-
 
 def adaptive_band_nodes(e):
     """Node count scaled to the band/gap separation (near-degenerate x)."""
@@ -706,44 +695,38 @@ def midpoint_two_sided(hf, p, q):
     return sum0, diff0
 
 
-def spectral_constants(e, m=None, hfield=None, hint=None):
-    """Jump constants Lambda, omega, Omega of the phase H.
+def spectral_constants(e, m):
+    """Jump constants omega and Omega of the phase H, from their cycle integrals.
 
-    Lambda is minus the two-sided H sum at the first-band midpoint.  The
-    values of omega and Omega come from cycle integrals (the gap jump
-    collapses onto the second band around the D end of the chain, and
-    the second-band jump onto the gap), with signs fixed against direct
-    two-sided H differences at the cut midpoints, which must agree with
-    them to a relative 1e-3; reality of the cycle values is equivalent to
-    the Boutroux conditions.
-
-    With ``hint`` (constants at a nearby x) the signs are taken by
-    continuity instead and the expensive H-field pass is skipped.  Lambda
-    comes only from that pass, so a hinted solve returns Lambda = None;
-    the asymptotic value and the periods never read it.
+    The gap jump collapses onto band 2 around the D end of the chain, and
+    the band-2 jump onto the gap: omega = 4 int_{Sigma2} R_plus dw and
+    Omega = -4 int_Gamma R dw, signs fixed by the orientations of
+    ``segment_rule`` (R_plus on a band, the + side of the gap), not by x.
+    Reality of these values is equivalent to the Boutroux conditions.
     """
-    if m is None:
-        m = adaptive_band_nodes(e)
     I2, Ig = (np.sum(dw * R) for _, dw, R in (segment_rule(e, BAND2, m),
                                                segment_rule(e, GAP, m)))
-
-    if hint is not None:
-        Lambda, omega_ref, Omega_ref = None, hint.omega, hint.Omega
-    else:
-        hf = hfield or HField(e)
-        sum1, _ = midpoint_two_sided(hf, e.A, e.B)
-        _, diff_g = midpoint_two_sided(hf, e.B, e.C)
-        sum2, _ = midpoint_two_sided(hf, e.C, e.D)
-        Lambda = complex(-sum1)
-        omega_ref = 1j * diff_g          # H_+ - H_- = -i omega on the gap
-        Omega_ref = 1j * (Lambda + sum2)  # H_+ + H_- = -Lambda - i Omega on band 2
-
-    omega_cyc = min((4.0 * I2, -4.0 * I2), key=lambda w: abs(w - omega_ref))
-    Omega_cyc = min((4.0 * Ig, -4.0 * Ig), key=lambda w: abs(w - Omega_ref))
-    for name, cyc, jump in (("omega", omega_cyc, omega_ref), ("Omega", Omega_cyc, Omega_ref)):
-        if hint is None and abs(cyc - jump) > 1e-3 * max(1.0, abs(cyc)):
-            raise RealityViolation(f"cycle and jump values of {name} disagree: {cyc} vs {jump}")
-    if abs(omega_cyc.imag) > 1e-8 or abs(Omega_cyc.imag) > 1e-8:
+    omega, Omega = 4.0 * I2, -4.0 * Ig
+    if abs(omega.imag) > 1e-8 or abs(Omega.imag) > 1e-8:
         raise RealityViolation("omega/Omega acquired an imaginary part > 1e-8")
-    return SpectralConstants(Lambda=Lambda, omega=float(omega_cyc.real),
-                             Omega=float(Omega_cyc.real))
+    return SpectralConstants(omega=float(omega.real), Omega=float(Omega.real))
+
+
+def jump_lambda(e, constants):
+    """The jump constant Lambda from an H-field pass; only the endpoint dump reads it.
+
+    Lambda is minus the two-sided H sum at the band-1 midpoint.  The same
+    pass checks ``constants``: omega and Omega must match the two-sided H
+    jumps to a relative 1e-3, else RealityViolation.
+    """
+    hf = HField(e)
+    sum1, _ = midpoint_two_sided(hf, e.A, e.B)
+    _, diff_g = midpoint_two_sided(hf, e.B, e.C)
+    sum2, _ = midpoint_two_sided(hf, e.C, e.D)
+    Lambda = complex(-sum1)
+    # H_+ - H_- = -i omega on the gap, H_+ + H_- = -Lambda - i Omega on band 2
+    for name, cyc, jump in (("omega", constants.omega, 1j * diff_g),
+                            ("Omega", constants.Omega, 1j * (Lambda + sum2))):
+        if abs(cyc - jump) > 1e-3 * max(1.0, abs(cyc)):
+            raise RealityViolation(f"cycle and jump values of {name} disagree: {cyc} vs {jump}")
+    return Lambda

@@ -44,7 +44,7 @@ class NoConvergence(HmcleodError):
 
 
 class RealityViolation(HmcleodError):
-    """A constant that must be real came out with a large imaginary part."""
+    """omega or Omega is not real, or disagrees with the two-sided jumps of H."""
 
 
 # --- periods / theta ---

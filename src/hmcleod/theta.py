@@ -265,13 +265,11 @@ def _check_offdiagonal_zero(e, pd, tol=1e-10):
 class Genus1Pipeline:
     """Everything needed to evaluate the two-band asymptotics at one x."""
 
-    def __init__(self, x=None, endpoint_set=None, seed=None, constants_hint=None):
-        if endpoint_set is None:
-            endpoint_set = ep.solve_endpoints(x, seed=seed)
-        self.e = endpoint_set
+    def __init__(self, x, seed=None):
+        self.e = ep.solve_endpoints(x, seed=seed)
         self.x = complex(self.e.x)
         m = ep.adaptive_band_nodes(self.e)
-        self.constants = ep.spectral_constants(self.e, m=m, hint=constants_hint)
+        self.constants = ep.spectral_constants(self.e, m)
         self.periods, self.abel, self.A_Q = compute_periods(self.e, self.constants, m=m)
 
     def theta_shift(self, k):
@@ -381,11 +379,13 @@ def _cache_key(x):
 class _PipelineCache:
     """Continuation-aware cache of pipelines over an x-window.
 
-    A new pipeline is seeded from the nearest solved one in the same
-    half-plane.  The two halves of the pole region meet the real axis
-    only at the boundary point x0, so a seed from across the axis starts
-    a chain of seeded solves through the pole-free region, which can end
-    on another solution of the endpoint system.
+    A new pipeline's endpoint Newton starts from the endpoints of the
+    nearest solved pipeline within 1.5 in the same half-plane (else it
+    is a cold solve); that seed is all it takes from its neighbour.  The
+    two halves of the pole region meet the real axis only at the
+    boundary point x0, so a seed from across the axis starts a chain of
+    seeded solves through the pole-free region, which can end on
+    another solution of the endpoint system.
     """
 
     def __init__(self):
@@ -416,7 +416,6 @@ class _PipelineCache:
         if key in self.solved:
             return self.solved[key]
         seed = None
-        hint = None
         upper = x.imag > 0
         pipes = self._pipes[upper]
         if pipes:
@@ -425,8 +424,7 @@ class _PipelineCache:
             i = int(np.argmin(dist))
             if dist[i] < 1.5:
                 seed = pipes[i].e
-                hint = pipes[i].constants
-        pipe = Genus1Pipeline(x, seed=seed, constants_hint=hint)
+        pipe = Genus1Pipeline(x, seed=seed)
         self.add(pipe)
         return pipe
 

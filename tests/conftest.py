@@ -14,8 +14,8 @@ def pipeline_cache():
 def pipe_refpoint(pipeline_cache):
     """Cold two-band pipeline at a comfortable pole-region point.
 
-    It is built cold, so its Lambda is exact, and registered in the
-    session cache, so that no test order can put a hinted one there first.
+    It is registered in the session cache, so that a test reading X_REF
+    through the cache gets this pipeline, whatever the test order.
     """
     pipe = theta.Genus1Pipeline(X_REF)
     pipeline_cache.add(pipe)

@@ -185,8 +185,9 @@ def test_criterion_7_endpoint_solver(shared_cache):
         for x in X_GENUS1:
             pipe = shared_cache.get(x)
             assert np.max(np.abs(ep.residuals(pipe.e, m=192))) <= 1e-10
+            sc = pipe.constants
+            ep.jump_lambda(pipe.e, sc)
             hf = ep.HField(pipe.e)
-            sc = ep.spectral_constants(pipe.e, hfield=hf)
             _, diff_g = ep.midpoint_two_sided(hf, pipe.e.B, pipe.e.C)
             assert abs(1j * diff_g - sc.omega) <= 1e-8 * max(1.0, abs(sc.omega))
             e2, info = ep.solve_endpoints(x + 0.05, seed=pipe.e, return_info=True)
@@ -339,7 +340,7 @@ def test_criterion_14_degeneration(shared_cache):
             e = (ep.solve_endpoints(x, seed=e_seed) if e_seed is not None
                  else ep.solve_endpoints(x))
             e_seed = e
-            pipe = th.Genus1Pipeline(x, endpoint_set=e)
+            pipe = th.Genus1Pipeline(x, seed=e)
             gaps.append(abs(e.B - e.C))
             diffs.append(abs(pipe.value(3) - (-1j * g0.solve_S(x) / 2.0)))
         # approaching the boundary: gap closes and the two values merge,

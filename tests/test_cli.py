@@ -74,7 +74,7 @@ def test_classification_failure_flags_only_its_row(tmp_path, monkeypatch):
     assert run(["grid", "--k", "1", "--window", "-1", "3", "-1", "1", "--res", "5",
                 "--quantity", "asymptotic", "--out", str(grid)]) == 2
     nan_rows = [r for r in grid.read_text().strip().split("\n") if "nan" in r]
-    assert nan_rows == ["2.000000000000e+00,0.000000000000e+00,nan,nan"]
+    assert nan_rows == ["2.000000000000e+00,0.000000000000e+00,nan,nan,TraceFailure"]
 
 
 def test_masked_slice_rows_are_not_failures(tmp_path, monkeypatch):
@@ -103,8 +103,9 @@ def test_grid_smoke(tmp_path):
                 "--res", "8", "--quantity", "asymptotic", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "x_re,x_im,value_re,value_im"
+    assert lines[0] == "x_re,x_im,value_re,value_im,flag"
     assert len(lines) == 65
+    assert all(ln.endswith(",ok") for ln in lines[1:])
 
 
 def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
@@ -120,6 +121,42 @@ def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 5
     assert all("nan" not in ln for ln in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["poles", "--k", "0", "--window", "-5.0", "-4.55", "-9.2", "-8.8"],
+    ["slice", "--k", "0", "--samples", "3"],
+    ["slice", "--k", "1", "2.5"],
+    ["slice", "--alpha", "2.0"],
+    ["slice", "--alpha", "0.5"],
+    ["slice", "--samples", "3"],
+    ["grid", "--k", "-1", "--window", "-1", "1", "-1", "1", "--res", "3"],
+    ["grid", "--k", "1", "2", "--window", "-1", "1", "-1", "1", "--res", "3"],
+    ["poles", "--k", "2", "3", "--window", "-4", "0", "-9.5", "-8.5"],
+    ["vault", "--k", "1", "2", "--window", "0", "1", "0", "1"],
+    ["vault", "--alpha", "-0.5", "--window", "0", "1", "0", "1"],
+    ["bvp", "--k", "1", "2"],
+    ["bvp", "--k", "-1"],
+])
+def test_bad_k_or_alpha_is_an_argparse_error(argv, capsys):
+    # k >= 1 (or alpha = k + 1/2) for the asymptotics, one k outside
+    # slice, and alpha > -1/2 for vault and bvp
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, attr, value", [
+    (["slice", "--alpha", "3.5"], "k", [3]),
+    (["slice", "--k", "1", "3"], "k", [1, 3]),
+    (["grid", "--alpha", "2.5", "--window", "-1", "1", "-1", "1"], "k", [2]),
+    (["vault", "--k", "0", "--window", "0", "1", "0", "1"], "alpha", 0.5),
+    (["bvp", "--alpha", "0.2"], "alpha", 0.2),
+])
+def test_k_and_alpha_parse_to_one_value(argv, attr, value):
+    assert getattr(cli.build_parser().parse_args(argv), attr) == value
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,8 @@ import pytest
 
 from hmcleod import endpoints as ep
 from hmcleod import genus0 as g0
-from hmcleod.errors import DegenerateEndpoints, NoConvergence, OnCut, WrongRegion
+from hmcleod.errors import (DegenerateEndpoints, NoConvergence, OnCut, RealityViolation,
+                            WrongRegion)
 
 
 @pytest.fixture(scope="module")
@@ -88,24 +89,26 @@ def test_large_z_H_prime_vs_log_derivative(solved):
 def test_spectral_constants_reality_and_selftest(solved, pipe_refpoint):
     sc = pipe_refpoint.constants
     assert isinstance(sc.omega, float) and isinstance(sc.Omega, float)
+    Lambda = ep.jump_lambda(solved, sc)
     hf = ep.HField(solved)
     _, diff_g = ep.midpoint_two_sided(hf, solved.B, solved.C)
     omega_jump = 1j * diff_g
     assert abs(omega_jump - sc.omega) <= 1e-8 * max(1.0, abs(sc.omega))
     sum2, _ = ep.midpoint_two_sided(hf, solved.C, solved.D)
-    Omega_jump = 1j * (sc.Lambda + sum2)
+    Omega_jump = 1j * (Lambda + sum2)
     assert abs(Omega_jump - sc.Omega) <= 1e-7 * max(1.0, abs(sc.Omega))
 
 
 def test_three_half_power_at_D(solved, pipe_refpoint):
     e = solved
     sc = pipe_refpoint.constants
+    Lambda = ep.jump_lambda(e, sc)
     hf = ep.HField(e)
     phi = (np.angle(e.D - e.C) + np.pi / 2.0)  # off the band
     ratios = []
     for t in (2e-2, 5e-3):
         z = e.D + t * np.exp(1j * phi)
-        J = 2.0 * hf.value(z) + sc.Lambda + 1j * sc.Omega
+        J = 2.0 * hf.values([z])[0] + Lambda + 1j * sc.Omega
         ratios.append(J / (z - e.D) ** 1.5)
     assert abs(ratios[0]) > 1e-3
     assert abs(ratios[1] / ratios[0] - 1.0) < 0.15
@@ -225,13 +228,46 @@ def test_newton_makes_no_difference_quotients(solved, monkeypatch):
 
 def test_cold_constants_batch_the_h_field_ladders(solved, pipe_refpoint, monkeypatch):
     # each cut midpoint's six ladder values come from one batched H-field
-    # call, three calls in all, with the constants of the pipeline
+    # call, three calls in all, and give the same Lambda
+    Lambda = ep.jump_lambda(solved, pipe_refpoint.constants)
     legs = []
     integrate_leg, integrate_legs = ep.integrate_leg, ep.integrate_legs
     monkeypatch.setattr(ep, "integrate_leg",
                         lambda f, path, rule, **kw: legs.append(1) or integrate_leg(f, path, rule, **kw))
     monkeypatch.setattr(ep, "integrate_legs",
                         lambda f, paths, rule: legs.append(len(paths)) or integrate_legs(f, paths, rule))
-    sc = ep.spectral_constants(solved, m=ep.adaptive_band_nodes(solved))
+    assert ep.jump_lambda(solved, pipe_refpoint.constants) == Lambda
     assert legs == [6, 6, 6]
-    assert sc == pipe_refpoint.constants
+
+
+# both half-planes: near -1.5 - 10i, far out, next to an apex and the
+# folded chain, where D lies 0.085 from B
+FIXED_SIGN_POINTS = [x for z in (-1.5 - 10j, -4.0 - 8j, 1.0 - 8j, -2.5 - 6j, 5.0 - 19j,
+                                 -1.6 - 3.3j, -6 - 10.4347826j)
+                     for x in (z, np.conj(z))]
+
+
+@pytest.mark.parametrize("x", FIXED_SIGN_POINTS)
+def test_jump_lambda_accepts_the_fixed_sign_constants(x):
+    # omega = 4 int_band2 R_plus dw and Omega = -4 int_gap R dw must match
+    # the two-sided H jumps, which jump_lambda checks to a relative 1e-3
+    e = ep.solve_endpoints(x)
+    sc = ep.spectral_constants(e, ep.adaptive_band_nodes(e))
+    assert np.isfinite(ep.jump_lambda(e, sc))
+
+
+def test_jump_lambda_rejects_a_wrong_sign(solved, pipe_refpoint):
+    # the cycle value of the other orientation fails the cross-check
+    sc = pipe_refpoint.constants
+    for flipped in (ep.SpectralConstants(omega=-sc.omega, Omega=sc.Omega),
+                    ep.SpectralConstants(omega=sc.omega, Omega=-sc.Omega)):
+        with pytest.raises(RealityViolation):
+            ep.jump_lambda(solved, flipped)
+
+
+def test_spectral_constants_reject_a_non_boutroux_chain(solved):
+    # moving D off the solved set breaks the Boutroux conditions, so
+    # omega and Omega are no longer real
+    e = ep.EndpointSet(A=solved.A, B=solved.B, C=solved.C, D=solved.D + 0.05j, x=solved.x)
+    with pytest.raises(RealityViolation):
+        ep.spectral_constants(e, ep.adaptive_band_nodes(e))

@@ -185,29 +185,30 @@ def test_pipeline_cache_hints_stay_in_their_half_plane(monkeypatch):
     seeds = []
 
     class Recorder:
-        def __init__(self, x, seed=None, **kwargs):
+        def __init__(self, x, seed=None):
             self.x = complex(x)
-            seeds.append((seed, kwargs.get("constants_hint")))
+            seeds.append(seed)
 
     class Solved:
-        x, e, constants = -2.0 - 0.5j, "lower endpoints", "lower constants"
+        x, e = -2.0 - 0.5j, "lower endpoints"
 
     monkeypatch.setattr(th, "Genus1Pipeline", Recorder)
     cache = th._PipelineCache()
     cache.add(Solved())
     cache.get(-2.0 + 0.5j)
-    assert seeds == [(None, None)]
+    assert seeds == [None]
     cache.get(-2.0 - 1.0j)
-    assert seeds[-1] == ("lower endpoints", "lower constants")
+    assert seeds[-1] == "lower endpoints"
 
 
-def test_hinted_pipeline_has_no_foreign_lambda(pipe_refpoint):
-    # Lambda comes only from a cold solve; a hinted one must not carry the
-    # Lambda of the pipeline it was seeded from
-    cache = th._PipelineCache()
-    th.predict_poles((-2.5, -1.0, -9.4, -8.6), 3, cache=cache)
-    Lambda = cache.get(pipe_refpoint.x).constants.Lambda
-    assert Lambda is None or abs(Lambda - pipe_refpoint.constants.Lambda) <= 1e-9
+def test_cold_pipeline_builds_no_h_field(pipe_refpoint, monkeypatch):
+    # only the endpoint dump's Lambda needs the H field
+    def no_h_field(e):
+        raise AssertionError("H field built for a pipeline")
+
+    monkeypatch.setattr(ep, "HField", no_h_field)
+    pipe = th.Genus1Pipeline(pipe_refpoint.x)
+    assert pipe.constants == pipe_refpoint.constants
 
 
 def test_folded_chain_builds_a_router():
