@@ -12,6 +12,9 @@ Scaling conventions used throughout, with k = alpha - 1/2:
     scaled(x) = -(2k)^(-1/3) * u(y)
 
 where u solves u'' = 2u^3 + y*u - alpha.
+
+Importing the package loads none of its submodules; import the ones in
+use (``from hmcleod import theta``).
 """
 
 from .errors import HmcleodError  # noqa: F401
@@ -32,7 +35,3 @@ def scaled_from_u(u, k):
     """Scaled solution value from an unscaled one."""
     return -((2.0 * k) ** (-1.0 / 3.0)) * u
 
-
-# the scaling helpers above are defined first: collocation imports them
-from . import (collocation, endpoints, genus0, pade,  # noqa: F401,E402
-               quadrature, theta)

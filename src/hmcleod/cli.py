@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
+import signal
 import sys
+import traceback
+from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 
-from . import collocation, endpoints, genus0, pade, scaled_from_u, theta, y_from_x
+# theta and endpoints are imported where they are used: the calls
+# without a genus-1 value never load them
+from . import collocation, errors, genus0, pade, scaled_from_u, y_from_x
 from .errors import HmcleodError, WrongRegion
 
 
@@ -30,7 +38,7 @@ def _fmt_pair(z):
 
 
 class Harness:
-    """Shared numeric/asymptotic evaluators with per-k collocation solutions."""
+    """Shared numeric/asymptotic evaluators with per-alpha collocation solutions."""
 
     def __init__(self, seed=0, n_cheb=200, taylor_order=24, step=0.5, delta=0.5):
         self.seed = seed
@@ -39,20 +47,28 @@ class Harness:
         self.step = step
         self.delta = delta
         self._colloc = {}
-        self._pipes = theta._PipelineCache()
 
-    def collocation_solution(self, k):
-        """Real-axis collocation solution on -12 <= y <= 12."""
-        if k not in self._colloc:
-            prob = collocation.BvpProblem(alpha=k + 0.5, y1=-12.0 + 0j,
+    @cached_property
+    def _pipes(self):
+        """The genus-1 pipeline cache, made on first use."""
+        from . import theta
+        return theta._PipelineCache()
+
+    def collocation_solution(self, alpha):
+        """Real-axis collocation solution on -12 <= y <= 12 at ``alpha``."""
+        if alpha not in self._colloc:
+            prob = collocation.BvpProblem(alpha=alpha, y1=-12.0 + 0j,
                                           y2=12.0 + 0j, N=self.n_cheb)
-            self._colloc[k] = collocation.solve_bvp(prob)
-        return self._colloc[k]
+            self._colloc[alpha] = collocation.solve_bvp(prob)
+        return self._colloc[alpha]
 
     def atlas(self, k, y_points):
-        """Vault atlas covering the y-points plus a corridor to the anchor."""
+        """Vault atlas over the bounding rectangle of the y-points and the anchor.
+
+        The rectangle is padded by 1 and reaches down to the real axis.
+        """
         anchor_y = 2.0
-        sol = self.collocation_solution(k)
+        sol = self.collocation_solution(k + 0.5)
         u0, up0 = collocation.eval_solution(sol, anchor_y)
         ys = np.asarray(list(y_points) + [anchor_y])
         window = (float(ys.real.min()) - 1.0, float(ys.real.max()) + 1.0,
@@ -64,13 +80,14 @@ class Harness:
         """Scaled numeric value: collocation on the real axis, else from ``atlas``."""
         y = y_from_x(x, k)
         if abs(x.imag) < 1e-12:
-            sol = self.collocation_solution(k)
+            sol = self.collocation_solution(k + 0.5)
             u, _ = collocation.eval_solution(sol, y)
         else:
             u = pade.evaluate(atlas, y)
         return scaled_from_u(u, k)
 
     def pole_mask(self, k, window):
+        from . import theta
         return theta.predict_poles(window, k, cache=self._pipes)
 
     def asymptotic(self, x, k, region, poles=None):
@@ -112,30 +129,133 @@ def _needs_pole_mask(regions):
     return any(not isinstance(r, HmcleodError) and not r[0].pole_free for r in regions)
 
 
-def _evaluate(harness, x, k, region, poles, atlas, numeric=True):
-    """(asym, num, flag, failed) at one point of a slice or grid.
+def _asymptotic_column(harness, k, xs, regions, poles):
+    """Each x's (asymptotic value, flag).
 
-    ``region`` is x's entry of ``_regions``, or None for no asymptotic
-    value.  The flag is "ok", "pole-mask" or the first HmcleodError's
-    name; a masked point is no failure, but its numeric value counts.
+    ``regions`` holds x's entry of ``_regions``, or None for no
+    asymptotic value.  The flag is "ok", "pole-mask" or the name of the
+    HmcleodError that the value raised.
     """
-    asym = num = None
-    flag = "ok"
-    try:
-        if isinstance(region, HmcleodError):
-            raise region
-        if region is not None:
-            asym, _ = harness.asymptotic(x, k, region, poles=poles)
-            flag = "ok" if asym is not None else "pole-mask"
-    except HmcleodError as exc:
-        flag = type(exc).__name__
-    failed = flag not in ("ok", "pole-mask")
-    if numeric:
+    column = []
+    for x, region in zip(xs, regions):
+        asym, flag = None, "ok"
         try:
-            num = harness.numeric(x, k, atlas=atlas)
+            if isinstance(region, HmcleodError):
+                raise region
+            if region is not None:
+                asym, _ = harness.asymptotic(x, k, region, poles=poles)
+                flag = "ok" if asym is not None else "pole-mask"
         except HmcleodError as exc:
-            flag = flag if flag != "ok" else type(exc).__name__
-            failed = True
+            flag = type(exc).__name__
+        column.append((asym, flag))
+    return column
+
+
+def _numeric_column(harness, k, xs):
+    """Each x's numeric value, or the name of the HmcleodError it raised.
+
+    The vault atlas is built first when some x is off the real axis; an
+    HmcleodError of that build propagates.
+    """
+    off_axis = [y_from_x(x, k) for x in xs if abs(x.imag) > 1e-12]
+    atlas = harness.atlas(k, off_axis) if off_axis else None
+    column = []
+    for x in xs:
+        try:
+            column.append(harness.numeric(x, k, atlas=atlas))
+        except HmcleodError as exc:
+            column.append(type(exc).__name__)
+    return column
+
+
+def _numeric_child(harness, ks, xs, fd):
+    """Body of the forked worker: never returns.
+
+    Sends (column, None) for each k in turn down ``fd``, or
+    (None, (class name, message)) for a k whose atlas build failed, and
+    then stops.  Whatever is raised, even an interrupt, the child exits
+    here and never unwinds into its caller's frames.
+    """
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for k in ks:
+                try:
+                    message = (_numeric_column(harness, k, xs), None)
+                except HmcleodError as exc:
+                    message = (None, (type(exc).__name__, str(exc)))
+                pickle.dump(message, out)
+                out.flush()
+                if message[1] is not None:
+                    break
+        status = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(status)
+
+
+@contextmanager
+def _numeric_columns(harness, ks, xs):
+    """Yields column(k), the ``_numeric_column`` of xs, to be called for ks in order.
+
+    Without an x off the real axis the columns are computed in place.
+    Otherwise the vault work goes to one forked worker, which computes
+    the column of each k in turn while the caller computes its regions,
+    pole masks and asymptotic values.  The collocation anchors are
+    solved before the fork: their solves use threaded BLAS.  column(k)
+    raises the HmcleodError of k's atlas build, with its class and
+    message.  Leaving the block kills and reaps the worker.
+
+    The CLI starts no thread of its own; the only other threads are
+    OpenBLAS's, which its own fork handler shuts down before a fork.
+    """
+    if not ks or all(abs(x.imag) <= 1e-12 for x in xs):
+        yield lambda k: _numeric_column(harness, k, xs)
+        return
+    for k in ks:
+        harness.collocation_solution(k + 0.5)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _numeric_child(harness, ks, xs, write_fd)
+    os.close(write_fd)
+    results = os.fdopen(read_fd, "rb")
+
+    def column(k):
+        try:
+            values, failure = pickle.load(results)
+        except EOFError:
+            raise RuntimeError("the numeric worker ended without a result") from None
+        if failure is not None:
+            name, message = failure
+            raise getattr(errors, name, HmcleodError)(message)
+        return values
+
+    try:
+        yield column
+    finally:
+        # whatever the worker still does, nobody reads it
+        os.kill(pid, signal.SIGKILL)
+        results.close()
+        os.waitpid(pid, 0)
+
+
+def _row(asym, flag, num):
+    """(asym, num, flag, failed) of one point of a slice or grid.
+
+    ``num`` is the numeric value, the name of the HmcleodError it
+    raised, or None for no numeric value.  A masked point is no
+    failure, but its numeric failure counts; the first failure names
+    the flag.
+    """
+    failed = flag not in ("ok", "pole-mask")
+    if isinstance(num, str):
+        flag, num, failed = (num if flag == "ok" else flag), None, True
     return asym, num, flag, failed
 
 
@@ -153,26 +273,26 @@ def cmd_slice(args):
     harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
                       taylor_order=args.taylor_order, step=args.step,
                       delta=args.delta)
-    # the labels and genus-0 values do not depend on k
-    regions = _regions(xs)
+    pad = 0.6
+    window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
     failures = 0
-    for k in args.k:
-        rows = []
-        poles = atlas = None
-        if abs(args.im) > 1e-12:
-            pad = 0.6
-            window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
-            if _needs_pole_mask(regions):
+    with _numeric_columns(harness, args.k, xs) as numeric:
+        # the labels and genus-0 values do not depend on k
+        regions = _regions(xs)
+        for k in args.k:
+            poles = None
+            if abs(args.im) > 1e-12 and _needs_pole_mask(regions):
                 poles = harness.pole_mask(k, window)
-            atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
-        for x, region in zip(xs, regions):
-            asym, num, flag, failed = _evaluate(harness, x, k, region, poles, atlas)
-            failures += failed
-            err = abs(asym - num) if (asym is not None and num is not None) else None
-            rows.append([*_fmt_pair(x), *_fmt_pair(asym), *_fmt_pair(num), _fmt(err), flag])
-        out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
-        _write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", rows)
-        print(f"wrote {out} ({len(rows)} rows)")
+            asymptotic = _asymptotic_column(harness, k, xs, regions, poles)
+            rows = []
+            for x, (asym, flag), num in zip(xs, asymptotic, numeric(k)):
+                asym, num, flag, failed = _row(asym, flag, num)
+                failures += failed
+                err = abs(asym - num) if (asym is not None and num is not None) else None
+                rows.append([*_fmt_pair(x), *_fmt_pair(asym), *_fmt_pair(num), _fmt(err), flag])
+            out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
+            _write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", rows)
+            print(f"wrote {out} ({len(rows)} rows)")
     return 2 if failures else 0
 
 
@@ -184,23 +304,22 @@ def cmd_grid(args):
     harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
                       taylor_order=args.taylor_order, step=args.step,
                       delta=args.delta)
-    poles = atlas = None
     grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
-    regions = [None] * len(grid_pts)
-    if args.quantity in ("asymptotic", "error"):
-        regions = _regions(grid_pts)
-        if _needs_pole_mask(regions):
-            poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
-    if args.quantity in ("numeric", "error"):
-        off_axis = [y_from_x(x, k) for x in grid_pts if abs(x.imag) > 1e-12]
-        if off_axis:
-            atlas = harness.atlas(k, off_axis)
+    numeric_ks = [k] if args.quantity in ("numeric", "error") else []
+    with _numeric_columns(harness, numeric_ks, grid_pts) as numeric:
+        poles = None
+        regions = [None] * len(grid_pts)
+        if args.quantity in ("asymptotic", "error"):
+            regions = _regions(grid_pts)
+            if _needs_pole_mask(regions):
+                poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
+        asymptotic = _asymptotic_column(harness, k, grid_pts, regions, poles)
+        nums = numeric(k) if numeric_ks else [None] * len(grid_pts)
 
     failures = 0
     rows = []
-    for x, region in zip(grid_pts, regions):
-        asym, num, flag, failed = _evaluate(harness, x, k, region, poles, atlas,
-                                            numeric=args.quantity != "asymptotic")
+    for x, (asym, flag), num in zip(grid_pts, asymptotic, nums):
+        asym, num, flag, failed = _row(asym, flag, num)
         failures += failed
         err = abs(asym - num) if asym is not None and num is not None else None
         val = {"asymptotic": asym, "numeric": num, "error": err}[args.quantity]
@@ -235,14 +354,16 @@ def cmd_boundary(args):
 
 
 def cmd_poles(args):
+    from . import theta
     k, = args.k
-    re0, re1, im0, im1 = args.window
-    # the nodes of predict_poles: a window whose corners are pole-free
-    # may still cross the pole region inside
-    probes = theta.pole_grid((re0, re1, im0, im1)).ravel()
-    if all(label.pole_free for label in genus0.classify_region(probes)):
+    window = tuple(args.window)
+    # the nodes of predict_poles, classified once for both: a window
+    # whose corners are pole-free may still cross the pole region inside
+    cache = theta._PipelineCache()
+    _, labels = cache.classified_grid(window)
+    if all(label.pole_free for label in labels.ravel()):
         raise WrongRegion("pole window lies in the pole-free region")
-    poles = theta.predict_poles((re0, re1, im0, im1), k)
+    poles = theta.predict_poles(window, k, cache=cache)
     doc = {
         "k": k,
         "delta": args.delta,
@@ -256,6 +377,7 @@ def cmd_poles(args):
 
 
 def cmd_endpoints(args):
+    from . import endpoints, theta
     x = complex(args.x[0], args.x[1])
     pipe = theta.Genus1Pipeline(x)
     e, sc, pd = pipe.e, pipe.constants, pipe.periods
@@ -293,7 +415,7 @@ def cmd_vault(args):
     harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
                       taylor_order=args.taylor_order, step=args.step)
     re0, re1, im0, im1 = args.window
-    sol = harness.collocation_solution(args.alpha - 0.5)
+    sol = harness.collocation_solution(args.alpha)
     u0, up0 = collocation.eval_solution(sol, 2.0)
     cfg = pade.VaultConfig(h=args.step, n=args.taylor_order, seed=args.seed)
     atlas = pade.run_vault((min(re0, 1.0), max(re1, 3.0), min(im0, 0.0), im1),

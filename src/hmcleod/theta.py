@@ -385,7 +385,8 @@ class _PipelineCache:
     two halves of the pole region meet the real axis only at the
     boundary point x0, so a seed from across the axis starts a chain of
     seeded solves through the pole-free region, which can end on
-    another solution of the endpoint system.
+    another solution of the endpoint system.  The cache also keeps each
+    window's classified pole grid, which every k shares.
     """
 
     def __init__(self):
@@ -395,6 +396,15 @@ class _PipelineCache:
         self._x = {True: np.empty(64, dtype=complex), False: np.empty(64, dtype=complex)}
         self._pipes = {True: [], False: []}
         self._slot = {}
+        self._grids = {}
+
+    def classified_grid(self, window):
+        """``pole_grid(window)`` and its region labels, classified once per window."""
+        if window not in self._grids:
+            nodes = pole_grid(window)
+            labels = genus0.classify_region(nodes.ravel()).reshape(nodes.shape)
+            self._grids[window] = nodes, labels
+        return self._grids[window]
 
     def add(self, pipe):
         """Register a solved pipeline, in the place of one with the same key."""
@@ -530,8 +540,7 @@ def predict_poles(window, k, cache=None):
     """
     re0, re1, im0, im1 = window
     cache = cache or _PipelineCache()
-    nodes = pole_grid(window)
-    labels = genus0.classify_region(nodes.ravel()).reshape(nodes.shape)
+    nodes, labels = cache.classified_grid(tuple(window))
     pipes = {}
     for idx, label in np.ndenumerate(labels):
         if not label.pole_free:

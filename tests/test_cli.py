@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmcleod import cli, genus0, theta, y_from_x
-from hmcleod.errors import TraceFailure, WrongRegion
+from hmcleod import cli, collocation, genus0, pade, theta, x_from_y, y_from_x
+from hmcleod.errors import HmcleodError, PathStall, TraceFailure, Uncovered, WrongRegion
 
 
 def run(argv):
@@ -310,3 +310,265 @@ def test_only_boundary_loads_scipy(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "b.csv").stat().st_size > 0
+
+
+_GENUS1_FREE_CALLS = """
+import sys
+from hmcleod import cli
+out = sys.argv[1]
+assert cli.main(["bvp", "--alpha", "1.5", "--n-cheb", "40", "--out", out + "/v.csv"]) == 0
+assert cli.main(["vault", "--k", "1", "--window", "0", "1", "0", "1", "--seed", "2",
+                 "--out", out + "/a.json"]) == 0
+assert cli.main(["slice", "--k", "1", "--samples", "3", "--n-cheb", "40",
+                 "--out", out + "/s.csv"]) == 0
+assert cli.main(["grid", "--k", "2", "--window", "-1", "3", "-2", "2", "--res", "3",
+                 "--out", out + "/g.csv"]) == 0
+loaded = [m for m in ("hmcleod.theta", "hmcleod.endpoints", "hmcleod.quadrature")
+          if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_calls_without_genus1_values_load_no_genus1_module(tmp_path):
+    # bvp, vault, a real-axis slice and a pole-free grid never import
+    # theta, endpoints or quadrature; a fresh interpreter, as above
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _GENUS1_FREE_CALLS, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_vault_solves_its_anchor_at_its_own_alpha(tmp_path, monkeypatch):
+    # (-0.46 - 0.5) + 0.5 != -0.46: the anchor BVP and the vault share alpha
+    alphas = []
+    solve_bvp, run_vault = collocation.solve_bvp, pade.run_vault
+
+    def recording_solve(prob):
+        alphas.append(("bvp", prob.alpha))
+        return solve_bvp(prob)
+
+    def recording_vault(window, anchor, alpha, cfg):
+        alphas.append(("vault", alpha))
+        return run_vault(window, anchor, alpha, cfg)
+
+    monkeypatch.setattr(collocation, "solve_bvp", recording_solve)
+    monkeypatch.setattr(pade, "run_vault", recording_vault)
+    assert run(["vault", "--alpha", "-0.46", "--n-cheb", "40", "--window", "0", "1", "0", "1",
+                "--out", str(tmp_path / "a.json")]) == 0
+    assert alphas == [("bvp", -0.46), ("vault", -0.46)]
+
+
+def test_pole_grid_is_classified_once_per_window(tmp_path, monkeypatch):
+    # the k = 1, 2, 3 masks of a slice share one classified pole grid,
+    # and poles classifies its grid once for its pole-free check and mask
+    sizes = []
+    classify_region = genus0.classify_region
+
+    def counting_classify(x):
+        sizes.append(np.size(x))
+        return classify_region(x)
+
+    monkeypatch.setattr(genus0, "classify_region", counting_classify)
+    slice_nodes = theta.pole_grid((-4.9 - 0.6, -4.8 + 0.6, -9.0 - 0.6, -9.0 + 0.6)).size
+    assert run(["slice", "--k", "1", "2", "3", "--slice", "horizontal", "--im", "-9",
+                "--xmin", "-4.9", "--xmax", "-4.8", "--samples", "2",
+                "--out", str(tmp_path / "s.csv")]) == 0
+    assert sizes.count(slice_nodes) == 1
+    sizes.clear()
+    window = (-5.0, -4.55, -9.2, -8.8)
+    assert run(["poles", "--k", "3", "--window", *map(str, window),
+                "--out", str(tmp_path / "p.json")]) == 0
+    assert sizes.count(theta.pole_grid(window).size) == 1
+
+
+# --- the numeric worker of pole-region slices and grids -------------------
+
+POLE_SLICE = ["slice", "--k", "1", "2", "3", "--slice", "horizontal", "--im", "-9",
+              "--xmin", "-4.9", "--xmax", "-4.8", "--samples", "5", "--seed", "1"]
+ERROR_GRID = ["grid", "--k", "2", "--window", "-1.7", "-1.3", "-9.2", "-8.8", "--res", "4",
+              "--quantity", "error", "--seed", "1"]
+
+
+def _reference_rows(harness, k, xs, regions, poles, atlas):
+    """(rows of (x, asym, num, flag), failures) of one k, one point at a time."""
+    rows, failures = [], 0
+    for x, region in zip(xs, regions):
+        asym = num = None
+        flag = "ok"
+        try:
+            if isinstance(region, HmcleodError):
+                raise region
+            asym, _ = harness.asymptotic(x, k, region, poles=poles)
+            flag = "ok" if asym is not None else "pole-mask"
+        except HmcleodError as exc:
+            flag = type(exc).__name__
+        failed = flag not in ("ok", "pole-mask")
+        try:
+            num = harness.numeric(x, k, atlas=atlas)
+        except HmcleodError as exc:
+            flag = flag if flag != "ok" else type(exc).__name__
+            failed = True
+        failures += failed
+        rows.append((x, asym, num, flag))
+    return rows, failures
+
+
+def _harness(args):
+    return cli.Harness(seed=args.seed, n_cheb=args.n_cheb, taylor_order=args.taylor_order,
+                       step=args.step, delta=args.delta)
+
+
+def _reference_slice(argv):
+    """The serial pole-region slice: mask, atlas and rows of one k after another."""
+    args = cli.build_parser().parse_args(argv)
+    xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
+    harness = _harness(args)
+    regions = cli._regions(xs)
+    failures = 0
+    for k in args.k:
+        window = (args.xmin - 0.6, args.xmax + 0.6, args.im - 0.6, args.im + 0.6)
+        poles = harness.pole_mask(k, window) if cli._needs_pole_mask(regions) else None
+        atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
+        rows, failed = _reference_rows(harness, k, xs, regions, poles, atlas)
+        failures += failed
+        out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
+        cli._write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", [
+            [*cli._fmt_pair(x), *cli._fmt_pair(a), *cli._fmt_pair(n),
+             cli._fmt(abs(a - n) if a is not None and n is not None else None), flag]
+            for x, a, n, flag in rows])
+    return 2 if failures else 0
+
+
+def _reference_error_grid(argv):
+    """The serial pole-region error grid."""
+    args = cli.build_parser().parse_args(argv)
+    k, = args.k
+    re0, re1, im0, im1 = args.window
+    pts = [complex(xr, xi) for xi in np.linspace(im0, im1, args.res)
+           for xr in np.linspace(re0, re1, args.res)]
+    harness = _harness(args)
+    regions = cli._regions(pts)
+    poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
+    atlas = harness.atlas(k, [y_from_x(x, k) for x in pts])
+    rows, failures = _reference_rows(harness, k, pts, regions, poles, atlas)
+    cli._write_rows(args.out, "x_re,x_im,value_re,value_im,flag", [
+        [*cli._fmt_pair(x), *cli._fmt_pair(abs(a - n) if a is not None and n is not None
+                                           else None), flag]
+        for x, a, n, flag in rows])
+    return 2 if failures else 0
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _slice_files(out):
+    return [out.with_name(f"{out.name}.k{k}.csv") for k in (1, 2, 3)]
+
+
+def test_pole_slice_matches_the_serial_loop(tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    assert run(POLE_SLICE + ["--out", str(new)]) == 0
+    _assert_no_child_left()
+    assert _reference_slice(POLE_SLICE + ["--out", str(ref)]) == 0
+    for a, b in zip(_slice_files(new), _slice_files(ref)):
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_error_grid_matches_the_serial_loop(tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    assert run(ERROR_GRID + ["--out", str(new)]) == 0
+    _assert_no_child_left()
+    assert _reference_error_grid(ERROR_GRID + ["--out", str(ref)]) == 0
+    assert new.read_bytes() == ref.read_bytes()
+    assert "pole-mask" in new.read_text()
+
+
+def test_vault_work_runs_in_one_forked_worker(tmp_path, monkeypatch):
+    log = tmp_path / "pids"
+    atlas = cli.Harness.atlas
+
+    def logging_atlas(self, k, ys):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return atlas(self, k, ys)
+
+    monkeypatch.setattr(cli.Harness, "atlas", logging_atlas)
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    assert run(POLE_SLICE + ["--samples", "2", "--out", str(tmp_path / "s.csv")]) == 0
+    pids = log.read_text().split()
+    assert len(pids) == 3 and len(set(pids)) == 1 and int(pids[0]) != os.getpid()
+    _assert_no_child_left()
+
+
+def test_failed_vault_ends_the_slice_as_before(tmp_path, monkeypatch, capsys):
+    # the k = 2 atlas stalls: k = 1 is written, then exit 1 with the
+    # vault's own message, as in the serial loop
+    run_vault = pade.run_vault
+
+    def stall_at_k2(window, anchor, alpha, cfg):
+        if alpha == 2.5:
+            raise PathStall("vault stopped removing targets")
+        return run_vault(window, anchor, alpha, cfg)
+
+    monkeypatch.setattr(pade, "run_vault", stall_at_k2)
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    argv = POLE_SLICE + ["--samples", "2"]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    assert run(argv + ["--out", str(new)]) == 1
+    _assert_no_child_left()
+    out, err = capsys.readouterr()
+    assert err == "error: vault stopped removing targets\n"
+    assert out == f"wrote {new}.k1.csv (2 rows)\n"
+    with pytest.raises(PathStall, match="^vault stopped removing targets$"):
+        cli.cmd_slice(cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "x.csv")]))
+    _assert_no_child_left()
+    with pytest.raises(PathStall):
+        _reference_slice(argv + ["--out", str(ref)])
+    k1, k2, _ = _slice_files(new)
+    assert k1.read_bytes() == _slice_files(ref)[0].read_bytes()
+    assert not k2.exists()
+
+
+def test_uncovered_point_flags_its_row_as_before(tmp_path, monkeypatch):
+    evaluate = pade.evaluate
+    first = complex(-4.9, -9.0)
+
+    def uncovered_first(atlas, y):
+        if abs(x_from_y(y, atlas.alpha - 0.5) - first) < 1e-9:
+            raise Uncovered("nearest Pade center is far away")
+        return evaluate(atlas, y)
+
+    monkeypatch.setattr(pade, "evaluate", uncovered_first)
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    argv = POLE_SLICE + ["--samples", "2"]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    assert run(argv + ["--out", str(new)]) == 2
+    _assert_no_child_left()
+    assert _reference_slice(argv + ["--out", str(ref)]) == 2
+    for a, b in zip(_slice_files(new), _slice_files(ref)):
+        assert a.read_bytes() == b.read_bytes()
+        first_row, second_row = a.read_text().strip().split("\n")[1:]
+        assert first_row.endswith(",nan,nan,nan,Uncovered") and second_row.endswith(",ok")
+
+
+def test_failures_beside_the_worker_leave_no_child(tmp_path, monkeypatch, capsys):
+    def no_mask(*args, **kwargs):
+        raise WrongRegion("mask failed")
+
+    monkeypatch.setattr(theta, "predict_poles", no_mask)
+    assert run(POLE_SLICE + ["--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err == "error: mask failed\n"
+    _assert_no_child_left()
+
+    def broken_vault(*args):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    monkeypatch.setattr(pade, "run_vault", broken_vault)
+    with pytest.raises(RuntimeError, match="numeric worker"):
+        run(ERROR_GRID + ["--out", str(tmp_path / "g.csv")])
+    _assert_no_child_left()
