@@ -9,20 +9,17 @@ errors.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
-import os
-import pickle
-import signal
 import sys
-import traceback
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 # theta and endpoints are imported where they are used: the calls
 # without a genus-1 value never load them
-from . import collocation, errors, genus0, pade, scaled_from_u, y_from_x
+from . import collocation, genus0, pade, scaled_from_u, y_from_x
 from .errors import HmcleodError, WrongRegion
 
 
@@ -168,34 +165,6 @@ def _numeric_column(harness, k, xs):
     return column
 
 
-def _numeric_child(harness, ks, xs, fd):
-    """Body of the forked worker: never returns.
-
-    Sends (column, None) for each k in turn down ``fd``, or
-    (None, (class name, message)) for a k whose atlas build failed, and
-    then stops.  Whatever is raised, even an interrupt, the child exits
-    here and never unwinds into its caller's frames.
-    """
-    status = 1
-    try:
-        with os.fdopen(fd, "wb") as out:
-            for k in ks:
-                try:
-                    message = (_numeric_column(harness, k, xs), None)
-                except HmcleodError as exc:
-                    message = (None, (type(exc).__name__, str(exc)))
-                pickle.dump(message, out)
-                out.flush()
-                if message[1] is not None:
-                    break
-        status = 0
-    except Exception:
-        traceback.print_exc()
-    finally:
-        sys.stderr.flush()
-        os._exit(status)
-
-
 @contextmanager
 def _numeric_columns(harness, ks, xs):
     """Yields column(k), the ``_numeric_column`` of xs, to be called for ks in order.
@@ -204,45 +173,30 @@ def _numeric_columns(harness, ks, xs):
     Otherwise the vault work goes to one forked worker, which computes
     the column of each k in turn while the caller computes its regions,
     pole masks and asymptotic values.  The collocation anchors are
-    solved before the fork: their solves use threaded BLAS.  column(k)
-    raises the HmcleodError of k's atlas build, with its class and
-    message.  Leaving the block kills and reaps the worker.
-
-    The CLI starts no thread of its own; the only other threads are
-    OpenBLAS's, which its own fork handler shuts down before a fork.
+    solved before the fork, as their solves use threaded BLAS; an anchor
+    that fails there is solved again by the worker, so that column(k)
+    raises its error in k's turn, like an atlas build's error, with its
+    own class and message.  Leaving the block terminates and reaps the
+    worker.
     """
-    if not ks or all(abs(x.imag) <= 1e-12 for x in xs):
+    if all(abs(x.imag) <= 1e-12 for x in xs):
         yield lambda k: _numeric_column(harness, k, xs)
         return
     for k in ks:
-        harness.collocation_solution(k + 0.5)
+        try:
+            harness.collocation_solution(k + 0.5)
+        except HmcleodError:
+            pass
+    import multiprocessing
+    # a forked worker would write the buffered output once more
     sys.stdout.flush()
     sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _numeric_child(harness, ks, xs, write_fd)
-    os.close(write_fd)
-    results = os.fdopen(read_fd, "rb")
-
-    def column(k):
-        try:
-            values, failure = pickle.load(results)
-        except EOFError:
-            raise RuntimeError("the numeric worker ended without a result") from None
-        if failure is not None:
-            name, message = failure
-            raise getattr(errors, name, HmcleodError)(message)
-        return values
-
-    try:
-        yield column
-    finally:
-        # whatever the worker still does, nobody reads it
-        os.kill(pid, signal.SIGKILL)
-        results.close()
-        os.waitpid(pid, 0)
+    # the pool pickles the tasks in a thread of its own, so they get a
+    # copy of the harness: this process goes on filling its pipeline
+    # cache, and does not touch the collocation solutions
+    task = partial(_numeric_column, copy.copy(harness), xs=xs)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        yield pool.imap(task, ks).__next__
 
 
 def _row(asym, flag, num):
@@ -305,16 +259,16 @@ def cmd_grid(args):
                       taylor_order=args.taylor_order, step=args.step,
                       delta=args.delta)
     grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
-    numeric_ks = [k] if args.quantity in ("numeric", "error") else []
-    with _numeric_columns(harness, numeric_ks, grid_pts) as numeric:
-        poles = None
-        regions = [None] * len(grid_pts)
-        if args.quantity in ("asymptotic", "error"):
-            regions = _regions(grid_pts)
-            if _needs_pole_mask(regions):
-                poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
-        asymptotic = _asymptotic_column(harness, k, grid_pts, regions, poles)
-        nums = numeric(k) if numeric_ks else [None] * len(grid_pts)
+    poles = None
+    regions = [None] * len(grid_pts)
+    if args.quantity in ("asymptotic", "error"):
+        regions = _regions(grid_pts)
+        if _needs_pole_mask(regions):
+            poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
+    nums = [None] * len(grid_pts)
+    if args.quantity in ("numeric", "error"):
+        nums = _numeric_column(harness, k, grid_pts)
+    asymptotic = _asymptotic_column(harness, k, grid_pts, regions, poles)
 
     failures = 0
     rows = []

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hmcleod import cli, collocation, genus0, pade, theta, x_from_y, y_from_x
-from hmcleod.errors import HmcleodError, PathStall, TraceFailure, Uncovered, WrongRegion
+from hmcleod.errors import (HmcleodError, NewtonDivergence, PathStall, TraceFailure, Uncovered,
+                            WrongRegion)
 
 
 def run(argv):
@@ -383,7 +384,7 @@ def test_pole_grid_is_classified_once_per_window(tmp_path, monkeypatch):
     assert sizes.count(theta.pole_grid(window).size) == 1
 
 
-# --- the numeric worker of pole-region slices and grids -------------------
+# --- the numeric worker of pole-region slices, and the serial loop -------
 
 POLE_SLICE = ["slice", "--k", "1", "2", "3", "--slice", "horizontal", "--im", "-9",
               "--xmin", "-4.9", "--xmax", "-4.8", "--samples", "5", "--seed", "1"]
@@ -567,8 +568,46 @@ def test_failures_beside_the_worker_leave_no_child(tmp_path, monkeypatch, capsys
     def broken_vault(*args):
         raise ValueError("not a package error")
 
+    # an error of another class comes out of the worker as itself
     monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
     monkeypatch.setattr(pade, "run_vault", broken_vault)
-    with pytest.raises(RuntimeError, match="numeric worker"):
-        run(ERROR_GRID + ["--out", str(tmp_path / "g.csv")])
+    with pytest.raises(ValueError, match="^not a package error$"):
+        run(POLE_SLICE + ["--out", str(tmp_path / "s.csv")])
     _assert_no_child_left()
+
+
+def test_failed_anchor_ends_the_slice_as_before(tmp_path, monkeypatch, capsys):
+    # the k = 2 anchor BVP diverges.  It is first solved before the fork,
+    # yet, as in the serial loop, k = 1 is written, and a k = 1 mask
+    # failure keeps its own error line
+    solve_bvp = collocation.solve_bvp
+
+    def diverge_at_k2(prob):
+        if prob.alpha == 2.5:
+            raise NewtonDivergence("collocation Newton diverged")
+        return solve_bvp(prob)
+
+    monkeypatch.setattr(collocation, "solve_bvp", diverge_at_k2)
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    argv = POLE_SLICE + ["--samples", "2"]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    assert run(argv + ["--out", str(new)]) == 1
+    _assert_no_child_left()
+    out, err = capsys.readouterr()
+    with pytest.raises(NewtonDivergence) as failure:
+        _reference_slice(argv + ["--out", str(ref)])
+    assert err == f"error: {failure.value}\n"
+    assert out == f"wrote {new}.k1.csv (2 rows)\n"
+    k1, k2, _ = _slice_files(new)
+    assert k1.read_bytes() == _slice_files(ref)[0].read_bytes()
+    assert not k2.exists()
+
+    def no_mask_at_k1(window, k, cache=None):
+        if k == 1:
+            raise WrongRegion("mask failed")
+        return []
+
+    monkeypatch.setattr(theta, "predict_poles", no_mask_at_k1)
+    assert run(argv + ["--out", str(tmp_path / "m.csv")]) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr() == ("", "error: mask failed\n")
