@@ -37,6 +37,9 @@ def _fmt_pair(z):
 class Harness:
     """Shared numeric/asymptotic evaluators with per-alpha collocation solutions."""
 
+    # the real y where every vault starts from the collocation solution
+    ANCHOR_Y = 2.0
+
     def __init__(self, seed=0, n_cheb=200, taylor_order=24, step=0.5, delta=0.5):
         self.seed = seed
         self.n_cheb = n_cheb
@@ -44,6 +47,12 @@ class Harness:
         self.step = step
         self.delta = delta
         self._colloc = {}
+
+    @classmethod
+    def from_args(cls, args):
+        """The harness of a subcommand's ``_HARNESS_FLAGS`` and --delta, where it has them."""
+        names = (name.replace("-", "_") for name in (*_HARNESS_FLAGS, "delta"))
+        return cls(**{name: getattr(args, name) for name in names if hasattr(args, name)})
 
     @cached_property
     def _pipes(self):
@@ -59,19 +68,21 @@ class Harness:
             self._colloc[alpha] = collocation.solve_bvp(prob)
         return self._colloc[alpha]
 
+    def vault(self, alpha, window):
+        """Vault atlas over a y-window, anchored at ``ANCHOR_Y`` on the collocation solution."""
+        u0, up0 = collocation.eval_solution(self.collocation_solution(alpha), self.ANCHOR_Y)
+        cfg = pade.VaultConfig(h=self.step, n=self.taylor_order, seed=self.seed)
+        return pade.run_vault(window, (self.ANCHOR_Y, u0, up0), alpha, cfg)
+
     def atlas(self, k, y_points):
         """Vault atlas over the bounding rectangle of the y-points and the anchor.
 
         The rectangle is padded by 1 and reaches down to the real axis.
         """
-        anchor_y = 2.0
-        sol = self.collocation_solution(k + 0.5)
-        u0, up0 = collocation.eval_solution(sol, anchor_y)
-        ys = np.asarray(list(y_points) + [anchor_y])
+        ys = np.asarray(list(y_points) + [self.ANCHOR_Y])
         window = (float(ys.real.min()) - 1.0, float(ys.real.max()) + 1.0,
                   min(0.0, float(ys.imag.min()) - 1.0), float(ys.imag.max()) + 1.0)
-        cfg = pade.VaultConfig(h=self.step, n=self.taylor_order, seed=self.seed)
-        return pade.run_vault(window, (anchor_y, u0, up0), k + 0.5, cfg)
+        return self.vault(k + 0.5, window)
 
     def numeric(self, x, k, atlas=None):
         """Scaled numeric value: collocation on the real axis, else from ``atlas``."""
@@ -224,9 +235,7 @@ def cmd_slice(args):
     if args.mode == "real":
         args.im = 0.0
     xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
-    harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
-                      taylor_order=args.taylor_order, step=args.step,
-                      delta=args.delta)
+    harness = Harness.from_args(args)
     pad = 0.6
     window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
     failures = 0
@@ -255,9 +264,7 @@ def cmd_grid(args):
     re0, re1, im0, im1 = args.window
     xs = np.linspace(re0, re1, args.res)
     ys = np.linspace(im0, im1, args.res)
-    harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
-                      taylor_order=args.taylor_order, step=args.step,
-                      delta=args.delta)
+    harness = Harness.from_args(args)
     grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
     poles = None
     regions = [None] * len(grid_pts)
@@ -366,14 +373,9 @@ def cmd_endpoints(args):
 
 
 def cmd_vault(args):
-    harness = Harness(seed=args.seed, n_cheb=args.n_cheb,
-                      taylor_order=args.taylor_order, step=args.step)
     re0, re1, im0, im1 = args.window
-    sol = harness.collocation_solution(args.alpha)
-    u0, up0 = collocation.eval_solution(sol, 2.0)
-    cfg = pade.VaultConfig(h=args.step, n=args.taylor_order, seed=args.seed)
-    atlas = pade.run_vault((min(re0, 1.0), max(re1, 3.0), min(im0, 0.0), im1),
-                           (2.0, u0, up0), args.alpha, cfg)
+    atlas = Harness.from_args(args).vault(args.alpha,
+                                          (min(re0, 1.0), max(re1, 3.0), min(im0, 0.0), im1))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(atlas.to_json())
     print(f"wrote {args.out} ({len(atlas.entries)} centers)")
@@ -391,20 +393,6 @@ def cmd_bvp(args):
     _write_rows(args.out, "y_re,y_im,u_re,u_im,uprime_re,uprime_im", rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
-
-
-_SHARED_FLAGS = {
-    "seed": {"type": int, "default": 0},
-    "n-cheb": {"type": int, "default": 200},
-    "taylor-order": {"type": int, "default": 24},
-    "step": {"type": float, "default": 0.5},
-    "delta": {"type": float, "default": 0.5},
-    "window": {"type": float, "nargs": 4, "required": True,
-               "metavar": ("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX")},
-}
-# the Harness settings of the commands that build a collocation solution
-# and a vault atlas
-_HARNESS_FLAGS = ("seed", "n-cheb", "taylor-order", "step")
 
 
 def _number_type(rule, test, convert):
@@ -427,6 +415,37 @@ _K_OF_ALPHA = _number_type("alpha must be k + 1/2 for an integer k >= 1",
 _ALPHA_OF_K = _number_type("k must be an integer >= 0", lambda k: k.is_integer() and k >= 0,
                            lambda k: int(k) + 0.5)
 _ALPHA = _number_type("alpha must be > -1/2", lambda a: a > -0.5, float)
+# sample counts, collocation nodes, the jet order (the Pade fit splits it
+# in two halves) and the vault step
+_COUNT = _number_type("must be an integer >= 1", lambda n: n.is_integer() and n >= 1, int)
+_N_CHEB = _number_type("must be an integer >= 3", lambda n: n.is_integer() and n >= 3, int)
+_TAYLOR_ORDER = _number_type("must be an even integer >= 2",
+                             lambda n: n.is_integer() and n >= 2 and n % 2 == 0, int)
+_STEP = _number_type("must be > 0", lambda h: h > 0, float)
+
+
+class _Window(argparse.Action):
+    """RE_MIN RE_MAX IM_MIN IM_MAX, each minimum at most its maximum."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] > values[1] or values[2] > values[3]:
+            raise argparse.ArgumentError(
+                self, f"a minimum exceeds its maximum, got {' '.join(map(str, values))}")
+        setattr(namespace, self.dest, values)
+
+
+_SHARED_FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "n-cheb": {"type": _N_CHEB, "default": 200},
+    "taylor-order": {"type": _TAYLOR_ORDER, "default": 24},
+    "step": {"type": _STEP, "default": 0.5},
+    "delta": {"type": float, "default": 0.5},
+    "window": {"type": float, "nargs": 4, "required": True, "action": _Window,
+               "metavar": ("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX")},
+}
+# the Harness settings of the commands that build a collocation solution
+# and a vault atlas
+_HARNESS_FLAGS = ("seed", "n-cheb", "taylor-order", "step")
 
 
 def _add_common(sp, *flags, ks="one"):
@@ -459,18 +478,18 @@ def build_parser():
     sp.add_argument("--im", type=float, default=0.0, help="imaginary offset of the slice")
     sp.add_argument("--xmin", type=float, default=-3.0)
     sp.add_argument("--xmax", type=float, default=3.0)
-    sp.add_argument("--samples", type=int, default=61)
+    sp.add_argument("--samples", type=_COUNT, default=61)
     sp.set_defaults(func=cmd_slice)
 
     sp = sub.add_parser("grid", help="density-grid CSV over an x-window")
     _add_common(sp, *_HARNESS_FLAGS, "delta", "window")
-    sp.add_argument("--res", type=int, default=16)
+    sp.add_argument("--res", type=_COUNT, default=16)
     sp.add_argument("--quantity", choices=["asymptotic", "numeric", "error"],
                     default="asymptotic")
     sp.set_defaults(func=cmd_grid)
 
     sp = sub.add_parser("boundary", help="trace the pole-region boundary")
-    sp.add_argument("--res", type=int, default=200)
+    sp.add_argument("--res", type=_COUNT, default=200)
     sp.add_argument("--out", default="boundary.csv")
     sp.set_defaults(func=cmd_boundary)
 

@@ -22,6 +22,14 @@ the constants -Lambda (across Sigma1), -i omega (across Gamma) and
 -Lambda - i Omega (across Sigma2); omega and Omega are real exactly when
 the Boutroux conditions hold.
 
+H is evaluated the way the Abel map is (``HField``): as
+i theta(z)/2 - Log(z - A) plus the integral from infinity to z of
+g = 2iR - i theta'/2 + 1/(w - A).  g is analytic off the chain A-B-C-D
+and O(1/w^2) at infinity, so its integral is single-valued off the
+chain: the 1/w series carries it to the far point (``far_point``) and
+``ChainRouter`` paths, which avoid the chain only, carry it on to z.
+The principal Log places the cut L.
+
 Every band and gap integral sums over one rule, ``segment_rule``: the
 substitution t = cos(theta), which turns the square-root endpoint
 behavior of R into smooth periodic integrands (midpoint rule in theta
@@ -61,7 +69,7 @@ from . import quadrature as quad
 from .errors import (DegenerateEndpoints, NoConvergence, NonConvergence, OnCut,
                      RealityViolation, WrongRegion)
 from .genus0 import (RegionLabel, _dist_to_segment, classify_region, cut_root,
-                     dist_to_ray, genus0_data, phase, phase_prime)
+                     genus0_data, phase, phase_prime)
 
 _L_RAY_LENGTH = 1e3
 
@@ -403,26 +411,6 @@ def H_prime_oracle(z, e, m=192):
     return 1j * phase_prime(z, e.x) / 2.0 - G_prime_quadrature(z, e, m=m)
 
 
-def _tail_direction(e, cuts):
-    """Reference point and outgoing ray direction with clearance from cuts.
-
-    Of 32 rays leaving a circle around the endpoints, the first that keeps
-    the largest distance from 41 sample points of each cut.
-    """
-    pts = np.array(e.points())
-    center = pts.mean()
-    rho = 4.0 * max(1.0, np.max(np.abs(pts - center)))
-    d = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False))[:, None]
-    z_ref = center + rho * d
-    s = np.linspace(0.0, 1.0, 41)
-    samples = np.concatenate([p + s * (q - p) for p, q in cuts])
-    clear = dist_to_ray(samples, z_ref, d).min(axis=1)
-    i = int(np.argmax(clear))
-    if clear[i] < 0.3:
-        raise NoConvergence("no clear tail direction for the H normalization")
-    return z_ref[i, 0], d[i, 0]
-
-
 def _g_prime_regularized(w, e):
     """2iR(w) - i theta'(w)/2 + 1/(w - A), computed without cancellation.
 
@@ -449,6 +437,16 @@ def _sqrt_series(coeffs, order):
     return s
 
 
+def inv_r_series(e, order):
+    """Coefficients t_k of 1/R = sum_k t_k w^(-2-k), k = 0..order."""
+    e1, e2, e3, e4 = symmetric_functions(e)
+    s = _sqrt_series([1.0, -e1, e2, -e3, e4], order)
+    t = [1.0 + 0.0j]
+    for k in range(1, order + 1):
+        t.append(-sum(s[j] * t[k - j] for j in range(1, k + 1)))
+    return t
+
+
 def series_tail(coeffs, z):
     """int_z^inf of sum_j coeffs[j] w^(-2-j) dw, a series that starts at w^-2."""
     return sum(c * z ** (-1 - j) / (1 + j) for j, c in enumerate(coeffs))
@@ -460,34 +458,22 @@ def _tail_series_value(e, z_from):
     Valid once |z_from| is well outside the endpoint cluster: R/w^2 is
     expanded as a square-root series in 1/w and integrated term-wise
     (the 1/w coefficient vanishes identically by the moment conditions).
-    The w^-m coefficient, m = 2..12, is 2i s_(m+2) from 2iR plus A^(m-1)
+    The w^-m coefficient, m = 2..24, is 2i s_(m+2) from 2iR plus A^(m-1)
     from 1/(w-A).
     """
     e1, e2, e3, e4 = symmetric_functions(e)
-    s = _sqrt_series([1.0, -e1, e2, -e3, e4], 14)
-    return -series_tail([2j * s[m + 2] + e.A ** (m - 1) for m in range(2, 13)], z_from)
+    s = _sqrt_series([1.0, -e1, e2, -e3, e4], 26)
+    return -series_tail([2j * s[m + 2] + e.A ** (m - 1) for m in range(2, 25)], z_from)
 
 
-def h_reference(e):
-    """Absolute H value at a far reference point, via the regularized tail.
-
-    H(z) = i theta(z)/2 - log(z - A) + int_inf^z (2iR - i theta'/2 + 1/(w-A)) dw
-
-    The far part of the tail (beyond ~100x the endpoint scale) is summed
-    analytically; the remainder is integrated with the cancellation-free
-    form of the integrand.
-    """
-    z_ref, d = _tail_direction(e, contours_for(e))
-    x = e.x
-
-    scale = max(abs(p) for p in e.points())
-    z_far = z_ref + d * max(0.0, 120.0 * scale - abs(z_ref))
-    tail = _tail_series_value(e, z_far)
-    if z_far != z_ref:
-        tail += quad.integrate_path(lambda w: _g_prime_regularized(w, e),
-                                    quad.Path((z_far, z_ref)), LEG_RULE)
-    val = 0.5j * phase(z_ref, x) - np.log(z_ref - e.A) + tail
-    return z_ref, val
+def far_point(e):
+    """Point well outside the endpoint cluster with the most clearance from the chain."""
+    pts = np.array(e.points())
+    center = pts.mean()
+    radius = max(4.0 * max(np.abs(pts - center)), 2.5 * max(np.abs(pts)) + 2.0)
+    z = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))
+    clear = np.min([_dist_to_segment(z, p, q) for p, q in zip(pts[:-1], pts[1:])], axis=0)
+    return complex(z[np.argmax(clear)])
 
 
 def _fold_gap(verts):
@@ -499,24 +485,16 @@ def _fold_gap(verts):
 
 
 class ChainRouter:
-    """Paths around the cut chain (log ray + A-B-C-D) via an offset corridor.
+    """Paths around the cut chain A-B-C-D via an offset corridor.
 
-    The obstacle is the open polyline [far end of L, A, B, C, D]; the
-    corridor is its offset curve at a clearance, traversed only around
-    the D end (never around the far end of the logarithmic ray, which
-    would change the branch and cost precision).
+    The obstacle is the open polyline [A, B, C, D]; the corridor is its
+    offset curve at a clearance, open at A and capped around D.
     """
 
-    def __init__(self, e, include_log_cut=True):
-        pts = [e.A, e.B, e.C, e.D]
-        scale = max(1.0, max(abs(p - e.A) for p in pts))
-        if include_log_cut:
-            verts = [e.A - 60.0 * scale, e.A, e.B, e.C, e.D]
-        else:
-            verts = [e.A, e.B, e.C, e.D]
-        self.verts = [complex(v) for v in verts]
+    def __init__(self, e):
+        self.verts = [complex(p) for p in e.points()]
         self.segments = list(zip(self.verts[:-1], self.verts[1:]))
-        seg_lens = [abs(q - p) for p, q in zip(pts[:-1], pts[1:])]
+        seg_lens = [abs(q - p) for p, q in self.segments]
         # a folded chain passes close to itself: the two banks must not meet
         c = min(0.3 * min(seg_lens), 0.45 * _fold_gap(self.verts))
         for _ in range(4):
@@ -608,6 +586,12 @@ class ChainRouter:
         pts = [start] + walk + [end]
         return quad.Path(tuple(self._shortcut(pts)))
 
+    def integrals(self, f, start, zs):
+        """int_start^z f dw at each z of zs along ``path``, the legs bisected together."""
+        paths = [self.path(start, z) for z in zs]
+        legs = iter(integrate_legs(f, [p for p in paths if p is not None], LEG_RULE))
+        return [0.0 if p is None else next(legs) for p in paths]
+
     def _attach(self, z):
         order = np.argsort([abs(c - z) for c in self.corridor])
         for idx in order:
@@ -652,19 +636,20 @@ def integrate_legs(f, paths, rule):
 
 
 class HField:
-    """Evaluator for H by propagating 2iR integrals from one reference."""
+    """Evaluator of H from the far point, like the Abel map (see the module docstring)."""
 
     def __init__(self, e):
         self.e = e
-        self.router = ChainRouter(e, include_log_cut=True)
-        self.z_ref, self.h_ref = h_reference(e)
+        self.router = ChainRouter(e)
+        self.z_far = far_point(e)
+        self.tail = _tail_series_value(e, self.z_far)
 
     def values(self, zs):
-        """H at each z along cut-avoiding paths from the reference point."""
-        f = lambda w: 2j * R_eval(w, self.e, guard=False)
-        paths = [self.router.path(self.z_ref, complex(z)) for z in zs]
-        legs = iter(integrate_legs(f, [p for p in paths if p is not None], LEG_RULE))
-        return [self.h_ref if p is None else self.h_ref + next(legs) for p in paths]
+        """H at each z of zs, off the chain and off L."""
+        e = self.e
+        legs = self.router.integrals(lambda w: _g_prime_regularized(w, e), self.z_far, zs)
+        return [0.5j * phase(z, e.x) - np.log(z - e.A) + self.tail + leg
+                for z, leg in zip(zs, legs)]
 
 
 def adaptive_band_nodes(e):

@@ -9,8 +9,10 @@ segment that shares an integrand, over one path or several
 in a single integrand call, with the values of depth-first recursion bit
 for bit.  Integrands are expected to be vectorized over numpy arrays of
 complex points (scalar-only callables also work).  Paths that avoid the
-branch cuts are built by ``endpoints.ChainRouter`` from the
-segment-crossing test at the end of this module.
+cut chain A-B-C-D are built by ``endpoints.ChainRouter`` from the
+segment-crossing test at the end of this module; they serve the Abel map
+and the phase H alike, as H takes its logarithmic cut from the principal
+Log.
 """
 
 from __future__ import annotations

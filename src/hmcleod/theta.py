@@ -119,35 +119,18 @@ def log_theta_deriv(z, B):
 # periods and the Abel map
 # ---------------------------------------------------------------------------
 
-def _series_inv_sqrt(e, order):
-    """Coefficients of 1/sqrt(prod(1 - p_i u)) = R-series reciprocal."""
-    e1, e2, e3, e4 = ep.symmetric_functions(e)
-    s = ep._sqrt_series([1.0, -e1, e2, -e3, e4], order)
-    t = [1.0 + 0.0j]
-    for k in range(1, order + 1):
-        acc = -sum(s[j] * t[k - j] for j in range(1, k + 1))
-        t.append(acc)
-    return t
-
-
-def _far_point(e):
-    """Point well outside the endpoint cluster with the most clearance from the chain."""
-    pts = np.array(e.points())
-    center = pts.mean()
-    radius = max(4.0 * max(np.abs(pts - center)), 2.5 * max(np.abs(pts)) + 2.0)
-    z = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))
-    clear = np.min([genus0._dist_to_segment(z, p, q) for p, q in zip(pts[:-1], pts[1:])],
-                   axis=0)
-    return complex(z[np.argmax(clear)])
-
-
 class AbelMap:
-    """Normalized incomplete integral of dw/R from the base endpoint A."""
+    """Normalized incomplete integral of dw/R from the base endpoint A.
+
+    Its 1/w series of 1/R carries the integrals from its far point to infinity.
+    """
 
     def __init__(self, e, nu):
         self.e = e
         self.nu = nu
-        self.router = ep.ChainRouter(e, include_log_cut=False)
+        self.router = ep.ChainRouter(e)
+        self.z_far = ep.far_point(e)
+        self.inv_r_series = ep.inv_r_series(e, 16)
         seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
         u1 = (e.B - e.A) / abs(e.B - e.A)
         self.stage = e.A - 0.4 * seg * u1
@@ -165,10 +148,9 @@ class AbelMap:
             return [0.0 + 0.0j for _ in zs]
         stage = ep.integrate_leg(f, quad.Path((self.e.A, self.stage)), ep.LEG_RULE,
                                  sqrt_start=True)
-        paths = [None if a else self.router.path(self.stage, z) for z, a in zip(zs, at_a)]
-        legs = iter(ep.integrate_legs(f, [p for p in paths if p is not None], ep.LEG_RULE))
-        return [0.0 + 0.0j if a else stage if p is None else stage + next(legs)
-                for a, p in zip(at_a, paths)]
+        legs = iter(self.router.integrals(f, self.stage,
+                                          [z for z, a in zip(zs, at_a) if not a]))
+        return [0.0 + 0.0j if a else stage + next(legs) for a in at_a]
 
     def integral(self, f, z):
         """int_A^z f dw (see ``integrals``)."""
@@ -212,11 +194,8 @@ def compute_periods(e, constants, m):
     Q = (B * D - A * C) / (B + D - A - C)
 
     abel = AbelMap(e, nu)
-    z_far = _far_point(e)
-    base, raw_q = abel.raw_integral((z_far, Q))
-
-    # tail of int dw/R: 1/R = sum t_k w^(-2-k)
-    A_inf = nu * (base + ep.series_tail(_series_inv_sqrt(e, 16), z_far))
+    base, raw_q = abel.raw_integral((abel.z_far, Q))
+    A_inf = nu * (base + ep.series_tail(abel.inv_r_series, abel.z_far))
 
     pd = PeriodData(A_minus1=complex(A_minus1), A_inf=complex(A_inf),
                     B_period=complex(B_period), K=complex(K), U=complex(U),
@@ -310,9 +289,8 @@ class Genus1Pipeline:
         def upsilon_minus_one(w):
             return (w ** 2 - pd.c_upsilon * pd.nu) / ep.R_eval(w, e, guard=False) - 1.0
 
-        z_far = _far_point(e)
+        z_far, t = self.abel.z_far, self.abel.inv_r_series
         # series tail: (w^2 - cU*nu)/R - 1 = sum_{m>=2} (t_m - cU*nu*t_{m-2}) w^-m
-        t = _series_inv_sqrt(e, 16)
         tail = ep.series_tail([t[m] - pd.c_upsilon * pd.nu * t[m - 2]
                                for m in range(2, len(t))], z_far)
         return (complex(e.A - (self.abel.integral(upsilon_minus_one, z_far) + tail)),

@@ -138,15 +138,42 @@ def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
     ["vault", "--alpha", "-0.5", "--window", "0", "1", "0", "1"],
     ["bvp", "--k", "1", "2"],
     ["bvp", "--k", "-1"],
+    ["slice", "--k", "1", "--samples", "-1"],
+    ["grid", "--k", "1", "--window", "-1", "1", "-1", "1", "--res", "-2"],
+    ["boundary", "--res", "0"],
+    ["bvp", "--k", "1", "--n-cheb", "1"],
+    ["bvp", "--k", "1", "--n-cheb", "2"],
+    ["vault", "--k", "1", "--window", "0", "1", "0", "1", "--taylor-order", "23"],
+    ["slice", "--k", "1", "--im", "-9", "--taylor-order", "7"],
+    ["vault", "--k", "1", "--window", "0", "1", "0", "1", "--step", "0"],
+    ["poles", "--k", "1", "--window", "1", "-1", "-9", "-8"],
+    ["grid", "--k", "1", "--window", "-1", "-3", "-9", "-8"],
 ])
 def test_bad_k_or_alpha_is_an_argparse_error(argv, capsys):
     # k >= 1 (or alpha = k + 1/2) for the asymptotics, one k outside
-    # slice, and alpha > -1/2 for vault and bvp
+    # slice, and alpha > -1/2 for vault and bvp; counts >= 1, n-cheb >= 3,
+    # an even taylor-order, a positive step and ordered window bounds
     with pytest.raises(SystemExit) as info:
         run(argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_readme_cli_examples_parse(capsys):
+    # every hmcleod call of README's CLI block, with its backslash
+    # continuations joined, parses with the current flags
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    calls = [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+             if line.split()[:1] == ["hmcleod"]]
+    assert len(calls) == 8
+    for argv in calls:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README call does not parse: hmcleod {' '.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 @pytest.mark.parametrize("argv, attr, value", [

@@ -95,7 +95,7 @@ def test_chain_router_avoids_cuts(pipe_refpoint):
     # from the Abel stage point to Q the straight segment crosses the gap
     e = pipe_refpoint.e
     chain = [(e.A, e.B), (e.B, e.C), (e.C, e.D)]
-    router = ep.ChainRouter(e, include_log_cut=False)
+    router = ep.ChainRouter(e)
     start, end = pipe_refpoint.abel.stage, pipe_refpoint.periods.Q
     assert any(quad.segments_cross(start, end, p, q) for p, q in chain)
     path = router.path(start, end)
