@@ -477,24 +477,42 @@ def _triangles(shape):
 
 
 def _cell_seeds(xs, cs):
-    """Preimages of the integer points of one grid triangle's c-image.
+    """Preimages of the integer points of grid triangles' c-images.
 
-    ``xs`` are the corner x and ``cs`` the corner lattice coordinates;
-    gives the seeds and dc/dx of the affine map through the corners, or
-    no seeds and None where that map is singular.
+    ``xs`` are the corner x of n triangles, (n, 3), and ``cs`` their
+    corner lattice coordinates, (n, 3, 2).  Gives each triangle's seeds
+    and dc/dx of the affine map through its corners; a triangle whose
+    map is singular gets no seeds and None.  The triangles share each
+    LAPACK and BLAS call, one per shape of the integer box and per seed
+    count, so that every triangle gets the bits of its own calls.
     """
-    dx = _real2([xs[1] - xs[0], xs[2] - xs[0]])
-    dc = np.array([cs[1] - cs[0], cs[2] - cs[0]]).T
-    if abs(np.linalg.det(dc)) <= 1e-12 * np.abs(dc).max() ** 2:
-        return [], None
-    lo, hi = np.floor(np.min(cs, axis=0)), np.ceil(np.max(cs, axis=0))
-    ints = np.stack(np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1)),
-                    axis=-1).reshape(-1, 2)
-    lam = np.linalg.solve(dc, (ints - cs[0]).T)
-    inside = (lam[0] >= -1e-9) & (lam[1] >= -1e-9) & (lam[0] + lam[1] <= 1.0 + 1e-9)
-    pre = dx @ lam[:, inside]
-    seeds = [xs[0] + complex(a, b) for a, b in pre.T]
-    return seeds, dc @ np.linalg.inv(dx)
+    xs = np.asarray(xs, dtype=complex).reshape(-1, 3)
+    cs = np.asarray(cs, dtype=float).reshape(-1, 3, 2)
+    d = xs[:, 1:] - xs[:, :1]
+    dx = np.stack([d.real, d.imag], axis=1)
+    dc = (cs[:, 1:] - cs[:, :1]).transpose(0, 2, 1)
+    regular = np.abs(np.linalg.det(dc)) > 1e-12 * np.abs(dc).max(axis=(1, 2)) ** 2
+    seeds, dcdx = [[] for _ in xs], [None] * len(xs)
+    rows = np.flatnonzero(regular)
+    for i, jac in zip(rows, dc[rows] @ np.linalg.inv(dx[rows])):
+        dcdx[i] = jac
+    lo = np.floor(cs.min(axis=1))
+    box = np.ceil(cs.max(axis=1)) - lo + 1.0
+    for nx, ny in {tuple(b) for b in box[regular]}:
+        rows = np.flatnonzero(regular & (box == (nx, ny)).all(axis=1))
+        ints = lo[rows, None, :] + np.stack(np.meshgrid(np.arange(nx), np.arange(ny)),
+                                             axis=-1).reshape(-1, 2)
+        lam = np.linalg.solve(dc[rows], (ints - cs[rows, :1]).transpose(0, 2, 1))
+        inside = ((lam[:, 0] >= -1e-9) & (lam[:, 1] >= -1e-9)
+                  & (lam[:, 0] + lam[:, 1] <= 1.0 + 1e-9))
+        counts = inside.sum(axis=1)
+        for q in set(counts[counts > 0].tolist()):
+            sel = np.flatnonzero(counts == q)
+            lam_in = lam.transpose(0, 2, 1)[sel][inside[sel]].reshape(len(sel), q, 2)
+            pre = dx[rows[sel]] @ np.ascontiguousarray(lam_in.transpose(0, 2, 1))
+            for i, p in zip(rows[sel], pre):
+                seeds[i] = [xs[i, 0] + complex(a, b) for a, b in p.T]
+    return seeds, dcdx
 
 
 def predict_poles(window, k, cache=None):
@@ -542,17 +560,21 @@ def predict_poles(window, k, cache=None):
 
     for sign in (+1, -1):
         coords = {idx: pipe.lattice_coords(sign) for idx, pipe in pipes.items()}
-        regular, irregular = [], []
+        cells = []
         for tri in _triangles(nodes.shape):
             xs = [nodes[idx] for idx in tri]
             if (any(idx not in pipes for idx in tri)
                     or len({pipes[idx].periods.b_sign for idx in tri}) > 1):
-                irregular.append(xs)
+                cells.append((xs, None))
                 continue
             c0 = np.array([coords[idx][0] for idx in tri])
             c0[1:] -= np.round(c0[1:] - c0[0])
-            cs = c0 + k * np.array([coords[idx][1] for idx in tri])
-            seeds, dcdx = _cell_seeds(xs, cs)
+            cells.append((xs, c0 + k * np.array([coords[idx][1] for idx in tri])))
+        own = [cell for cell in cells if cell[1] is not None]
+        maps = zip(*_cell_seeds([xs for xs, _ in own], [cs for _, cs in own]))
+        regular, irregular = [], []
+        for xs, cs in cells:
+            seeds, dcdx = next(maps) if cs is not None else ([], None)
             if dcdx is None:
                 irregular.append(xs)
                 continue
@@ -562,10 +584,11 @@ def predict_poles(window, k, cache=None):
         if not regular:
             continue
         centres = np.array([x for x, _, _ in regular])
-        for xs in irregular:
-            x_mid, c_mid, dcdx = regular[int(np.argmin(np.abs(centres - np.mean(xs))))]
-            cs = c_mid + (dcdx @ _real2(np.array(xs) - x_mid)).T
-            for x0 in _cell_seeds(xs, cs)[0]:
+        borrowed = [regular[int(np.argmin(np.abs(centres - np.mean(xs))))] for xs in irregular]
+        borrowed_cs = [c_mid + (dcdx @ _real2(np.array(xs) - x_mid)).T
+                       for xs, (x_mid, c_mid, dcdx) in zip(irregular, borrowed)]
+        for seeds, (_, _, dcdx) in zip(_cell_seeds(irregular, borrowed_cs)[0], borrowed):
+            for x0 in seeds:
                 polish(x0, sign, dcdx)
 
     poles = []

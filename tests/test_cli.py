@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmcleod import cli, collocation, genus0, pade, theta, x_from_y, y_from_x
+from hmcleod import cli, collocation, commands, genus0, pade, theta, x_from_y, y_from_x
 from hmcleod.errors import (HmcleodError, NewtonDivergence, PathStall, TraceFailure, Uncovered,
                             WrongRegion)
 
@@ -83,8 +84,8 @@ def test_masked_slice_rows_are_not_failures(tmp_path, monkeypatch):
     # still exits 2
     x = -4.85 - 9.0j
     monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [x])
-    monkeypatch.setattr(cli.Harness, "atlas", lambda self, k, ys: None)
-    monkeypatch.setattr(cli.Harness, "numeric", lambda self, x, k, atlas=None: 0j)
+    monkeypatch.setattr(commands.Harness, "atlas", lambda self, k, ys: None)
+    monkeypatch.setattr(commands.Harness, "numeric", lambda self, x, k, atlas=None: 0j)
     out = tmp_path / "m.csv"
     argv = ["slice", "--k", "3", "--slice", "horizontal", "--im", "-9",
             "--xmin", "-4.85", "--xmax", "-4.85", "--samples", "1", "--out", str(out)]
@@ -94,7 +95,7 @@ def test_masked_slice_rows_are_not_failures(tmp_path, monkeypatch):
     def fail(self, x, k, atlas=None):
         raise WrongRegion("no numeric value")
 
-    monkeypatch.setattr(cli.Harness, "numeric", fail)
+    monkeypatch.setattr(commands.Harness, "numeric", fail)
     assert run(argv) == 2
 
 
@@ -160,20 +161,43 @@ def test_bad_k_or_alpha_is_an_argparse_error(argv, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def _documented_pin(args, text):
+    """Whether README's BLAS paragraph names the parsed call as pinned to one thread.
+
+    The paragraph lists the pinned commands in backticks between "the CLI
+    pins" and "to one BLAS thread"; an entry's flags must have the
+    call's values.
+    """
+    listed = re.search(r"the CLI pins ((?:`[^`]+`|,|\s|and)+) to one BLAS thread", text).group(1)
+    for entry in re.findall(r"`([^`]+)`", listed):
+        command, *flags = entry.split()
+        if command == args.command and all(
+                str(getattr(args, flag.lstrip("-").replace("-", "_"))) == value
+                for flag, value in zip(flags[::2], flags[1::2])):
+            return True
+    return False
+
+
 def test_readme_cli_examples_parse(capsys):
-    # every hmcleod call of README's CLI block, with its backslash
-    # continuations joined, parses with the current flags
+    # every hmcleod call of README's sh blocks, with its backslash
+    # continuations joined, parses with the current flags, and the CLI
+    # pins its BLAS threads as README's BLAS paragraph says
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    calls = [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+    blocks = [part.split("```", 1)[0] for part in text.split("```sh")[1:]]
+    calls = [line.split()[1:] for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()
              if line.split()[:1] == ["hmcleod"]]
     assert len(calls) == 8
+    pinned = []
     for argv in calls:
         try:
-            cli.build_parser().parse_args(argv)
+            args = cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README call does not parse: hmcleod {' '.join(argv)}\n"
                         f"{capsys.readouterr().err}")
+        assert cli.pins_blas_threads(args) == _documented_pin(args, text), argv
+        pinned.append(cli.pins_blas_threads(args))
+    assert pinned.count(True) == 4
 
 
 @pytest.mark.parametrize("argv, attr, value", [
@@ -201,7 +225,7 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
 def test_asymptotic_masks_predicted_poles(pipe_refpoint, pipeline_cache):
     k = 3
     poles = theta.predict_poles((-2.5, -1.0, -9.4, -8.6), k, cache=pipeline_cache)
-    harness = cli.Harness()
+    harness = commands.Harness()
     harness._pipes = pipeline_cache
     assert harness.asymptotic(poles[0], k, genus0.classify_and_value(poles[0]),
                               poles=poles) == (None, "pole-mask")
@@ -217,7 +241,7 @@ def test_upper_half_plane_matches_vault_reflection():
     # Each half gets its own vault; they agree to about 3e-10.
     k = 2
     upper = [complex(xr, 9.0) for xr in (-1.6, -1.5, -1.4)]
-    harness = cli.Harness(seed=1)
+    harness = commands.Harness(seed=1)
     halves = []
     for xs in (upper, [x.conjugate() for x in upper]):
         atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
@@ -261,7 +285,7 @@ def test_poles_window_with_pole_free_corners_runs(tmp_path, monkeypatch):
     args = cli.build_parser().parse_args(["poles", "--k", "2", "--window", "0", "1", "-1", "1",
                                           "--out", str(out)])
     with pytest.raises(WrongRegion):
-        cli.cmd_poles(args)
+        commands.cmd_poles(args)
 
 
 def test_grid_solves_each_point_at_most_twice(tmp_path, monkeypatch):
@@ -316,6 +340,21 @@ def test_vault_build(tmp_path):
     assert len(doc["centers"]) >= 1
 
 
+def _child_env(**overrides):
+    """os.environ with this checkout's src on PYTHONPATH, for a fresh interpreter.
+
+    A keyword names a variable to set, or with None one to remove.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in overrides.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
 _SCIPY_FREE_CALLS = """
 import sys
 from hmcleod import cli
@@ -331,11 +370,8 @@ assert cli.main(["boundary", "--res", "40", "--out", out + "/b.csv"]) == 0
 
 def test_only_boundary_loads_scipy(tmp_path):
     # a fresh interpreter: the test process itself may already hold scipy
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CALLS, str(tmp_path)],
-                          env=env, capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "b.csv").stat().st_size > 0
 
@@ -360,11 +396,8 @@ assert not loaded, loaded
 def test_calls_without_genus1_values_load_no_genus1_module(tmp_path):
     # bvp, vault, a real-axis slice and a pole-free grid never import
     # theta, endpoints or quadrature; a fresh interpreter, as above
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _GENUS1_FREE_CALLS, str(tmp_path)],
-                          env=env, capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -444,8 +477,8 @@ def _reference_rows(harness, k, xs, regions, poles, atlas):
 
 
 def _harness(args):
-    return cli.Harness(seed=args.seed, n_cheb=args.n_cheb, taylor_order=args.taylor_order,
-                       step=args.step, delta=args.delta)
+    return commands.Harness(seed=args.seed, n_cheb=args.n_cheb, taylor_order=args.taylor_order,
+                            step=args.step, delta=args.delta)
 
 
 def _reference_slice(argv):
@@ -453,18 +486,18 @@ def _reference_slice(argv):
     args = cli.build_parser().parse_args(argv)
     xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
     harness = _harness(args)
-    regions = cli._regions(xs)
+    regions = commands._regions(xs)
     failures = 0
     for k in args.k:
         window = (args.xmin - 0.6, args.xmax + 0.6, args.im - 0.6, args.im + 0.6)
-        poles = harness.pole_mask(k, window) if cli._needs_pole_mask(regions) else None
+        poles = harness.pole_mask(k, window) if commands._needs_pole_mask(regions) else None
         atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
         rows, failed = _reference_rows(harness, k, xs, regions, poles, atlas)
         failures += failed
         out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
-        cli._write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", [
-            [*cli._fmt_pair(x), *cli._fmt_pair(a), *cli._fmt_pair(n),
-             cli._fmt(abs(a - n) if a is not None and n is not None else None), flag]
+        commands._write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", [
+            [*commands._fmt_pair(x), *commands._fmt_pair(a), *commands._fmt_pair(n),
+             commands._fmt(abs(a - n) if a is not None and n is not None else None), flag]
             for x, a, n, flag in rows])
     return 2 if failures else 0
 
@@ -477,13 +510,13 @@ def _reference_error_grid(argv):
     pts = [complex(xr, xi) for xi in np.linspace(im0, im1, args.res)
            for xr in np.linspace(re0, re1, args.res)]
     harness = _harness(args)
-    regions = cli._regions(pts)
+    regions = commands._regions(pts)
     poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
     atlas = harness.atlas(k, [y_from_x(x, k) for x in pts])
     rows, failures = _reference_rows(harness, k, pts, regions, poles, atlas)
-    cli._write_rows(args.out, "x_re,x_im,value_re,value_im,flag", [
-        [*cli._fmt_pair(x), *cli._fmt_pair(abs(a - n) if a is not None and n is not None
-                                           else None), flag]
+    commands._write_rows(args.out, "x_re,x_im,value_re,value_im,flag", [
+        [*commands._fmt_pair(x),
+         *commands._fmt_pair(abs(a - n) if a is not None and n is not None else None), flag]
         for x, a, n, flag in rows])
     return 2 if failures else 0
 
@@ -517,14 +550,14 @@ def test_error_grid_matches_the_serial_loop(tmp_path):
 
 def test_vault_work_runs_in_one_forked_worker(tmp_path, monkeypatch):
     log = tmp_path / "pids"
-    atlas = cli.Harness.atlas
+    atlas = commands.Harness.atlas
 
     def logging_atlas(self, k, ys):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
         return atlas(self, k, ys)
 
-    monkeypatch.setattr(cli.Harness, "atlas", logging_atlas)
+    monkeypatch.setattr(commands.Harness, "atlas", logging_atlas)
     monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
     assert run(POLE_SLICE + ["--samples", "2", "--out", str(tmp_path / "s.csv")]) == 0
     pids = log.read_text().split()
@@ -552,7 +585,7 @@ def test_failed_vault_ends_the_slice_as_before(tmp_path, monkeypatch, capsys):
     assert err == "error: vault stopped removing targets\n"
     assert out == f"wrote {new}.k1.csv (2 rows)\n"
     with pytest.raises(PathStall, match="^vault stopped removing targets$"):
-        cli.cmd_slice(cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "x.csv")]))
+        commands.cmd_slice(cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "x.csv")]))
     _assert_no_child_left()
     with pytest.raises(PathStall):
         _reference_slice(argv + ["--out", str(ref)])
@@ -638,3 +671,158 @@ def test_failed_anchor_ends_the_slice_as_before(tmp_path, monkeypatch, capsys):
     assert run(argv + ["--out", str(tmp_path / "m.csv")]) == 1
     _assert_no_child_left()
     assert capsys.readouterr() == ("", "error: mask failed\n")
+
+
+# --- parse first: the BLAS thread rule and the modules each call loads ---
+
+@pytest.mark.parametrize("argv, message", [
+    (["--y1", "1", "--y2", "1"], "argument --y1: y1 must be < 0, got '1'"),
+    (["--y1", "0"], "argument --y1: y1 must be < 0, got '0'"),
+    (["--y2", "-3"], "argument --y2: y2 must be > 0, got '-3'"),
+])
+def test_bvp_segment_must_straddle_zero(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["bvp", "--k", "1", *argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+_THREAD_RULE = """
+import json, os, sys, types
+from hmcleod import cli
+# command bodies that do nothing, so that numpy stays unloaded
+commands = types.ModuleType("hmcleod.commands")
+for name in ("slice", "grid", "boundary", "poles", "endpoints", "vault", "bvp"):
+    setattr(commands, "cmd_" + name, lambda args: 0)
+sys.modules["hmcleod.commands"] = commands
+seen = []
+for argv in json.loads(sys.argv[1]):
+    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    assert cli.main(argv) == 0
+    in_process = os.environ.get("OPENBLAS_NUM_THREADS")
+    sys.argv[1:] = argv
+    assert cli.main() == 0
+    seen.append([in_process, os.environ.get("OPENBLAS_NUM_THREADS")])
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+assert cli.main() == 0
+seen.append(os.environ["OPENBLAS_NUM_THREADS"])
+assert "numpy" not in sys.modules
+import numpy
+os.environ.pop("OPENBLAS_NUM_THREADS")
+assert cli.main() == 0
+seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(json.dumps(seen))
+"""
+
+UNIT_WINDOW = ["--window", "-1", "1", "-1", "1"]
+THREAD_RULE_CALLS = [
+    (["endpoints", "--x", "-1.5", "-10"], True),
+    (["poles", "--k", "1", *UNIT_WINDOW], True),
+    (["boundary"], True),
+    (["grid", "--k", "1", *UNIT_WINDOW], True),
+    (["grid", "--k", "1", *UNIT_WINDOW, "--quantity", "asymptotic"], True),
+    (["grid", "--k", "1", *UNIT_WINDOW, "--quantity", "numeric"], False),
+    (["grid", "--k", "1", *UNIT_WINDOW, "--quantity", "error"], False),
+    (["slice", "--k", "1"], False),
+    (["slice", "--k", "3", "--slice", "horizontal", "--im", "-9"], False),
+    (["vault", "--k", "1", *UNIT_WINDOW], False),
+    (["bvp", "--k", "1"], False),
+]
+
+
+def test_only_the_program_pins_blas_threads_of_calls_without_collocation():
+    # run as the program, a call without a collocation solve sets
+    # OPENBLAS_NUM_THREADS=1 before numpy loads; the user's own value
+    # wins, and in-process calls and calls after numpy loaded set nothing
+    calls = [argv for argv, _ in THREAD_RULE_CALLS]
+    proc = subprocess.run([sys.executable, "-c", _THREAD_RULE, json.dumps(calls)],
+                          env=_child_env(OPENBLAS_NUM_THREADS=None), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    *seen, user, after_numpy = json.loads(proc.stdout)
+    assert seen == [[None, "1" if pinned else None] for _, pinned in THREAD_RULE_CALLS]
+    assert user == "2" and after_numpy is None
+    for argv, pinned in THREAD_RULE_CALLS:
+        assert cli.pins_blas_threads(cli.build_parser().parse_args(argv)) == pinned
+
+
+PINNED_CALLS = {
+    "poles": ["poles", "--k", "3", "--window", "-5.0", "-4.55", "-9.2", "-8.8",
+              "--out", "out.json"],
+    "endpoints": ["endpoints", "--x", "-1.5", "-10", "--out", "out.json"],
+    "grid": ["grid", "--k", "2", "--window", "-1.7", "-1.3", "-9.2", "-8.8", "--res", "3",
+             "--quantity", "asymptotic", "--out", "out.csv"],
+    "boundary": ["boundary", "--res", "40", "--out", "out.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CALLS))
+def test_pinned_commands_write_the_same_bytes_at_any_thread_count(command, tmp_path):
+    # the pinned default (one thread) against a user's two threads, each
+    # call run as the program in a fresh interpreter
+    argv = PINNED_CALLS[command]
+    runs = []
+    for threads in (None, "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        proc = subprocess.Popen([sys.executable, "-m", "hmcleod.cli", *argv], cwd=cwd,
+                                env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        runs.append((cwd / argv[-1], proc))
+    for _, proc in runs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    one, two = (out.read_bytes() for out, _ in runs)
+    assert one and one == two
+
+
+_PARSE_ONLY = """
+import sys
+from hmcleod import cli
+codes = []
+for argv in (["--help"], ["poles", "--help"], ["poles", "--k", "1", "--seed", "1"],
+             ["bvp", "--k", "1", "--y1", "1"], ["frobnicate"]):
+    try:
+        cli.main(argv)
+    except SystemExit as exc:
+        codes.append(exc.code)
+assert "numpy" not in sys.modules, "numpy loaded"
+print(codes)
+"""
+
+
+def test_help_and_bad_flags_load_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", _PARSE_ONLY], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 2, 2, 2]"
+
+
+_PINNED_WITHOUT_COLLOCATION = """
+import sys
+from hmcleod import cli
+out = sys.argv[1]
+assert cli.main(["endpoints", "--x", "-1.5", "-10", "--out", out + "/e.json"]) == 0
+assert cli.main(["poles", "--k", "3", "--window", "-5.0", "-4.55", "-9.2", "-8.8",
+                 "--out", out + "/p.json"]) == 0
+loaded = [m for m in ("hmcleod.collocation", "hmcleod.pade") if m in sys.modules]
+assert not loaded, loaded
+from hmcleod import collocation
+
+def no_solve(prob):
+    raise AssertionError("a pinned command solved a collocation system")
+
+collocation.solve_bvp = no_solve
+assert cli.main(["boundary", "--res", "40", "--out", out + "/b.csv"]) == 0
+assert cli.main(["grid", "--k", "2", "--window", "-1.7", "-1.3", "-9.2", "-8.8", "--res", "3",
+                 "--out", out + "/g.csv"]) == 0
+"""
+
+
+def test_pinned_commands_run_no_collocation_solve(tmp_path):
+    # endpoints and poles load neither collocation nor pade; boundary and
+    # an asymptotic grid run with a solve_bvp that raises
+    proc = subprocess.run([sys.executable, "-c", _PINNED_WITHOUT_COLLOCATION, str(tmp_path)],
+                          env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -161,6 +161,59 @@ def test_failed_seed_does_not_abort_pole_search(pipeline_cache, monkeypatch):
     assert poles == sorted(kept, key=lambda z: (z.real, z.imag))
 
 
+def _one_cell_seeds(xs, cs):
+    """Seeds and dc/dx of one grid triangle, one LAPACK call each: the reference."""
+    dx = th._real2([xs[1] - xs[0], xs[2] - xs[0]])
+    dc = np.array([cs[1] - cs[0], cs[2] - cs[0]]).T
+    if abs(np.linalg.det(dc)) <= 1e-12 * np.abs(dc).max() ** 2:
+        return [], None
+    lo, hi = np.floor(np.min(cs, axis=0)), np.ceil(np.max(cs, axis=0))
+    ints = np.stack(np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1)),
+                    axis=-1).reshape(-1, 2)
+    lam = np.linalg.solve(dc, (ints - cs[0]).T)
+    inside = (lam[0] >= -1e-9) & (lam[1] >= -1e-9) & (lam[0] + lam[1] <= 1.0 + 1e-9)
+    pre = dx @ lam[:, inside]
+    seeds = [xs[0] + complex(a, b) for a, b in pre.T]
+    return seeds, dc @ np.linalg.inv(dx)
+
+
+def test_batched_cell_seeds_keep_the_bits_of_one_triangle_at_a_time(monkeypatch):
+    # the triangles of the pole masks in tests/test_poles.py: the slice
+    # mask window (k = 1, 2, 3), the small poles window and the README
+    # window (k = 3), and one triangle with a singular map
+    batches = []
+    cell_seeds = th._cell_seeds
+
+    def recording(xs, cs):
+        out = cell_seeds(xs, cs)
+        batches.append((xs, cs, out))
+        return out
+
+    monkeypatch.setattr(th, "_cell_seeds", recording)
+    for window, ks in (((-5.5, -4.2, -9.6, -8.4), (1, 2, 3)), ((-5.0, -4.55, -9.2, -8.8), (3,)),
+                       ((-4.0, 0.0, -9.5, -8.5), (3,))):
+        cache = th._PipelineCache()
+        for k in ks:
+            th.predict_poles(window, k, cache=cache)
+    recording([[0j, 1 + 0j, 1j]] * 2, [np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                                       np.array([[0.2, 0.1], [1.7, 0.4], [0.5, 1.9]])])
+    triangles = seeded = singular = 0
+    for xs, cs, (seeds, dcdx) in batches:
+        assert len(seeds) == len(dcdx) == len(xs)
+        for x, c, s, d in zip(xs, cs, seeds, dcdx):
+            ref_seeds, ref_dcdx = _one_cell_seeds(x, c)
+            triangles += 1
+            if ref_dcdx is None:
+                singular += 1
+                assert d is None and s == []
+                continue
+            assert d.tobytes() == ref_dcdx.tobytes()
+            assert (np.array(s, dtype=complex).tobytes()
+                    == np.array(ref_seeds, dtype=complex).tobytes())
+            seeded += bool(ref_seeds)
+    assert triangles > 700 and seeded >= 20 and singular == 1
+
+
 def test_excision_radius_scales():
     assert (0.5 / 6 ** (2.0 / 3.0)) == pytest.approx((0.5 / 3 ** (2.0 / 3.0)) * 2 ** (-2.0 / 3.0))
 
