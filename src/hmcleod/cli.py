@@ -42,12 +42,14 @@ _ALPHA_OF_K = _number_type("k must be an integer >= 0", lambda k: k.is_integer()
                            lambda k: int(k) + 0.5)
 _ALPHA = _number_type("alpha must be > -1/2", lambda a: a > -0.5, float)
 # sample counts, collocation nodes, the jet order (the Pade fit splits it
-# in two halves) and the vault step
+# in two halves), the vault's random seed, and the vault step and pole-mask
+# radius
 _COUNT = _number_type("must be an integer >= 1", lambda n: n.is_integer() and n >= 1, int)
 _N_CHEB = _number_type("must be an integer >= 3", lambda n: n.is_integer() and n >= 3, int)
 _TAYLOR_ORDER = _number_type("must be an even integer >= 2",
                              lambda n: n.is_integer() and n >= 2 and n % 2 == 0, int)
-_STEP = _number_type("must be > 0", lambda h: h > 0, float)
+_SEED = _number_type("must be an integer >= 0", lambda n: n.is_integer() and n >= 0, int)
+_POSITIVE = _number_type("must be > 0", lambda v: v > 0, float)
 # the ends of the bvp segment, which must straddle Re y = 0
 _Y1 = _number_type("y1 must be < 0", lambda y: y < 0, float)
 _Y2 = _number_type("y2 must be > 0", lambda y: y > 0, float)
@@ -64,11 +66,11 @@ class _Window(argparse.Action):
 
 
 _SHARED_FLAGS = {
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": _SEED, "default": 0},
     "n-cheb": {"type": _N_CHEB, "default": 200},
     "taylor-order": {"type": _TAYLOR_ORDER, "default": 24},
-    "step": {"type": _STEP, "default": 0.5},
-    "delta": {"type": float, "default": 0.5},
+    "step": {"type": _POSITIVE, "default": 0.5},
+    "delta": {"type": _POSITIVE, "default": 0.5},
     "window": {"type": float, "nargs": 4, "required": True, "action": _Window,
                "metavar": ("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX")},
 }
@@ -165,9 +167,19 @@ def main(argv=None):
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import commands
     try:
-        return getattr(commands, f"cmd_{args.command}")(args)
+        code = getattr(commands, f"cmd_{args.command}")(args)
+        if argv is None:
+            sys.stdout.flush()    # a closed pipe shows here, not at shutdown
+        return code
     except HmcleodError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        if argv is not None:
+            raise
+        # the reader of stdout is gone (`| head`): end quietly, and let the
+        # flush at shutdown write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -8,11 +8,10 @@ solve a collocation system or build a vault, and ``theta`` and
 
 from __future__ import annotations
 
-import copy
 import json
 import sys
 from contextlib import contextmanager
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -202,12 +201,28 @@ def _numeric_columns(harness, ks, xs):
     # a forked worker would write the buffered output once more
     sys.stdout.flush()
     sys.stderr.flush()
-    # the pool pickles the tasks in a thread of its own, so they get a
-    # copy of the harness: this process goes on filling its pipeline
-    # cache, and does not touch the collocation solutions
-    task = partial(_numeric_column, copy.copy(harness), xs=xs)
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        yield pool.imap(task, ks).__next__
+    # the worker takes the harness and xs from the fork, and a task is
+    # only its k.  The harness with its anchors pickles to about 1 MB, more
+    # than a pipe holds, and an early exit here would hang the pool's
+    # terminate on a half-sent task.
+    with multiprocessing.get_context("fork").Pool(
+            1, initializer=_bind_worker, initargs=(harness, xs)) as pool:
+        yield pool.imap(_worker_column, ks).__next__
+
+
+# set only in a forked numeric worker: the harness and points it inherited
+_worker_inputs = None
+
+
+def _bind_worker(harness, xs):
+    """Pool initializer of the numeric worker."""
+    global _worker_inputs
+    _worker_inputs = harness, xs
+
+
+def _worker_column(k):
+    harness, xs = _worker_inputs
+    return _numeric_column(harness, k, xs)
 
 
 def _row(asym, flag, num):

@@ -30,7 +30,7 @@ class WrongRegion(HmcleodError):
 
 
 class TraceFailure(HmcleodError):
-    """Boundary-curve tracing did not converge."""
+    """The continuation of S or a boundary row did not converge."""
 
 
 # --- endpoint system ---

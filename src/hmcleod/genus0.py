@@ -154,11 +154,6 @@ def _polish(S, x):
     return S
 
 
-def _nearest_root(roots, hint, x):
-    """The root nearest the hint, polished at x."""
-    return _polish(roots[np.argmin(np.abs(roots - hint))], x)
-
-
 def _points(x):
     """The x of a 1-d array as a one-point solve computes with them.
 
@@ -214,30 +209,22 @@ def _continue_from_zero(pts):
     return [_polish(Si, x) if x != 0 else Si for Si, x in zip(S, pts)]
 
 
-def solve_S(x, hint=None):
+def solve_S(x):
     """Branch of S^3 + xS - 2i = 0 continuous off Sigma_S, S ~ -i sqrt(x).
 
     Takes a scalar or an array of x (the result has its shape).  Solved
     by Cardano (companion matrix) plus continuation: the branch is
     anchored at S(0) = -i 2^(1/3) and tracked along the straight segment
-    from 0 to x, which never crosses the radial rays of Sigma_S.  With a
-    ``hint`` (broadcast against x) the root nearest it is taken instead
-    and polished.  Inputs on the cut are nudged to the plus (pole-free)
-    side and warned about.
+    from 0 to x, which never crosses the radial rays of Sigma_S.  Inputs
+    on the cut are nudged to the plus (pole-free) side and warned about.
     """
     x = np.asarray(x, dtype=complex)
-    pts = _points(x.ravel())
-    if hint is None:
-        S = _continue_from_zero(pts)
-    else:
-        hints = np.full(x.shape, hint, dtype=complex).ravel()
-        S = [_nearest_root(r, h, p)
-             for r, h, p in zip(_cubic_roots(np.array(pts)), hints, pts)]
+    S = _continue_from_zero(_points(x.ravel()))
     return np.array(S, dtype=complex).reshape(x.shape)[()]
 
 
 def solve_S_chain(xs):
-    """S along a chain of nearby points, as successive hinted solves give it.
+    """S along a chain of nearby points.
 
     The first point is solved cold; each next one takes the root nearest
     the S before it, polished.  All roots come from one batched call.
@@ -245,7 +232,7 @@ def solve_S_chain(xs):
     pts = _points(np.asarray(xs, dtype=complex).ravel())
     S = _continue_from_zero(pts[:1])
     for r, p in zip(_cubic_roots(np.array(pts[1:])), pts[1:]):
-        S.append(_nearest_root(r, S[-1], p))
+        S.append(_polish(r[np.argmin(np.abs(r - S[-1]))], p))
     return np.array(S, dtype=complex)
 
 
@@ -260,10 +247,10 @@ def _cmul(a, b):
     return out[()]
 
 
-def genus0_data(x, hint=None):
+def genus0_data(x):
     """Branch data at x; for an array x every field is an array of its shape."""
     x = np.asarray(x, dtype=complex)[()]
-    S = solve_S(x, hint=hint)
+    S = solve_S(x)
     Delta = np.sqrt(-4.0j / S)
     a = (S - Delta) / 2.0
     b = (S + Delta) / 2.0
@@ -348,12 +335,12 @@ def h_prime(z, d, guard=True):
     return out if out.shape else complex(out)
 
 
-def frak_c(x, hint=None):
+def frak_c(x):
     """Boundary functional: Re(2 h(c(x); x) + lambda(x)).
 
     Broadcasts over an array x; each value is the scalar one to the bit.
     """
-    return _frak_c_of(genus0_data(x, hint=hint))
+    return _frak_c_of(genus0_data(x))
 
 
 def _frak_c_of(d):
@@ -361,118 +348,91 @@ def _frak_c_of(d):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def x0_root():
-    """Real-axis zero of the boundary functional, bracketed in [-2.5, -1.2]."""
-    from scipy.optimize import brentq  # only the boundary dump pays for scipy
-
-    return brentq(lambda t: frak_c(complex(t, 0.0)), -2.5, -1.2, xtol=1e-10)
-
-
 # ---------------------------------------------------------------------------
-# boundary tracing and region classification
+# the boundary curves: zeros of frak_c along horizontal rows
+#
+# frak_c does not depend on k, so the boundary is one fixed curve.  Each
+# traced piece crosses a row Im x = t at most once: the arc's Im falls
+# strictly from the apex to x0 (its Re stays in [-1.589, -1.5]), and the
+# branch's Im and Re both rise up to |x| = 30.
 # ---------------------------------------------------------------------------
 
-_TRACE_STEP = 0.05
-_TRACE_RMAX = 30.0
+_X0_BRACKET = (-2.5, -1.2)
+_BRANCH_RE_MAX = 40.0
+_BRANCH_IM_MAX = 26.6     # the branch is at |x| ~ 30 there
+_ROWS = 200               # rows per curve
 
 
-def _grad_c(x, S_hint, h=1e-6):
-    cpp = frak_c(x + h, hint=S_hint)
-    cpm = frak_c(x - h, hint=S_hint)
-    cip = frak_c(x + 1j * h, hint=S_hint)
-    cim = frak_c(x - 1j * h, hint=S_hint)
-    return complex((cpp - cpm) / (2 * h), (cip - cim) / (2 * h))
+def _row_roots(t, lo, hi):
+    """Re x where frak_c(x + i t) changes sign in [lo, hi], for each row.
 
-
-def _newton_onto_curve(x, S_hint, tol=1e-11, iters=8):
-    for _ in range(iters):
-        val = frak_c(x, hint=S_hint)
-        if abs(val) <= tol:
+    t, lo and hi broadcast to one row each.  Illinois false position,
+    with one batched frak_c call per step over the rows still live; a
+    row stops when frak_c is 0 at its point or its bracket is two
+    floats wide.  A row's steps are elementwise, so it gets the same
+    bits alone or in a batch.
+    """
+    t, lo, hi = (np.array(v, dtype=float).ravel() for v in np.broadcast_arrays(t, lo, hi))
+    f_lo, f_hi = frak_c(lo + 1j * t), frak_c(hi + 1j * t)
+    signs = np.sign(f_lo) * np.sign(f_hi)
+    if np.any(signs > 0):
+        raise TraceFailure("a boundary row has no sign change in its bracket")
+    x = np.where(f_lo == 0, lo, hi)
+    live = signs < 0
+    kept = np.zeros(len(t))       # the end a row kept last: +1 hi, -1 lo
+    for _ in range(100):          # the boundary rows all close within 16 steps
+        live &= hi - lo > 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        i = np.flatnonzero(live)
+        if not len(i):
             return x
-        g = _grad_c(x, S_hint)
-        if abs(g) < 1e-14:
-            raise TraceFailure("vanishing gradient while correcting onto the boundary")
-        x = x - val * g / abs(g) ** 2
-    if abs(frak_c(x, hint=S_hint)) > 100 * tol:
-        raise TraceFailure("corrector did not land on the boundary curve")
-    return x
+        x[i] = lo[i] + (hi[i] - lo[i]) * (f_lo[i] / (f_lo[i] - f_hi[i]))
+        f = frak_c(x[i] + 1j * t[i])
+        up = np.sign(f) == np.sign(f_lo[i])       # the zero lies right of x
+        j, k = i[up], i[~up]
+        lo[j], f_lo[j] = x[j], f[up]
+        hi[k], f_hi[k] = x[k], f[~up]
+        # Illinois: an end kept twice in a row has its value halved
+        f_hi[j[kept[j] > 0]] /= 2.0
+        f_lo[k[kept[k] < 0]] /= 2.0
+        kept[j], kept[k] = 1.0, -1.0
+        live[i[f == 0]] = False
+    raise TraceFailure("a boundary row did not converge")
 
 
-def _trace_curve(start, direction, stop, step=_TRACE_STEP, max_steps=4000):
-    """Predictor-corrector continuation of the zero curve of frak_c."""
-    pts = [start]
-    x = start
-    S_hint = solve_S(x)
-    prev = direction / abs(direction)
-    for _ in range(max_steps):
-        g = _grad_c(x, S_hint)
-        tan = 1j * g / abs(g)
-        if (tan.real * prev.real + tan.imag * prev.imag) < 0:
-            tan = -tan
-        x = _newton_onto_curve(x + step * tan, S_hint)
-        S_hint = solve_S(x, hint=S_hint)
-        prev = tan
-        pts.append(x)
-        if stop(x):
-            return np.array(pts)
-    raise TraceFailure("boundary trace exceeded its step budget")
-
-
-def _zero_directions_near_apex(apex, radius=0.12, n=720):
-    from scipy.optimize import brentq  # only the boundary dump pays for scipy
-
-    angles = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    with warnings.catch_warnings():
-        # scan points that brentq pushes onto the ray are discarded later
-        warnings.simplefilter("ignore", OnCutWarning)
-        vals = frak_c(apex + radius * np.exp(1j * angles))
-    hits = []
-    f = lambda t: frak_c(apex + radius * np.exp(1j * t))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OnCutWarning)
-        for i in range(n):
-            j = (i + 1) % n
-            if vals[i] == 0.0 or vals[i] * vals[j] < 0:
-                lo_t, hi_t = angles[i], angles[i] + (angles[1] - angles[0])
-                try:
-                    t_star = brentq(f, lo_t, hi_t, xtol=1e-12)
-                except ValueError:
-                    t_star = lo_t
-                hits.append(t_star)
-    return hits
+def x0_root():
+    """Real-axis zero of the boundary functional: the arc's row Im x = 0."""
+    return float(_row_roots(0.0, *_X0_BRACKET)[0])
 
 
 @lru_cache(maxsize=1)
 def _boundary_data():
-    """Traced boundary curves (cached): arc through x0 and the up branch.
+    """Boundary curves (cached): the arc through x0 and the up branch.
 
-    Only the ``boundary`` dump needs them; the region classifier works
-    from the sign of frak_c directly.
+    Both start at the apex, and the arc runs through x0 to the lower
+    apex (its lower half is the mirror image: frak_c(conj x) =
+    frak_c(x)).  All rows are solved in one ``_row_roots`` call: the
+    arc's at 0 <= Im x < Im apex, bracketed by ``_X0_BRACKET``, and the
+    branch's at Im apex < Im x <= 26.6, bracketed from 1e-6 right of the
+    ray of Sigma_S to Re x = 40.  Only the ``boundary`` dump needs them;
+    the region classifier works from the sign of frak_c directly.
     """
     apex = APEX_PLUS
-    ray_angle = 2.0 * np.pi / 3.0
-    radius = 0.12
-    dirs = [t for t in _zero_directions_near_apex(apex, radius)
-            if abs(np.angle(np.exp(1j * (t - ray_angle)))) > np.radians(12)]
-    if len(dirs) < 2:
-        raise TraceFailure("could not locate the boundary directions at the apex")
-    # the arc heads into the lower half toward the real root; the branch
-    # heads into the right half-plane
-    arc_dir = min(dirs, key=lambda t: np.sin(t))
-    branch_dir = max(dirs, key=lambda t: np.cos(t))
-
-    start_arc = _newton_onto_curve(apex + radius * np.exp(1j * arc_dir), solve_S(apex + radius * np.exp(1j * arc_dir)))
-    half = _trace_curve(start_arc, start_arc - apex, stop=lambda x: x.imag <= 0.0)
-    # symmetrize: frak_c(conj(x)) = frak_c(x)
-    x_axis = half[-1]
-    arc = np.concatenate(([apex], half[:-1], [complex(x_axis.real, 0.0)],
-                          np.conj(half[:-1])[::-1], [APEX_MINUS]))
-
-    start_br = _newton_onto_curve(apex + radius * np.exp(1j * branch_dir), solve_S(apex + radius * np.exp(1j * branch_dir)))
-    branch_up = _trace_curve(start_br, start_br - apex, stop=lambda x: abs(x) >= _TRACE_RMAX)
-    branch_up = np.concatenate(([apex], branch_up))
+    t_arc = np.linspace(apex.imag, 0.0, _ROWS + 1)[1:]
+    t_branch = np.linspace(apex.imag, _BRANCH_IM_MAX, _ROWS + 1)[1:]
+    # Re x of the ray of Sigma_S on each branch row
+    ray = apex.real - (t_branch - apex.imag) / np.sqrt(3.0)
+    re = _row_roots(np.concatenate([t_arc, t_branch]),
+                    np.concatenate([np.full(_ROWS, _X0_BRACKET[0]), ray + 1e-6]),
+                    np.repeat([_X0_BRACKET[1], _BRANCH_RE_MAX], _ROWS))
+    half = re[:_ROWS] + 1j * t_arc           # its last row is x0, on the axis
+    arc = np.concatenate(([apex], half, np.conj(half[:-1])[::-1], [APEX_MINUS]))
+    branch_up = np.concatenate(([apex], re[_ROWS:] + 1j * t_branch))
     return {"arc": arc, "branch_up": branch_up}
 
+
+# ---------------------------------------------------------------------------
+# region classification
+# ---------------------------------------------------------------------------
 
 _LABEL_ORDER = np.array([RegionLabel.POLE_FREE_LEFT, RegionLabel.POLE_FREE_RIGHT,
                          RegionLabel.POLE_REGION_UP, RegionLabel.POLE_REGION_DOWN,

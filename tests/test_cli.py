@@ -149,11 +149,16 @@ def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
     ["vault", "--k", "1", "--window", "0", "1", "0", "1", "--step", "0"],
     ["poles", "--k", "1", "--window", "1", "-1", "-9", "-8"],
     ["grid", "--k", "1", "--window", "-1", "-3", "-9", "-8"],
+    ["vault", "--k", "1", "--window", "0", "1", "0", "1", "--seed", "-1"],
+    ["slice", "--k", "1", "--seed", "1.5"],
+    ["poles", "--k", "1", "--window", "-1", "1", "-9", "-8", "--delta", "-1"],
+    ["grid", "--k", "1", "--window", "-1", "1", "-1", "1", "--delta", "0"],
 ])
 def test_bad_k_or_alpha_is_an_argparse_error(argv, capsys):
     # k >= 1 (or alpha = k + 1/2) for the asymptotics, one k outside
     # slice, and alpha > -1/2 for vault and bvp; counts >= 1, n-cheb >= 3,
-    # an even taylor-order, a positive step and ordered window bounds
+    # an even taylor-order, a seed >= 0, a positive step and delta, and
+    # ordered window bounds
     with pytest.raises(SystemExit) as info:
         run(argv)
     assert info.value.code == 2
@@ -294,10 +299,9 @@ def test_grid_solves_each_point_at_most_twice(tmp_path, monkeypatch):
     cold, root_calls = [], []
     solve_S, cubic_roots = genus0.solve_S, genus0._cubic_roots
 
-    def counting_solve(x, hint=None):
-        if hint is None:
-            cold.append(np.size(x))
-        return solve_S(x, hint=hint)
+    def counting_solve(x):
+        cold.append(np.size(x))
+        return solve_S(x)
 
     def counting_roots(x):
         root_calls.append(1)
@@ -363,17 +367,35 @@ assert cli.main(["bvp", "--alpha", "1.5", "--n-cheb", "40", "--out", out + "/v.c
 assert cli.main(["endpoints", "--x", "-1.5", "-10", "--out", out + "/e.json"]) == 0
 assert cli.main(["vault", "--k", "1", "--window", "0", "1", "0", "1", "--seed", "2",
                  "--out", out + "/a.json"]) == 0
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 assert cli.main(["boundary", "--res", "40", "--out", out + "/b.csv"]) == 0
+assert cli.main(["poles", "--k", "3", "--window", "-5.0", "-4.55", "-9.2", "-8.8",
+                 "--out", out + "/p.json"]) == 0
+assert cli.main(["slice", "--k", "1", "--samples", "3", "--n-cheb", "40",
+                 "--out", out + "/s.csv"]) == 0
+assert cli.main(["grid", "--k", "2", "--window", "-1", "3", "-2", "2", "--res", "3",
+                 "--out", out + "/g.csv"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
-def test_only_boundary_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # a fresh interpreter: the test process itself may already hold scipy
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CALLS, str(tmp_path)],
                           env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "b.csv").stat().st_size > 0
+
+
+def test_a_closed_stdout_ends_the_program_quietly(tmp_path):
+    # `hmcleod endpoints ... | head`: the reader is gone before the dump
+    # is written, and the program exits 1 without a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "hmcleod.cli", "endpoints", "--x", "-1.5",
+                             "-10"], cwd=tmp_path, env=_child_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert err == ""
 
 
 _GENUS1_FREE_CALLS = """
@@ -633,6 +655,19 @@ def test_failures_beside_the_worker_leave_no_child(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(pade, "run_vault", broken_vault)
     with pytest.raises(ValueError, match="^not a package error$"):
         run(POLE_SLICE + ["--out", str(tmp_path / "s.csv")])
+    _assert_no_child_left()
+
+
+def test_the_worker_inherits_the_harness(tmp_path, monkeypatch):
+    # a task carries only its k: the harness with its anchors (about 1 MB
+    # pickled) would overfill the pipe, and a failure beside the worker
+    # could then hang the pool's terminate on a half-sent task
+    def unpicklable(self):
+        raise TypeError("a Harness is not sent to the worker")
+
+    monkeypatch.setattr(commands.Harness, "__reduce__", unpicklable)
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    assert run(POLE_SLICE + ["--samples", "2", "--out", str(tmp_path / "s.csv")]) == 0
     _assert_no_child_left()
 
 

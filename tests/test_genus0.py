@@ -5,7 +5,7 @@ import pytest
 
 from hmcleod import genus0 as g0
 from hmcleod import x_from_y
-from hmcleod.errors import OnCut, OnCutWarning, WrongRegion
+from hmcleod.errors import OnCut, OnCutWarning, TraceFailure, WrongRegion
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -58,13 +58,10 @@ def _bits(z):
     return np.atleast_1d(np.asarray(z, dtype=complex)).view(np.int64)
 
 
-def _assert_batch_matches_reference(xs, hints=None):
+def _assert_batch_matches_reference(xs):
     xs = np.asarray(xs, dtype=complex)
-    if hints is None:
-        ref = [_ref_solve_S(x) for x in xs]
-    else:
-        ref = [_ref_solve_S(x, hint=h) for x, h in zip(xs, np.broadcast_to(hints, xs.shape))]
-    got = g0.solve_S(xs, hint=hints)
+    ref = [_ref_solve_S(x) for x in xs]
+    got = g0.solve_S(xs)
     assert got.shape == xs.shape
     assert np.array_equal(_bits(got), _bits(ref))
 
@@ -113,21 +110,9 @@ def test_batched_solve_nudges_points_on_the_cut_like_the_reference():
         g0.solve_S(on_ray[10:11] + 1e-9 * side[10:11])
 
 
-def test_batched_hinted_solves_match_reference():
-    rng = np.random.default_rng(4)
-    xs = rng.uniform(-12.0, 12.0, 400) + 1j * rng.uniform(-12.0, 12.0, 400)
-    noise = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-    hints = np.array([_ref_solve_S(x) for x in xs]) + 0.3 * noise
-    _assert_batch_matches_reference(xs, hints)
-    # one hint for every point
-    _assert_batch_matches_reference(xs[:50], 0.3 - 1.0j)
-
-
 def test_scalar_solve_is_the_one_point_batch():
     for x in [1.3 - 0.7j, -4.0 + 5.0j, 0.0, 3.0, complex(-2.0, -0.0)]:
         assert _bits(g0.solve_S(x)).tolist() == _bits(_ref_solve_S(x)).tolist()
-        assert _bits(g0.solve_S(x, hint=0.3 - 1j)).tolist() == _bits(
-            _ref_solve_S(x, hint=0.3 - 1j)).tolist()
     assert np.ndim(g0.solve_S(1.0)) == 0
     assert g0.solve_S(np.ones((2, 3))).shape == (2, 3)
     assert g0.solve_S([]).shape == (0,)
@@ -183,12 +168,10 @@ def test_cubic_residual_grid():
 def test_branch_continuity_along_circle():
     angles = np.linspace(-0.65 * np.pi, 0.65 * np.pi, 200)
     xs = 5.0 * np.exp(1j * angles)
-    S = g0.solve_S(xs[0])
-    for x_prev, x in zip(xs[:-1], xs[1:]):
-        S_new = g0.solve_S(x, hint=S)
+    Ss = g0.solve_S_chain(xs)
+    for x_prev, x, S, S_new in zip(xs[:-1], xs[1:], Ss[:-1], Ss[1:]):
         dS = -S / (3.0 * S ** 2 + complex(x_prev))
         assert abs(S_new - S) <= 5.0 * abs(dS) * abs(x - x_prev) + 1e-8
-        S = S_new
 
 
 def test_on_cut_warns_and_returns_plus_side():
@@ -324,8 +307,7 @@ def test_sign_changes_on_real_line():
 def test_frak_c_signs_and_root():
     assert g0.frak_c(complex(-4.5)) > 0
     assert g0.frak_c(complex(1.5)) < 0
-    x0 = g0.x0_root()
-    assert abs(x0 - (-1.588)) <= 2e-3
+    assert abs(g0.x0_root() - (-1.5882620867566764)) <= 1e-12
 
 
 def test_frak_c_asymptotics():
@@ -377,6 +359,29 @@ def test_classify_region_far_field_follows_frak_c():
         assert np.sign(g0.frak_c(x)) == sign
         assert g0.classify_region(x) is up
         assert g0.classify_region(np.conj(x)) is down
+
+
+def test_boundary_curves_are_rows_of_zeros_of_frak_c():
+    data = g0._boundary_data()
+    arc, branch = data["arc"], data["branch_up"]
+    # the apex first; the arc runs through x0 to the lower apex
+    assert arc[0] == branch[0] == g0.APEX_PLUS and arc[-1] == g0.APEX_MINUS
+    assert np.max(np.abs(g0.frak_c(arc[1:-1]))) <= 1e-12
+    assert np.max(np.abs(g0.frak_c(branch[1:]))) <= 1e-12
+    # Im falls strictly along the arc, and Im and Re rise along the branch
+    assert np.all(np.diff(arc.imag) < 0) and np.all(np.diff(branch[1:].imag) > 0)
+    assert np.all(np.diff(branch[1:].real) > 0)
+    assert np.all((arc[1:-1].real >= -1.5883) & (arc[1:-1].real <= -1.5))
+    # the arc's row on the real axis is x0, to the bit, and its lower half mirrors the upper
+    mid = len(arc) // 2
+    assert arc[mid] == complex(g0.x0_root(), 0.0)
+    assert np.array_equal(arc[mid + 1:], np.conj(arc[:mid])[::-1])
+    assert 29.0 <= abs(branch[-1]) <= 31.0
+
+
+def test_row_roots_need_a_sign_change_in_each_bracket():
+    with pytest.raises(TraceFailure):
+        g0._row_roots([0.0, 0.0], [-2.5, 1.0], [-1.2, 2.0])
 
 
 def _boundary_pairs():
@@ -462,9 +467,9 @@ def test_classify_and_value_reuse_the_solve_above_the_axis():
     cold = []
     real_solve = g0.solve_S
 
-    def counting(x, hint=None):
+    def counting(x):
         cold.append(np.size(x))
-        return real_solve(x, hint=hint)
+        return real_solve(x)
 
     g0.solve_S = counting
     try:
