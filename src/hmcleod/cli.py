@@ -130,9 +130,7 @@ def build_parser():
 
     sp = sub.add_parser("vault", help="build and serialize a Pade atlas")
     _add_common(sp, *_HARNESS_FLAGS, ks="alpha")
-    sp.add_argument("--window", type=float, nargs=4, required=True,
-                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
-                    help="window in the y-plane")
+    sp.add_argument("--window", help="window in the y-plane", **_SHARED_FLAGS["window"])
 
     sp = sub.add_parser("bvp", help="run the collocation solver, dump the grid")
     _add_common(sp, "n-cheb", ks="alpha")
@@ -160,7 +158,10 @@ def pins_blas_threads(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "slice" and args.mode == "real" and args.im != 0.0:
+        parser.error(f"--slice real lies on Im x = 0, got --im {args.im}")
     # OpenBLAS reads its thread count when numpy loads it; a user's own
     # OPENBLAS_NUM_THREADS wins, and in-process calls change nothing
     if argv is None and "numpy" not in sys.modules and pins_blas_threads(args):

@@ -27,7 +27,8 @@ i theta(z)/2 - Log(z - A) plus the integral from infinity to z of
 g = 2iR - i theta'/2 + 1/(w - A).  g is analytic off the chain A-B-C-D
 and O(1/w^2) at infinity, so its integral is single-valued off the
 chain: the 1/w series carries it to the far point (``far_point``) and
-``ChainRouter`` paths, which avoid the chain only, carry it on to z.
+``ChainRouter`` paths, which avoid the chain only (shortest paths between
+waypoints that ring its ends), carry it on to z.
 The principal Log places the cut L.
 
 Every band and gap integral sums over one rule, ``segment_rule``: the
@@ -476,140 +477,88 @@ def far_point(e):
     return complex(z[np.argmax(clear)])
 
 
-def _fold_gap(verts):
-    """Smallest distance from a polyline vertex to a segment it is not an end of."""
-    V = np.array(verts)
-    gaps = [_dist_to_segment(np.delete(V, [j, j + 1]), V[j], V[j + 1]).min()
-            for j in range(len(V) - 1)]
-    return min(gaps)
+# which of the four chain ends are not an end of which of the three segments
+_NOT_OWN_END = ~np.eye(4, 3, dtype=bool) & ~np.eye(4, 3, k=-1, dtype=bool)
 
 
 class ChainRouter:
-    """Paths around the cut chain A-B-C-D via an offset corridor.
+    """Shortest cut-avoiding paths on a visibility graph around the chain A-B-C-D.
 
-    The obstacle is the open polyline [A, B, C, D]; the corridor is its
-    offset curve at a clearance, open at A and capped around D.
+    The waypoints ring each chain end: four points at the clearance c.  A
+    path is the straight leg when that is visible (``_visible``), else the
+    shortest path through one waypoint that sees both ends, else the
+    shortest path through the waypoints' all-pairs table, built on first
+    need.
     """
 
     def __init__(self, e):
-        self.verts = [complex(p) for p in e.points()]
-        self.segments = list(zip(self.verts[:-1], self.verts[1:]))
-        seg_lens = [abs(q - p) for p, q in self.segments]
-        # a folded chain passes close to itself: the two banks must not meet
-        c = min(0.3 * min(seg_lens), 0.45 * _fold_gap(self.verts))
-        for _ in range(4):
-            corridor = self._offset_corridor(c)
-            if self._corridor_clear(corridor):
-                break
-            c *= 0.5
-        else:
-            raise NoConvergence("could not build a clear routing corridor")
-        self.corridor = corridor
+        V = self.ends = np.array(e.points())
+        # a folded chain passes close to itself: the rings keep clear of the
+        # segments that do not end at their centres
+        fold = _dist_to_segment(V[:, None], V[:-1], V[1:])[_NOT_OWN_END].min()
+        self.c = min(0.3 * np.min(np.abs(np.diff(V))), 0.45 * fold)
+        ring = self.c * np.exp(0.5j * np.pi * (np.arange(4) + 0.5))
+        self.waypoints = (V[:, None] + ring).ravel()
+        self._table = None
 
-    def _offset_corridor(self, c, fan_step=0.7):
-        V = self.verts
-        units = [(q - p) / abs(q - p) for p, q in zip(V[:-1], V[1:])]
-        normals = [1j * u for u in units]
+    def _visible(self, a, b):
+        """Whether each leg a-b, broadcast, crosses no chain segment and keeps clear of A-D.
 
-        def fan(center, a0, a1):
-            sweep = np.angle(np.exp(1j * (a1 - a0)))
-            n_pts = max(1, int(np.ceil(abs(sweep) / fan_step)))
-            return [center + c * np.exp(1j * (a0 + sweep * k / n_pts))
-                    for k in range(1, n_pts)]
+        The interior of a leg keeps min(c/2, half the distance from the
+        chain end to either end of the leg) from each chain end, so that
+        legs still reach points close to an end.  A zero-length leg reads
+        as not visible.
+        """
+        a, b, P = np.asarray(a)[..., None], np.asarray(b)[..., None], self.ends
+        room = np.minimum(0.5 * self.c, 0.5 * np.minimum(np.abs(P - a), np.abs(P - b)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            clear = (_dist_to_segment(P, a, b) >= room).all(axis=-1)
+        return clear & ~quad.segments_cross(a, b, P[:-1], P[1:]).any(axis=-1)
 
-        def miter(vertex, u_in, u_out):
-            # intersection of the two offset lines left of the walk
-            bis = (u_out - u_in)
-            if abs(bis) < 1e-12:
-                return [vertex + c * 1j * u_in]
-            bis = bis / abs(bis)
-            cos_half = (np.conj(u_in) * bis).imag
-            return [vertex + np.sign(cos_half) * bis * c / max(abs(cos_half), 0.2)]
-
-        def bank(sigma):
-            # sigma = +1: left side walked start->end; -1: right side end->start
-            idx = list(range(len(units))) if sigma > 0 else list(range(len(units) - 1, -1, -1))
-            pts = []
-            skip_lead = False
-            for i in idx:
-                p, q = (V[i], V[i + 1]) if sigma > 0 else (V[i + 1], V[i])
-                u = units[i] if sigma > 0 else -units[i]
-                n = 1j * u
-                if not skip_lead:
-                    pts.append(p + c * n)
-                pts.append(q + c * n)
-                skip_lead = False
-                nxt = i + 1 if sigma > 0 else i - 1
-                if 0 <= nxt < len(units):
-                    u2 = units[nxt] if sigma > 0 else -units[nxt]
-                    turn = (np.conj(u) * u2).imag
-                    vertex = V[i + 1] if sigma > 0 else V[i]
-                    if turn < 0:
-                        pts.extend(fan(vertex, np.angle(1j * u), np.angle(1j * u2)))
-                    else:
-                        pts = pts[:-1] + miter(vertex, u, u2)
-                        skip_lead = True
-            return pts
-
-        left = bank(+1)
-        right = bank(-1)
-        aD0 = np.angle(normals[-1])
-        aDm = np.angle(units[-1])
-        aD1 = np.angle(-normals[-1])
-        cap = fan(V[-1], aD0, aD0 + np.angle(np.exp(1j * (aDm - aD0))))
-        cap += [V[-1] + c * np.exp(1j * aDm)]
-        cap += fan(V[-1], aDm, aDm + np.angle(np.exp(1j * (aD1 - aDm))))
-        pts = left + cap + right
-        out = [pts[0]]
-        for z in pts[1:]:
-            if abs(z - out[-1]) > 1e-12:
-                out.append(z)
-        return out
-
-    def _clear(self, a, b):
-        return all(not quad.segments_cross(a, b, p, q) for p, q in self.segments)
-
-    def _corridor_clear(self, corridor):
-        return all(self._clear(p, q) for p, q in zip(corridor[:-1], corridor[1:]))
+    def _all_pairs(self):
+        """Floyd-Warshall over the waypoints: shortest distances and next hops."""
+        if self._table is None:
+            W = self.waypoints
+            dist = np.where(self._visible(W[:, None], W), np.abs(W[:, None] - W), np.inf)
+            np.fill_diagonal(dist, 0.0)
+            hop = np.tile(np.arange(len(W)), (len(W), 1))
+            for k in range(len(W)):
+                via = dist[:, k, None] + dist[k]
+                better = via < dist
+                dist, hop = np.where(better, via, dist), np.where(better, hop[:, k, None], hop)
+            self._table = dist, hop
+        return self._table
 
     def path(self, start, end):
         start, end = complex(start), complex(end)
-        if self._clear(start, end):
-            return quad.Path((start, end)) if start != end else None
-        cor = self.corridor
-        i_s = self._attach(start)
-        i_e = self._attach(end)
-        lo, hi = min(i_s, i_e), max(i_s, i_e)
-        walk = cor[lo:hi + 1]
-        if i_e < i_s:
-            walk = walk[::-1]
-        pts = [start] + walk + [end]
-        return quad.Path(tuple(self._shortcut(pts)))
+        if start == end:
+            return None
+        W = self.waypoints
+        # the legs start-end and start-W in the first row, end-W in the second
+        vis = self._visible(np.array([[start], [end]]), np.concatenate(([end], W)))
+        if vis[0, 0]:
+            return quad.Path((start, end))
+        to_start = np.where(vis[0, 1:], np.abs(W - start), np.inf)
+        to_end = np.where(vis[1, 1:], np.abs(W - end), np.inf)
+        via_one = to_start + to_end
+        if np.isfinite(via_one).any():
+            return quad.Path((start, W[np.argmin(via_one)], end))
+        dist, hop = self._all_pairs()
+        total = to_start[:, None] + dist + to_end
+        i, j = np.unravel_index(np.argmin(total), total.shape)
+        if not np.isfinite(total[i, j]):
+            raise NoConvergence(f"no cut-avoiding path from {start} to {end}")
+        verts = [start, W[i]]
+        while i != j:
+            i = hop[i, j]
+            verts.append(W[i])
+        return quad.Path((*verts, end))
 
     def integrals(self, f, start, zs):
         """int_start^z f dw at each z of zs along ``path``, the legs bisected together."""
         paths = [self.path(start, z) for z in zs]
         legs = iter(integrate_legs(f, [p for p in paths if p is not None], LEG_RULE))
         return [0.0 if p is None else next(legs) for p in paths]
-
-    def _attach(self, z):
-        order = np.argsort([abs(c - z) for c in self.corridor])
-        for idx in order:
-            if self._clear(z, self.corridor[idx]):
-                return int(idx)
-        raise NoConvergence(f"no corridor attachment visible from {z}")
-
-    def _shortcut(self, pts):
-        out = [pts[0]]
-        i = 0
-        while i < len(pts) - 1:
-            j = len(pts) - 1
-            while j > i + 1 and not self._clear(pts[i], pts[j]):
-                j -= 1
-            if abs(pts[j] - out[-1]) > 1e-12:
-                out.append(pts[j])
-            i = j
-        return out
 
 
 def integrate_leg(f, path, rule, **kw):

@@ -9,7 +9,8 @@ segment that shares an integrand, over one path or several
 in a single integrand call, with the values of depth-first recursion bit
 for bit.  Integrands are expected to be vectorized over numpy arrays of
 complex points (scalar-only callables also work).  Paths that avoid the
-cut chain A-B-C-D are built by ``endpoints.ChainRouter`` from the
+cut chain A-B-C-D are shortest paths between waypoints ringing the
+chain's ends, built by ``endpoints.ChainRouter`` from the broadcast
 segment-crossing test at the end of this module; they serve the Abel map
 and the phase H alike, as H takes its logarithmic cut from the principal
 Log.
@@ -227,16 +228,19 @@ def cheb_theta_nodes(m):
 def segments_cross(a0, a1, b0, b1):
     """True if the open segments (a0,a1) and (b0,b1) properly intersect.
 
-    Segments within a relative 1e-13 of parallel never cross.
+    Broadcasts over arrays of ends; scalar ends give a bool.  Segments
+    within a relative 1e-13 of parallel never cross.
     """
+    a0, a1, b0, b1 = (np.asarray(v, dtype=complex) for v in (a0, a1, b0, b1))
     d1 = a1 - a0
     d2 = b1 - b0
-    den = (d1.real * d2.imag - d1.imag * d2.real)
-    if abs(den) < 1e-13 * (abs(d1) * abs(d2) + 1e-300):
-        return False
+    den = d1.real * d2.imag - d1.imag * d2.real
+    parallel = np.abs(den) < 1e-13 * (np.abs(d1) * np.abs(d2) + 1e-300)
+    den = np.where(parallel, 1.0, den)
     w = b0 - a0
     s = (w.real * d2.imag - w.imag * d2.real) / den
     t = (w.real * d1.imag - w.imag * d1.real) / den
     eps = 1e-12
-    return eps < s < 1 - eps and eps < t < 1 - eps
+    out = ~parallel & (eps < s) & (s < 1 - eps) & (eps < t) & (t < 1 - eps)
+    return out if out.shape else bool(out)
 

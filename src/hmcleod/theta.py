@@ -264,12 +264,11 @@ class Genus1Pipeline:
         pd = self.periods
         return k * pd.F1 * pd.U + pd.B_period / 2.0
 
-    def value(self, k, a_cycles=0, b_cycles=0):
+    def value(self, k):
         """Leading asymptotic value of the scaled solution at this x."""
         pd = self.periods
-        a_q = self.A_Q + 2j * np.pi * a_cycles + pd.B_period * b_cycles
-        v_plus = pd.A_inf + a_q + pd.K
-        v_minus = pd.A_inf - a_q - pd.K
+        v_plus = pd.A_inf + self.A_Q + pd.K
+        v_minus = pd.A_inf - self.A_Q - pd.K
         shift = self.theta_shift(k)
         B = pd.B_period
         l22 = log_theta_deriv(v_plus + shift, B) - log_theta_deriv(v_plus, B)

@@ -153,12 +153,15 @@ def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
     ["slice", "--k", "1", "--seed", "1.5"],
     ["poles", "--k", "1", "--window", "-1", "1", "-9", "-8", "--delta", "-1"],
     ["grid", "--k", "1", "--window", "-1", "1", "-1", "1", "--delta", "0"],
+    ["vault", "--k", "1", "--window", "0", "1", "2", "-1"],
+    ["vault", "--k", "1", "--window", "5", "1", "0", "1"],
+    ["slice", "--k", "1", "--slice", "real", "--im", "-9", "--samples", "3"],
 ])
 def test_bad_k_or_alpha_is_an_argparse_error(argv, capsys):
     # k >= 1 (or alpha = k + 1/2) for the asymptotics, one k outside
     # slice, and alpha > -1/2 for vault and bvp; counts >= 1, n-cheb >= 3,
-    # an even taylor-order, a seed >= 0, a positive step and delta, and
-    # ordered window bounds
+    # an even taylor-order, a seed >= 0, a positive step and delta,
+    # ordered window bounds, and no --im off a real slice
     with pytest.raises(SystemExit) as info:
         run(argv)
     assert info.value.code == 2

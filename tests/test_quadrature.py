@@ -3,6 +3,8 @@ import pytest
 
 from hmcleod import endpoints as ep
 from hmcleod import quadrature as quad
+from hmcleod import theta as th
+from hmcleod.genus0 import _dist_to_segment
 from hmcleod.errors import HmcleodError, NonConvergence, NonFinite
 
 
@@ -91,7 +93,7 @@ def test_sqrt_start_substitution():
     assert abs(val - 2.0) < 1e-12
 
 
-def test_chain_router_avoids_cuts(pipe_refpoint):
+def test_chain_router_avoids_cuts(pipe_refpoint, monkeypatch):
     # from the Abel stage point to Q the straight segment crosses the gap
     e = pipe_refpoint.e
     chain = [(e.A, e.B), (e.B, e.C), (e.C, e.D)]
@@ -107,6 +109,82 @@ def test_chain_router_avoids_cuts(pipe_refpoint):
     # a clear straight segment comes back as a single leg
     away = start - (e.B - e.A)
     assert router.path(start, away).vertices == (start, away)
+
+    # every Abel path (stage point to z_far and Q) and every H-field path
+    # of jump_lambda (z_far to the cut midpoints), here and on a folded
+    # chain whose end D lies 0.085 from B
+    routed = []
+    route = ep.ChainRouter.path
+
+    def recording(self, a, b):
+        path = route(self, a, b)
+        routed.append((self, path))
+        return path
+
+    monkeypatch.setattr(ep.ChainRouter, "path", recording)
+    for pipe in (pipe_refpoint, th.Genus1Pipeline(-6 - 10.4347826j)):
+        abel = pipe.abel
+        for z in (abel.z_far, pipe.periods.Q):
+            abel.router.path(abel.stage, z)
+        ep.jump_lambda(pipe.e, pipe.constants)
+    assert len(routed) >= 2 * (2 + 18)
+    for router, path in routed:
+        ends = router.ends
+        for a, b in path.segments():
+            assert not np.any(quad.segments_cross(a, b, ends[:-1], ends[1:]))
+            # a leg's interior keeps min(c/2, half the distance from the
+            # chain end to either end of the leg) from each chain end
+            room = np.minimum(0.5 * router.c, 0.5 * np.minimum(abs(ends - a), abs(ends - b)))
+            assert np.all(_dist_to_segment(ends, a, b) >= room)
+    # some paths need the all-pairs table: two waypoints or more
+    assert any(len(path.vertices) >= 4 for _, path in routed)
+
+
+def test_abel_value_is_independent_of_the_routed_path(pipe_refpoint):
+    # A(Q) along the router's path equals the integral out to three points
+    # of a far circle and back: dw/R is analytic off the chain and
+    # O(1/w^2) at infinity, so no residue is picked up going round it
+    e, abel, Q = pipe_refpoint.e, pipe_refpoint.abel, pipe_refpoint.periods.Q
+    pts = np.array(e.points())
+    center = pts.mean()
+    radius = 4.0 * max(abs(pts - center)) + 2.0
+    for psi in np.arange(24) * np.pi / 12:
+        far = center + radius * np.exp(1j * (psi + 2 * np.pi / 3 * np.arange(3)))
+        detour = quad.Path((abel.stage, *far, Q))
+        if not any(np.any(quad.segments_cross(a, b, pts[:-1], pts[1:]))
+                   for a, b in detour.segments()):
+            break
+    else:
+        pytest.fail("no clear detour through the far circle")
+    assert len(abel.router.path(abel.stage, Q).vertices) < len(detour.vertices)
+    inv_r = lambda w: 1.0 / ep.R_eval(w, e, guard=False)
+    stage = ep.integrate_leg(inv_r, quad.Path((e.A, abel.stage)), ep.LEG_RULE, sqrt_start=True)
+    a_q = abel.nu * (stage + ep.integrate_leg(inv_r, detour, ep.LEG_RULE))
+    assert abs(a_q - pipe_refpoint.A_Q) <= 1e-12 * max(1.0, abs(a_q))
+
+
+def test_segments_cross_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(3)
+
+    def points(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    a0, a1, b0, b1 = (points(200) for _ in range(4))
+    d = points(20)
+    # parallel, collinear (overlapping or not) and end-touching pairs
+    a0 = np.r_[a0, d, d, d, d]
+    a1 = np.r_[a1, d + 1, d + 1, d + 1, d + 1]
+    b0 = np.r_[b0, d + 0.5j, d + 0.5, d + 2, d + 1]
+    b1 = np.r_[b1, d + 1 + 0.5j, d + 1.5, d + 3, d + 1 + 1j]
+    out = quad.segments_cross(a0, a1, b0, b1)
+    scalar = [quad.segments_cross(*args) for args in zip(a0, a1, b0, b1)]
+    assert out.dtype == bool and all(type(v) is bool for v in scalar)
+    assert out.tolist() == scalar
+    assert 0 < out.sum() < 200 and not out[200:].any()
+    # broadcasting one segment against many
+    assert quad.segments_cross(a0[:, None], a1[:, None], b0[:5], b1[:5]).tolist() == [
+        [quad.segments_cross(p, q, u, v) for u, v in zip(b0[:5], b1[:5])]
+        for p, q in zip(a0, a1)]
 
 
 # --- the depth-first recursive rule, kept as the reference of the batched one ---
