@@ -97,6 +97,9 @@ class Harness:
         from . import theta
         return theta.predict_poles(window, k, cache=self._pipes)
 
+    def mask_radius(self, k):
+        return self.delta / k ** (2.0 / 3.0)
+
     def asymptotic(self, x, k, region, poles=None):
         """(value, backend) at x.
 
@@ -106,7 +109,7 @@ class Harness:
         label, genus0_value = region
         if label.pole_free:
             return complex(genus0_value), "genus0"
-        radius = self.delta / k ** (2.0 / 3.0)
+        radius = self.mask_radius(k)
         if poles is not None and any(abs(x - q) <= radius for q in poles):
             return None, "pole-mask"
         pipe = self._pipes.get(x)
@@ -134,6 +137,18 @@ def _regions(xs):
 
 def _needs_pole_mask(regions):
     return any(not isinstance(r, HmcleodError) and not r[0].pole_free for r in regions)
+
+
+def _mask_window(box, pad, radius):
+    """The pole-mask window of the points in box, padded by pad or by more.
+
+    predict_poles keeps the poles up to POLE_MARGIN outside its window,
+    so a pad of radius - POLE_MARGIN keeps every pole within the mask
+    radius of a point.
+    """
+    from . import theta
+    pad = max(pad, radius - theta.POLE_MARGIN)
+    return (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
 
 
 def _asymptotic_column(harness, k, xs, regions, poles):
@@ -251,8 +266,7 @@ def cmd_slice(args):
         args.im = 0.0
     xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
     harness = Harness.from_args(args)
-    pad = 0.6
-    window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
+    box = (args.xmin, args.xmax, args.im, args.im)
     failures = 0
     with _numeric_columns(harness, args.k, xs) as numeric:
         # the labels and genus-0 values do not depend on k
@@ -260,6 +274,8 @@ def cmd_slice(args):
         for k in args.k:
             poles = None
             if abs(args.im) > 1e-12 and _needs_pole_mask(regions):
+                # one window for every k, the widest mask's
+                window = _mask_window(box, 0.6, harness.mask_radius(min(args.k)))
                 poles = harness.pole_mask(k, window)
             asymptotic = _asymptotic_column(harness, k, xs, regions, poles)
             rows = []
@@ -286,7 +302,7 @@ def cmd_grid(args):
     if args.quantity in ("asymptotic", "error"):
         regions = _regions(grid_pts)
         if _needs_pole_mask(regions):
-            poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
+            poles = harness.pole_mask(k, _mask_window(args.window, 0.4, harness.mask_radius(k)))
     nums = [None] * len(grid_pts)
     if args.quantity in ("numeric", "error"):
         nums = _numeric_column(harness, k, grid_pts)

@@ -231,8 +231,8 @@ class VaultAtlas:
                     "y": [e.approx.center.real, e.approx.center.imag],
                     "u": [e.u.real, e.u.imag],
                     "uprime": [e.uprime.real, e.uprime.imag],
-                    "a": [[z.real, z.imag] for z in e.approx.num],
-                    "b": [[z.real, z.imag] for z in e.approx.den[1:]],
+                    "a": e.approx.num.view(float).reshape(-1, 2).tolist(),
+                    "b": e.approx.den[1:].view(float).reshape(-1, 2).tolist(),
                 }
                 for e in self.entries
             ],
@@ -298,14 +298,13 @@ def run_vault(window, anchor, alpha, config=None):
             current = entry.approx.center
             aim = np.angle(target - current)
             cands = current + cfg.h * np.exp(1j * (aim + _CANDIDATE_OFFSETS))
-            order = sorted(
-                range(5),
-                key=lambda i: (abs(entry.approx(cands[i] - current)),
-                               abs(_CANDIDATE_OFFSETS[i])))
+            # one scalar evaluation per candidate: an array evaluation may
+            # round differently in the last bit, and the path with it
+            us = [entry.approx(cand - current) for cand in cands]
+            order = sorted(range(5), key=lambda i: (abs(us[i]), abs(_CANDIDATE_OFFSETS[i])))
             placed = False
             for i in order:
-                cand = cands[i]
-                u_c = entry.approx(cand - current)
+                cand, u_c = cands[i], us[i]
                 up_c = entry.approx.derivative(cand - current)
                 try:
                     new_entry = _record(atlas, cand, u_c, up_c, cfg)

@@ -527,11 +527,10 @@ def predict_poles(window, k, cache=None):
     polishes from the Jacobian L dc/dx of that map.  A corner whose c0
     differs from the first corner's by an integer vector (the Abel map
     took another representative of A(Q) or A(inf)) is unwrapped first.
-    A triangle with a corner outside the pole region or without a
-    pipeline, or whose corners disagree on the b-cycle orientation, takes
-    its corner values of c from the affine map of the nearest regular
-    triangle.  Roots outside the window +- POLE_MARGIN and pole-free
-    roots are dropped, and roots within 1e-4 of each other are one pole.
+    Only a triangle whose three corners have a pole-region pipeline that
+    agrees on the b-cycle orientation has such a map and gives seeds.
+    Roots outside the window +- POLE_MARGIN and pole-free roots are
+    dropped, and roots within 1e-4 of each other are one pole.
     """
     re0, re1, im0, im1 = window
     cache = cache or _PipelineCache()
@@ -559,34 +558,16 @@ def predict_poles(window, k, cache=None):
 
     for sign in (+1, -1):
         coords = {idx: pipe.lattice_coords(sign) for idx, pipe in pipes.items()}
-        cells = []
+        xs, cs = [], []
         for tri in _triangles(nodes.shape):
-            xs = [nodes[idx] for idx in tri]
             if (any(idx not in pipes for idx in tri)
                     or len({pipes[idx].periods.b_sign for idx in tri}) > 1):
-                cells.append((xs, None))
                 continue
             c0 = np.array([coords[idx][0] for idx in tri])
             c0[1:] -= np.round(c0[1:] - c0[0])
-            cells.append((xs, c0 + k * np.array([coords[idx][1] for idx in tri])))
-        own = [cell for cell in cells if cell[1] is not None]
-        maps = zip(*_cell_seeds([xs for xs, _ in own], [cs for _, cs in own]))
-        regular, irregular = [], []
-        for xs, cs in cells:
-            seeds, dcdx = next(maps) if cs is not None else ([], None)
-            if dcdx is None:
-                irregular.append(xs)
-                continue
-            regular.append((np.mean(xs), np.mean(cs, axis=0), dcdx))
-            for x0 in seeds:
-                polish(x0, sign, dcdx)
-        if not regular:
-            continue
-        centres = np.array([x for x, _, _ in regular])
-        borrowed = [regular[int(np.argmin(np.abs(centres - np.mean(xs))))] for xs in irregular]
-        borrowed_cs = [c_mid + (dcdx @ _real2(np.array(xs) - x_mid)).T
-                       for xs, (x_mid, c_mid, dcdx) in zip(irregular, borrowed)]
-        for seeds, (_, _, dcdx) in zip(_cell_seeds(irregular, borrowed_cs)[0], borrowed):
+            xs.append([nodes[idx] for idx in tri])
+            cs.append(c0 + k * np.array([coords[idx][1] for idx in tri]))
+        for seeds, dcdx in zip(*_cell_seeds(xs, cs)):
             for x0 in seeds:
                 polish(x0, sign, dcdx)
 

@@ -99,6 +99,20 @@ def test_masked_slice_rows_are_not_failures(tmp_path, monkeypatch):
     assert run(argv) == 2
 
 
+def test_pole_mask_window_reaches_the_mask_radius(tmp_path, monkeypatch):
+    # the pole -3.9856 - 9.9475i lies 1.25-1.32 from the three rows, inside
+    # the radius 1.5 at k = 1, but beyond the default pad of 0.6 and the
+    # POLE_MARGIN of predict_poles
+    monkeypatch.setattr(commands.Harness, "atlas", lambda self, k, ys: None)
+    monkeypatch.setattr(commands.Harness, "numeric", lambda self, x, k, atlas=None: 0j)
+    out = tmp_path / "d.csv"
+    assert run(["slice", "--k", "1", "--slice", "horizontal", "--im", "-9",
+                "--xmin", "-4.9", "--xmax", "-4.8", "--samples", "3", "--delta", "1.5",
+                "--out", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[-1] for row in rows] == ["pole-mask"] * 3
+
+
 def test_grid_smoke(tmp_path):
     out = tmp_path / "g.csv"
     code = run(["grid", "--k", "1", "--window", "-2", "2", "-2", "2",

@@ -8,11 +8,12 @@ from hmcleod import theta as th
 from hmcleod.errors import HmcleodError
 
 # the slice mask window of a 5-sample slice at Im x = -9 on [-4.9, -4.8]
-# (the slice pads by 0.6), a small poles window beside it, and the
-# README's poles window
+# (the slice pads by 0.6), a small poles window beside it, the README's
+# poles window, and a window across the boundary of the pole region
 SLICE_MASK_WINDOW = (-5.5, -4.2, -9.6, -8.4)
 POLES_WINDOW = (-5.0, -4.55, -9.2, -8.8)
 README_WINDOW = (-4.0, 0.0, -9.5, -8.5)
+BOUNDARY_WINDOW = (-5.8, -4.6, -9.4, -8.6)
 
 REF_SPACING = 0.45
 REF_FD = 1e-4
@@ -78,8 +79,9 @@ def _missing(poles, others):
 
 @pytest.mark.parametrize("window,ks", [(SLICE_MASK_WINDOW, (1, 2, 3)),
                                        (POLES_WINDOW, (3,)),
-                                       (README_WINDOW, (3,))],
-                         ids=["slice_mask", "poles", "readme"])
+                                       (README_WINDOW, (3,)),
+                                       (BOUNDARY_WINDOW, (4,))],
+                         ids=["slice_mask", "poles", "readme", "boundary"])
 def test_predictor_matches_reference_sweep(window, ks):
     cache, ref_cache = th._PipelineCache(), th._PipelineCache()
     for k in ks:
@@ -104,8 +106,12 @@ def test_pole_newton_does_not_stall_at_the_cache_key():
 
 
 def test_slice_mask_builds_few_pipelines():
-    # one grid of pipelines serves k = 1, 2, 3 (the seed sweep built 391)
+    # one grid of pipelines serves k = 1, 2, 3 (the seed sweep built 391),
+    # and none is at a pole-free x: seeds come only from triangles whose
+    # corners are all in the pole region, and their polishes stay there
     cache = th._PipelineCache()
     for k in (1, 2, 3):
         th.predict_poles(SLICE_MASK_WINDOW, k, cache=cache)
     assert len(cache.solved) <= 120
+    labels = genus0.classify_region([pipe.x for pipe in cache.solved.values()])
+    assert not any(label.pole_free for label in labels)

@@ -185,7 +185,8 @@ def _one_cell_seeds(xs, cs):
 def test_batched_cell_seeds_keep_the_bits_of_one_triangle_at_a_time(monkeypatch):
     # the triangles of the pole masks in tests/test_poles.py: the slice
     # mask window (k = 1, 2, 3), the small poles window and the README
-    # window (k = 3), and one triangle with a singular map
+    # window (k = 3), the stall test's window (k = 2), and one triangle
+    # with a singular map
     batches = []
     cell_seeds = th._cell_seeds
 
@@ -196,7 +197,7 @@ def test_batched_cell_seeds_keep_the_bits_of_one_triangle_at_a_time(monkeypatch)
 
     monkeypatch.setattr(th, "_cell_seeds", recording)
     for window, ks in (((-5.5, -4.2, -9.6, -8.4), (1, 2, 3)), ((-5.0, -4.55, -9.2, -8.8), (3,)),
-                       ((-4.0, 0.0, -9.5, -8.5), (3,))):
+                       ((-4.0, 0.0, -9.5, -8.5), (3,)), ((-2.7, -0.8, -9.65, -8.35), (2,))):
         cache = th._PipelineCache()
         for k in ks:
             th.predict_poles(window, k, cache=cache)
