@@ -10,13 +10,26 @@ can be continued through pole fields: paths step from center to center
 (length h, five candidate directions, smallest |u| wins), recording one
 approximant per step, until a coarse node grid over the target window
 is covered.  Evaluation picks the nearest center.
+
+A vault is last-bit sensitive: one changed bit in a value can send a
+path down another chain of centers.  The per-center arithmetic (the jet
+recursion and the Horner evaluation of P, Q, P' and Q') runs on Python
+``complex`` scalars, with every operand a complex, as numpy promotes a
+real one: they round exactly as numpy's complex scalars do, without
+numpy's cost per call.  Two numpy roundings must be kept.  numpy's
+complex division multiplies by the reciprocal of the divisor where
+Python's divides, so the jet writes numpy's division out and each
+quotient is a numpy division.  numpy's complex array loops fuse products
+into FMAs (44 % of products differed in the last bit), so this
+arithmetic uses no array loop.  The Pade fit and the candidate
+directions keep the numpy calls they always made.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -38,27 +51,36 @@ class TaylorJet:
 
 
 def taylor_from_ivp(y0, u0, u0prime, alpha, n=24):
-    """Jet of the solution with data (u, u') at y0; n must be even."""
+    """Jet of the solution with data (u, u') at y0; n must be even.
+
+    The division by (k+2)(k+1) is written as numpy's complex division by
+    a real d does it, a product with 1/d.  numpy first adds the other
+    part times zero to each part, which changes only a part that is -0
+    or beside a non-finite one; no part of rhs is -0, since 2 (c^3)_k is
+    a sum from +0.
+    """
     if n % 2 != 0:
         raise ValueError("jet order must be even")
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = u0
-    c[1] = u0prime
+    y0 = complex(y0)
+    c = [complex(u0), complex(u0prime)]
     for k, cube_k in enumerate(_cube_coeffs(c, n - 1)):
-        prev = c[k - 1] if k >= 1 else 0.0
-        rhs = 2.0 * cube_k + y0 * c[k] + prev - (alpha if k == 0 else 0.0)
-        c[k + 2] = rhs / ((k + 2) * (k + 1))
-        if abs(c[k + 2]) > OVERFLOW_LIMIT:
+        prev = c[k - 1] if k >= 1 else 0j
+        rhs = (2.0 + 0j) * cube_k + y0 * c[k] + prev - (complex(alpha) if k == 0 else 0j)
+        s = 1.0 / ((k + 2) * (k + 1))
+        ck = complex(rhs.real * s, rhs.imag * s)
+        if abs(ck) > OVERFLOW_LIMIT:
             raise Overflow(f"jet diverges at order {k + 2} near y0={y0}")
-    return TaylorJet(center=complex(y0), coefficients=c, alpha=float(alpha))
+        c.append(ck)
+    return TaylorJet(center=y0, coefficients=np.array(c), alpha=float(alpha))
 
 
 def _cube_coeffs(c, count):
     """Coefficients of h^0..h^(count-1) in (sum c_j h^j)^3, one per draw.
 
-    Draw k reads c_0..c_k only, so a caller may fill c_(k+2) between
+    Draw k reads c_0..c_k only, so a caller may append c_(k+2) between
     draws.  The square series sq_m = sum_j c_j c_(m-j) is kept as it
     grows, and (c^3)_k = sum_i c_i sq_(k-i): O(k) work per coefficient.
+    ``c`` holds Python complex numbers.
     """
     cs = []
     sq = []
@@ -76,7 +98,7 @@ def _cube_coeffs(c, count):
 
 def jet_residual(jet):
     """Max relative defect of the recursion over orders 0..n-2."""
-    c = jet.coefficients
+    c = jet.coefficients.tolist()
     n = jet.order
     y0 = jet.center
     worst = 0.0
@@ -89,42 +111,72 @@ def jet_residual(jet):
     return worst
 
 
+def _horner(r, h):
+    """``np.polynomial.polynomial.polyval(h, c)`` with ``r = c[::-1]`` a list, in its order."""
+    v = r[0] + h * 0j
+    for a in r[1:]:
+        v = a + v * h
+    return v
+
+
+def _polyder(c):
+    """``np.polynomial.polynomial.polyder(c)`` of a list, in its arithmetic.
+
+    polyder scales the coefficients by 1 before it differentiates, which
+    can change the sign of a zero part; a constant's derivative is c_0 * 0.
+    """
+    if len(c) == 1:
+        return [c[0] * 0j]
+    return [complex(j) * (c[j] * (1.0 + 0j)) for j in range(1, len(c))]
+
+
 @dataclass(frozen=True)
 class PadeApprox:
+    """P/Q about ``center``; the offset h of every evaluation is a scalar."""
+
     center: complex
     num: np.ndarray   # a_0..a_nu
     den: np.ndarray   # 1, b_1..b_nu
 
+    @cached_property
+    def _reversed_coeffs(self):
+        """P, Q, P' and Q' as lists of Python complex, highest degree first."""
+        num, den = self.num.tolist(), self.den.tolist()
+        return [a[::-1] for a in (num, den, _polyder(num), _polyder(den))]
+
     def __call__(self, h):
-        return (np.polynomial.polynomial.polyval(h, self.num)
-                / np.polynomial.polynomial.polyval(h, self.den))
+        rnum, rden = self._reversed_coeffs[:2]
+        h = complex(h)
+        return np.complex128(_horner(rnum, h)) / _horner(rden, h)
 
     def eval_checked(self, h, den_tol=1e-12):
-        den = np.polynomial.polynomial.polyval(h, self.den)
+        rnum, rden = self._reversed_coeffs[:2]
+        den = np.complex128(_horner(rden, complex(h)))
         if abs(den) < den_tol:
             roots = self.denominator_roots()
             pole = (complex(roots[np.argmin(np.abs(roots - (self.center + h)))])
                     if len(roots) else None)
             raise PoleProximity(
                 f"Pade denominator ~{abs(den):.1e} at offset {h}", pole_estimate=pole)
-        return np.polynomial.polynomial.polyval(h, self.num) / den
-
-    @cached_property
-    def _derivative_coeffs(self):
-        """Coefficients of P' and Q', computed once per approximant."""
-        return (np.polynomial.polynomial.polyder(self.num),
-                np.polynomial.polynomial.polyder(self.den))
+        return np.complex128(_horner(rnum, complex(h))) / den
 
     def derivative(self, h):
-        cnum, cden = self._derivative_coeffs
-        P = np.polynomial.polynomial.polyval(h, self.num)
-        Q = np.polynomial.polynomial.polyval(h, self.den)
-        Pp = np.polynomial.polynomial.polyval(h, cnum)
-        Qp = np.polynomial.polynomial.polyval(h, cden)
-        return (Pp * Q - P * Qp) / Q ** 2
+        rnum, rden, rdnum, rdden = self._reversed_coeffs
+        h = complex(h)
+        P, Q = _horner(rnum, h), _horner(rden, h)
+        Pp, Qp = _horner(rdnum, h), _horner(rdden, h)
+        # Q * Q is numpy's Q ** 2 for every Q but zero, where only the
+        # division's sign of zero would differ, and numpy drops that sign
+        return np.complex128(Pp * Q - P * Qp) / (Q * Q)
 
     def denominator_roots(self):
         return self.center + np.roots(self.den[::-1])
+
+
+@cache
+def _toeplitz_index(nu):
+    """Index of the Pade system matrix: T[i, j] = c[nu + i - j], each index at least 1."""
+    return nu + np.arange(nu)[:, None] - np.arange(nu)
 
 
 def pade_from_taylor(jet, nu=None):
@@ -142,18 +194,17 @@ def pade_from_taylor(jet, nu=None):
         nu = nu0 - drop
         if nu < 1:
             break
-        # T[i, j] = c[nu + i - j]; every index is at least 1
-        T = c[nu + np.arange(nu)[:, None] - np.arange(nu)]
-        rhs = -c[nu + 1: 2 * nu + 1]
         try:
-            b = np.linalg.solve(T, rhs)
+            b = np.linalg.solve(c[_toeplitz_index(nu)], -c[nu + 1: 2 * nu + 1])
         except np.linalg.LinAlgError as exc:
             last = exc
             continue
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             last = SingularSystem("non-finite denominator coefficients")
             continue
-        den = np.concatenate(([1.0 + 0.0j], b))
+        den = np.empty(nu + 1, dtype=complex)
+        den[0] = 1.0
+        den[1:] = b
         num = np.convolve(c, den)[: nu + 1]
         return PadeApprox(center=jet.center, num=num, den=den)
     raise SingularSystem(f"degenerate Pade table at y0={jet.center}: {last}")
@@ -210,6 +261,11 @@ class VaultAtlas:
         return self._centers[:len(self.entries)]
 
     def nearest_entry(self, y):
+        """The entry whose center is nearest y, and that distance.
+
+        np.abs over the centers may differ from a scalar abs in the last
+        bit; it only chooses the center, and has always done so.
+        """
         c = self.centers
         i = int(np.argmin(np.abs(c - y)))
         return self.entries[i], abs(c[i] - y)
@@ -276,12 +332,13 @@ def run_vault(window, anchor, alpha, config=None):
              for xi in np.arange(im0, im1 + 1e-9, cfg.h)]
     nodes.sort(key=lambda z: (z.real, z.imag))
     nodes = np.array(nodes)
+    nodes_re = nodes.real.copy()
     alive = np.ones(len(nodes), dtype=bool)
 
     y0, u0, u0p = anchor
     atlas = VaultAtlas(alpha=float(alpha), config=cfg)
     _record(atlas, y0, u0, u0p, cfg)
-    _remove_near(atlas, nodes, alive, atlas.entries[-1].approx.center, cfg.h)
+    _remove_near(atlas, nodes, nodes_re, alive, atlas.entries[-1].approx.center, cfg.h)
 
     stall = 0
     while alive.any():
@@ -297,7 +354,7 @@ def run_vault(window, anchor, alpha, config=None):
                 break
             current = entry.approx.center
             aim = np.angle(target - current)
-            cands = current + cfg.h * np.exp(1j * (aim + _CANDIDATE_OFFSETS))
+            cands = (current + cfg.h * np.exp(1j * (aim + _CANDIDATE_OFFSETS))).tolist()
             # one scalar evaluation per candidate: an array evaluation may
             # round differently in the last bit, and the path with it
             us = [entry.approx(cand - current) for cand in cands]
@@ -311,7 +368,8 @@ def run_vault(window, anchor, alpha, config=None):
                 except (Overflow, SingularSystem):
                     continue
                 entry = new_entry
-                progressed = _remove_near(atlas, nodes, alive, cand, cfg.h) or progressed
+                progressed = (_remove_near(atlas, nodes, nodes_re, alive, cand, cfg.h)
+                              or progressed)
                 placed = True
                 break
             if not placed:
@@ -332,18 +390,24 @@ def _record(atlas, y, u, uprime, cfg):
     return entry
 
 
-def _remove_near(atlas, nodes, alive, center, h):
+def _remove_near(atlas, nodes, nodes_re, alive, center, h):
     """Retire the alive nodes within h of center; True when there were any.
 
-    The distance is np.hypot of the parts, which rounds like Python's
-    abs of a complex (np.abs of a complex array does not, in the last
-    bit), so ties at distance exactly h fall as they always did.
+    ``nodes`` is sorted by real part, ``nodes_re``; only the nodes whose
+    real part lies within 2h of the center's are tested (h is a margin
+    for rounding).  The distance is np.hypot of the parts, which rounds
+    like Python's abs of a complex (np.abs of a complex array does not,
+    in the last bit), so ties at distance exactly h fall as they always
+    did.
     """
-    d = nodes - center
-    near = alive & (np.hypot(d.real, d.imag) <= h)
-    atlas.removed_nodes.extend(nodes[near].tolist())
-    alive &= ~near
-    return bool(near.any())
+    lo, hi = np.searchsorted(nodes_re, (center.real - 2.0 * h, center.real + 2.0 * h))
+    d = nodes[lo:hi] - center
+    near = alive[lo:hi] & (np.hypot(d.real, d.imag) <= h)
+    if not near.any():
+        return False
+    atlas.removed_nodes.extend(nodes[lo:hi][near].tolist())
+    alive[lo:hi] &= ~near
+    return True
 
 
 def evaluate(atlas, y):
