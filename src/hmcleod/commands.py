@@ -73,22 +73,24 @@ class Harness:
         return pade.run_vault(window, (self.ANCHOR_Y, u0, up0), alpha, cfg)
 
     def atlas(self, k, y_points):
-        """Vault atlas over the bounding rectangle of the y-points and the anchor.
+        """Vault atlas over the rectangle of the anchor and the y-points, mirrored to Im y >= 0.
 
         The rectangle is padded by 1 and reaches down to the real axis.
         """
-        ys = np.asarray(list(y_points) + [self.ANCHOR_Y])
+        ys = np.asarray([complex(y.real, abs(y.imag)) for y in y_points] + [self.ANCHOR_Y])
         window = (float(ys.real.min()) - 1.0, float(ys.real.max()) + 1.0,
                   min(0.0, float(ys.imag.min()) - 1.0), float(ys.imag.max()) + 1.0)
         return self.vault(k + 0.5, window)
 
     def numeric(self, x, k, atlas=None):
-        """Scaled numeric value: collocation on the real axis, else from ``atlas``."""
+        """Scaled numeric value: collocation on the real axis, else ``atlas`` at y or conj y."""
         from . import collocation, pade
         y = y_from_x(x, k)
         if abs(x.imag) < 1e-12:
             sol = self.collocation_solution(k + 0.5)
             u, _ = collocation.eval_solution(sol, y)
+        elif y.imag < 0:
+            u = pade.evaluate(atlas, y.conjugate()).conjugate()
         else:
             u = pade.evaluate(atlas, y)
         return scaled_from_u(u, k)
@@ -112,8 +114,8 @@ class Harness:
         radius = self.mask_radius(k)
         if poles is not None and any(abs(x - q) <= radius for q in poles):
             return None, "pole-mask"
-        pipe = self._pipes.get(x)
-        return pipe.value(k), "genus1"
+        value = self._pipes.get(x.conjugate() if x.imag > 0 else x).value(k)
+        return (value.conjugate() if x.imag > 0 else value), "genus1"
 
 
 def _regions(xs):
@@ -352,7 +354,7 @@ def cmd_poles(args):
     # the nodes of predict_poles, classified once for both: a window
     # whose corners are pole-free may still cross the pole region inside
     cache = theta._PipelineCache()
-    _, labels = cache.classified_grid(window)
+    _, labels = cache.classified_grid(theta.fold(window))
     if all(label.pole_free for label in labels.ravel()):
         raise WrongRegion("pole window lies in the pole-free region")
     poles = theta.predict_poles(window, k, cache=cache)

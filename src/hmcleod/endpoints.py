@@ -89,6 +89,11 @@ class EndpointSet:
     def points(self):
         return (self.A, self.B, self.C, self.D)
 
+    def mirror(self):
+        """The chain at conj x, -conj(D, C, B, A): the conditions at conj x mirror those at x."""
+        return EndpointSet(A=-self.D.conjugate(), B=-self.C.conjugate(), C=-self.B.conjugate(),
+                           D=-self.A.conjugate(), x=self.x.conjugate())
+
     def separation(self):
         pts = self.points()
         return min(abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
@@ -321,65 +326,55 @@ def degenerate_seed(x, eps=0.06, rotate=0.0):
     return EndpointSet(A=d.a, B=d.c - eps * u, C=d.c + eps * u, D=d.b, x=complex(x))
 
 
-_WEDGE_ANCHOR_OFFSET = 0.45
+# where every cold solve starts: just inside the lower pole wedge, below its apex
+_WEDGE_ANCHOR = 3.0 * np.exp(-2j * np.pi / 3.0) - 0.45j
 
 
-def _wedge_anchor(upper):
-    apex = 3.0 * np.exp(2j * np.pi / 3.0) if upper else 3.0 * np.exp(-2j * np.pi / 3.0)
-    return apex + (1j if upper else -1j) * _WEDGE_ANCHOR_OFFSET
-
-
-@lru_cache(maxsize=2)
-def _bootstrap(upper):
-    x0 = _wedge_anchor(upper)
-    last_exc = None
-    for eps in (0.06, 0.12, 0.03):
-        for rot in (0.0, 0.5 * np.pi, -0.5 * np.pi):
-            seed = degenerate_seed(x0, eps=eps, rotate=rot)
-            try:
-                v, F, n_iter = _newton(complex(x0), _set_to_vec(seed))
-                return _vec_to_set(v, complex(x0)), F, n_iter
-            except (NoConvergence, DegenerateEndpoints) as exc:
-                last_exc = exc
-    raise NoConvergence(f"bootstrap near the apex failed: {last_exc}")
+@lru_cache(maxsize=1)
+def _bootstrap():
+    """The chain at ``_WEDGE_ANCHOR``, solved from the split one-band data."""
+    v, F, n_iter = _newton(complex(_WEDGE_ANCHOR), _set_to_vec(degenerate_seed(_WEDGE_ANCHOR)))
+    return _vec_to_set(v, complex(_WEDGE_ANCHOR)), F, n_iter
 
 
 def solve_endpoints(x, seed=None, return_info=False):
     """Solve the eight-condition endpoint system at x.
 
-    With no seed, the solution is continued along a straight path from
-    an anchor just inside the pole wedge next to the relevant apex; the
-    anchor itself is seeded by splitting the degenerate one-band data.
-    The region check applies to that cold path only: a seeded solve is a
-    continuation step and may be asked for any x.
+    Above the axis the chain is the ``EndpointSet.mirror`` of the one
+    solved at conj x from the mirrored seed.  With no seed, the solution
+    is continued along a straight path from ``_WEDGE_ANCHOR``, itself
+    seeded by splitting the degenerate one-band data.  The region check
+    applies to that cold path only: a seeded solve is a continuation step
+    and may be asked for any x.
     """
     x = complex(x)
+    if x.imag > 0:
+        e, info = solve_endpoints(x.conjugate(), None if seed is None else seed.mirror(), True)
+        return (e.mirror(), info) if return_info else e.mirror()
     if seed is not None:
         v, F, n_iter = _newton(x, _set_to_vec(seed))
         e = _vec_to_set(v, x)
     else:
         label = classify_region(x)
-        if label not in (RegionLabel.POLE_REGION_UP, RegionLabel.POLE_REGION_DOWN):
+        if label is not RegionLabel.POLE_REGION_DOWN:
             raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
-        e, F, n_iter = _bootstrap(upper=(x.imag > 0))
-        x_cur = complex(e.x)
+        e, F, n_iter = _bootstrap()
         step = 0.5
-        guard = 0
-        while x_cur != x:
-            guard += 1
-            if guard > 400:
-                raise NoConvergence(f"continuation toward x={x} stalled")
-            remaining = x - x_cur
+        for _ in range(400):
+            if e.x == x:
+                break
+            remaining = x - e.x
             dx = remaining if abs(remaining) <= step else remaining / abs(remaining) * step
             try:
-                v, F, n_iter = _newton(x_cur + dx, _set_to_vec(e))
-                e = _vec_to_set(v, x_cur + dx)
-                x_cur = x_cur + dx
+                v, F, n_iter = _newton(e.x + dx, _set_to_vec(e))
+                e = _vec_to_set(v, e.x + dx)
                 step = min(0.5, step * 1.5)
             except (NoConvergence, DegenerateEndpoints):
                 step *= 0.5
                 if step < 1e-3:
                     raise
+        else:
+            raise NoConvergence(f"continuation toward x={x} stalled")
     contours_for(e)
     if return_info:
         return e, {"newton_iters": n_iter, "residual": float(np.max(np.abs(F)))}

@@ -271,9 +271,9 @@ class VaultAtlas:
         return self.entries[i], abs(c[i] - y)
 
     def coverage_ok(self):
-        c = self.centers
-        return all(np.min(np.abs(c - node)) <= self.config.h + 1e-12
-                   for node in self.removed_nodes)
+        c, nodes = self.centers, np.array(self.removed_nodes, dtype=complex)
+        return all((np.abs(c - nodes[i:i + 256, None]).min(axis=1) <= self.config.h + 1e-12).all()
+                   for i in range(0, len(nodes), 256))
 
     def to_json(self):
         return json.dumps({

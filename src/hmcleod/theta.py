@@ -46,8 +46,8 @@ import numpy as np
 from . import endpoints as ep
 from . import genus0
 from . import quadrature as quad
-from .errors import (AssumptionViolated, HmcleodError,
-                     NormalizationFailure, ThetaZero, TruncationInsufficient)
+from .errors import (AssumptionViolated, HmcleodError, NormalizationFailure,
+                     ThetaZero, TruncationInsufficient, WrongRegion)
 
 THETA_TRUNCATION = 40
 
@@ -354,25 +354,20 @@ def _cache_key(x):
 
 
 class _PipelineCache:
-    """Continuation-aware cache of pipelines over an x-window.
+    """Continuation-aware cache of pipelines at Im x <= 0 over an x-window.
 
-    A new pipeline's endpoint Newton starts from the endpoints of the
-    nearest solved pipeline within 1.5 in the same half-plane (else it
-    is a cold solve); that seed is all it takes from its neighbour.  The
-    two halves of the pole region meet the real axis only at the
-    boundary point x0, so a seed from across the axis starts a chain of
-    seeded solves through the pole-free region, which can end on
-    another solution of the endpoint system.  The cache also keeps each
-    window's classified pole grid, which every k shares.
+    Values and poles at Im x > 0 mirror those at conj x: the cache
+    refuses an x above the axis.  A new pipeline's endpoint Newton starts
+    from the endpoints of the nearest solved pipeline within 1.5 (else
+    it is a cold solve).  The cache also keeps each window's classified
+    pole grid, which every k shares.
     """
 
     def __init__(self):
         self.solved = {}
-        # per half-plane (Im x > 0): the solved x in insertion order, with
-        # spare room at the end, their pipelines, and each key's slot
-        self._x = {True: np.empty(64, dtype=complex), False: np.empty(64, dtype=complex)}
-        self._pipes = {True: [], False: []}
-        self._slot = {}
+        # the solved x in insertion order, with spare room at the end, and their pipelines
+        self._x = np.empty(64, dtype=complex)
+        self._pipes = []
         self._grids = {}
 
     def classified_grid(self, window):
@@ -384,33 +379,27 @@ class _PipelineCache:
         return self._grids[window]
 
     def add(self, pipe):
-        """Register a solved pipeline, in the place of one with the same key."""
-        key = _cache_key(pipe.x)
-        if key not in self._slot:
-            upper = pipe.x.imag > 0
-            self._slot[key] = (upper, len(self._pipes[upper]))
-            self._pipes[upper].append(None)
-            if len(self._pipes[upper]) > len(self._x[upper]):
-                self._x[upper] = np.concatenate([self._x[upper], np.empty_like(self._x[upper])])
-        upper, i = self._slot[key]
-        self._pipes[upper][i] = pipe
-        self._x[upper][i] = pipe.x
-        self.solved[key] = pipe
+        """Register a solved pipeline; ``get`` returns it in the place of one with the same key."""
+        if len(self._pipes) == len(self._x):
+            self._x = np.concatenate([self._x, np.empty_like(self._x)])
+        self._x[len(self._pipes)] = pipe.x
+        self._pipes.append(pipe)
+        self.solved[_cache_key(pipe.x)] = pipe
 
     def get(self, x):
         x = complex(x)
+        if x.imag > 0:
+            raise WrongRegion(f"x={x} lies above the axis: take the mirror of conj x")
         key = _cache_key(x)
         if key in self.solved:
             return self.solved[key]
         seed = None
-        upper = x.imag > 0
-        pipes = self._pipes[upper]
-        if pipes:
-            d = self._x[upper][:len(pipes)] - x
+        if self._pipes:
+            d = self._x[:len(self._pipes)] - x
             dist = np.hypot(d.real, d.imag)
             i = int(np.argmin(dist))
             if dist[i] < 1.5:
-                seed = pipes[i].e
+                seed = self._pipes[i].e
         pipe = Genus1Pipeline(x, seed=seed)
         self.add(pipe)
         return pipe
@@ -514,27 +503,41 @@ def _cell_seeds(xs, cs):
     return seeds, dcdx
 
 
+def _in_margin(z, window):
+    re0, re1, im0, im1 = window
+    return (re0 - POLE_MARGIN <= z.real <= re1 + POLE_MARGIN
+            and im0 - POLE_MARGIN <= z.imag <= im1 + POLE_MARGIN)
+
+
+def fold(window):
+    """The window folded onto Im x <= 0: its lower part and the mirror of its upper part."""
+    re0, re1, im0, im1 = window
+    return (re0, re1, min(im0, -im1), min(-im0, im1, 0.0))
+
+
 def predict_poles(window, k, cache=None):
     """Predicted pole locations of the asymptotic formula in a window.
 
-    ``window`` is (re_min, re_max, im_min, im_max).  The unreduced pole
-    residual is r = L(c0 + k c1), with L the lattice basis and (c0, c1)
-    from ``Genus1Pipeline.lattice_coords``, so a pole is an x where the
-    lattice coordinates c(x) = c0 + k c1 are integers.  c is computed at
-    the pole-region nodes of ``pole_grid``; in each grid triangle the
-    affine map through the corner values of c gives one seed per
-    integer point of the triangle's image, which ``_newton_pole``
-    polishes from the Jacobian L dc/dx of that map.  A corner whose c0
-    differs from the first corner's by an integer vector (the Abel map
-    took another representative of A(Q) or A(inf)) is unwrapped first.
-    Only a triangle whose three corners have a pole-region pipeline that
-    agrees on the b-cycle orientation has such a map and gives seeds.
-    Roots outside the window +- POLE_MARGIN and pole-free roots are
-    dropped, and roots within 1e-4 of each other are one pole.
+    ``window`` is (re_min, re_max, im_min, im_max).  The poles are
+    predicted over its ``fold`` and mirrored above the axis.  The
+    unreduced pole residual is r = L(c0 + k c1), with L the lattice basis
+    and (c0, c1) from ``Genus1Pipeline.lattice_coords``, so a pole is an
+    x where the lattice coordinates c(x) = c0 + k c1 are integers.  c is
+    computed at the pole-region nodes of ``pole_grid``; in each grid
+    triangle the affine map through the corner values of c gives one
+    seed per integer point of the triangle's image, which
+    ``_newton_pole`` polishes from the Jacobian L dc/dx of that map.  A
+    corner whose c0 differs from the first corner's by an integer vector
+    (the Abel map took another representative of A(Q) or A(inf)) is
+    unwrapped first.  Only a triangle whose three corners have a
+    pole-region pipeline that agrees on the b-cycle orientation has such
+    a map and gives seeds.  Roots outside the window +- POLE_MARGIN and
+    pole-free roots are dropped, and roots within 1e-4 of each other are
+    one pole.
     """
-    re0, re1, im0, im1 = window
+    folded = fold(window)
     cache = cache or _PipelineCache()
-    nodes, labels = cache.classified_grid(tuple(window))
+    nodes, labels = cache.classified_grid(folded)
     pipes = {}
     for idx, label in np.ndenumerate(labels):
         if not label.pole_free:
@@ -552,8 +555,7 @@ def predict_poles(window, k, cache=None):
             root = _newton_pole(cache, x0, k, sign, J)
         except HmcleodError:
             return
-        if root is not None and (re0 - POLE_MARGIN <= root.real <= re1 + POLE_MARGIN
-                                 and im0 - POLE_MARGIN <= root.imag <= im1 + POLE_MARGIN):
+        if root is not None and _in_margin(root, folded):
             roots.append(root)
 
     for sign in (+1, -1):
@@ -575,4 +577,5 @@ def predict_poles(window, k, cache=None):
     for root, label in zip(roots, genus0.classify_region(roots)):
         if not label.pole_free and all(abs(root - q) > 1e-4 for q in poles):
             poles.append(root)
-    return sorted(poles, key=lambda z: (z.real, z.imag))
+    poles += [z.conjugate() for z in poles if z.imag < 0]
+    return sorted((z for z in poles if _in_margin(z, window)), key=lambda z: (z.real, z.imag))

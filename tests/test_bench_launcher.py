@@ -2,7 +2,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-LAUNCHER = Path(__file__).resolve().parents[1] / "bench" / "launcher.py"
+import pytest
+
+from hmcleod import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LAUNCHER = BENCH / "launcher.py"
 
 # LAYERS still names the deleted contour router; `bench/run.py --trace 1`
 # fails on it until the benchmark drops that entry
@@ -22,3 +27,18 @@ def test_bench_layers_resolve():
         if not callable(owner):
             missing.add(name)
     assert missing <= UNRESOLVED
+
+
+@pytest.mark.parametrize("seed", [1, 37])
+def test_bench_calls_parse(seed, monkeypatch):
+    # every CLI call of every workload, and each check-only helper call,
+    # is one the parser accepts: a flag the benchmark passes stays
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    parser = cli.build_parser()
+    commands = set()
+    for make in workloads.WORKLOADS.values():
+        workload, helper = make(seed)
+        for argv in [call.argv for call in workload.calls] + ([helper] if helper else []):
+            commands.add(parser.parse_args(argv).command)
+    assert commands == {"slice", "poles", "vault", "grid", "bvp", "endpoints"}

@@ -260,19 +260,69 @@ def test_asymptotic_masks_predicted_poles(pipe_refpoint, pipeline_cache):
 def test_upper_half_plane_matches_vault_reflection():
     # the ODE and its boundary data are real: at mirrored x the vault
     # values, the asymptotic values and their differences are conjugate.
-    # Each half gets its own vault; they agree to about 3e-10.
+    # Both halves share one vault and one pipeline, so they agree exactly.
     k = 2
     upper = [complex(xr, 9.0) for xr in (-1.6, -1.5, -1.4)]
     harness = commands.Harness(seed=1)
     halves = []
     for xs in (upper, [x.conjugate() for x in upper]):
         atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
-        halves.append([(harness.asymptotic(x, k, genus0.classify_and_value(x))[0], harness.numeric(x, k, atlas=atlas))
-                       for x in xs])
+        halves.append([(harness.asymptotic(x, k, genus0.classify_and_value(x))[0],
+                        harness.numeric(x, k, atlas=atlas)) for x in xs])
     for (asym_up, num_up), (asym_dn, num_dn) in zip(*halves):
-        assert abs(num_up - np.conj(num_dn)) <= 1e-8
-        assert abs(asym_up - np.conj(asym_dn)) <= 1e-8
-        assert abs((asym_up - num_up) - np.conj(asym_dn - num_dn)) <= 1e-8
+        assert num_up == np.conj(num_dn)
+        assert asym_up == np.conj(asym_dn)
+
+
+def _rows(path):
+    lines = path.read_text().strip().split("\n")[1:]
+    return [line.split(",") for line in lines]
+
+
+def _assert_mirrored(row, mirror, conjugated):
+    """Columns of ``conjugated`` are negated in ``mirror``; the others are equal."""
+    for i, (a, b) in enumerate(zip(row, mirror)):
+        if i in conjugated:
+            assert float(a) == -float(b)
+        else:
+            assert a == b
+
+
+def test_upper_slice_is_the_conjugate_of_the_mirrored_slice(tmp_path):
+    argv = ["slice", "--k", "1", "3", "--xmin", "-4.9", "--xmax", "-4.8", "--samples", "3",
+            "--seed", "1"]
+    for im in ("9", "-9"):
+        assert run(argv + ["--im", im, "--out", str(tmp_path / im)]) == 0
+    for k in (1, 3):
+        up, down = (_rows(tmp_path / f"{im}.k{k}.csv") for im in ("9", "-9"))
+        assert len(up) == 3
+        for row, mirror in zip(up, down):
+            # x, asym and num are conjugates; abs_err and flag are equal
+            _assert_mirrored(row, mirror, {1, 3, 5})
+
+
+def test_upper_poles_are_the_conjugates_of_the_mirrored_window(tmp_path):
+    for name, window in (("up", ["-2.5", "-2.0", "8.6", "9.0"]),
+                         ("down", ["-2.5", "-2.0", "-9.0", "-8.6"])):
+        assert run(["poles", "--k", "3", "--window", *window,
+                    "--out", str(tmp_path / name)]) == 0
+    up, down = (json.loads((tmp_path / name).read_text())["poles"] for name in ("up", "down"))
+    assert len(up) == 2
+    assert sorted(up) == sorted([re, -im] for re, im in down)
+
+
+def test_grid_across_the_axis_mirrors_its_lower_rows(tmp_path):
+    # the rows Im x = 4 are the conjugates of the rows Im x = -4, pole-region
+    # points included: one vault and one set of pipelines serve both
+    for quantity in ("error", "asymptotic", "numeric"):
+        out = tmp_path / quantity
+        assert run(["grid", "--k", "1", "--window", "-2", "-1", "-4", "4", "--res", "3",
+                    "--quantity", quantity, "--seed", "1", "--out", str(out)]) == 0
+        rows = _rows(out)
+        assert not any(genus0.classify_region(complex(float(r[0]), float(r[1]))).pole_free
+                       for r in rows[6:])
+        for row, mirror in zip(rows[6:], rows[:3]):
+            _assert_mirrored(row, mirror, {1, 3})
 
 
 def test_boundary_contains_anchors(tmp_path):

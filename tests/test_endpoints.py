@@ -122,12 +122,27 @@ def test_continuation_newton_steps(solved):
 def test_anchor_solve_reports_info():
     # at the bootstrap anchor no continuation step runs; the info is the
     # anchor solve's own
-    anchor = ep._wedge_anchor(False)
+    anchor = ep._WEDGE_ANCHOR
     e, info = ep.solve_endpoints(anchor, return_info=True)
     assert e.x == complex(anchor)
     assert info["newton_iters"] >= 1
     assert info["residual"] <= 1e-11
     assert info["residual"] == pytest.approx(np.max(np.abs(ep.residuals(e))), abs=0.0)
+
+
+@pytest.mark.parametrize("x", [-1.5 + 10j, -4.0 + 8j, 1.0 + 8j])
+def test_upper_half_plane_solve_is_the_mirror_of_the_lower(x):
+    # above the axis the chain is -conj(D, C, B, A) of the chain at conj x,
+    # to the bit, for a cold solve and for a seeded step alike
+    def mirrored(e):
+        return tuple(-np.conj(p) for p in e.points()[::-1])
+
+    lower = ep.solve_endpoints(np.conj(x))
+    upper, info = ep.solve_endpoints(x, return_info=True)
+    assert upper.points() == mirrored(lower) and upper.x == x
+    assert max(info["residual"], np.max(np.abs(ep.residuals(upper)))) <= 1e-11
+    step = ep.solve_endpoints(x + 0.05 + 0.05j, seed=upper)
+    assert step.points() == mirrored(ep.solve_endpoints(np.conj(x) + 0.05 - 0.05j, seed=lower))
 
 
 def test_band_identity_sum():
@@ -190,7 +205,7 @@ def _central_differences(e):
 
 def test_analytic_jacobian_matches_differences(solved):
     upper = ep.solve_endpoints(-4 + 8j)
-    seed = ep.degenerate_seed(ep._wedge_anchor(False), rotate=0.5)
+    seed = ep.degenerate_seed(ep._WEDGE_ANCHOR, rotate=0.5)
     for e in (solved, upper, seed):
         J_fd = _central_differences(e)
         J = ep.jacobian(e, ep._system(e, ep.NEWTON_NODES)[1])

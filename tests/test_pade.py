@@ -276,6 +276,23 @@ def test_atlas_coverage(small_atlas):
     assert small_atlas.coverage_ok()
 
 
+def test_coverage_check_finds_one_uncovered_node(atlas_k3):
+    # the check runs over chunks of nodes and agrees with one np.abs call
+    # per node; one node far from every centre, past the first chunk, fails it
+    def per_node(atlas):
+        return all(np.min(np.abs(atlas.centers - node)) <= atlas.config.h + 1e-12
+                   for node in atlas.removed_nodes)
+
+    nodes = list(atlas_k3.removed_nodes)
+    assert len(nodes) > 512
+    far = pade.VaultAtlas(alpha=atlas_k3.alpha, config=atlas_k3.config,
+                          entries=list(atlas_k3.entries),
+                          removed_nodes=nodes[:300] + [60.0 + 60.0j] + nodes[300:])
+    assert not far.coverage_ok() and not per_node(far)
+    far.removed_nodes = nodes
+    assert far.coverage_ok() and per_node(far)
+
+
 def test_anchor_center_value(small_atlas):
     e = small_atlas.entries[0]
     assert pade.evaluate(small_atlas, e.approx.center) == e.approx(0.0)

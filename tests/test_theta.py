@@ -3,10 +3,11 @@ import copy
 import numpy as np
 import pytest
 
+from hmcleod import cli
 from hmcleod import endpoints as ep
 from hmcleod import quadrature as quad
 from hmcleod import theta as th
-from hmcleod.errors import NonFinite, NormalizationFailure, ThetaZero
+from hmcleod.errors import NonFinite, NormalizationFailure, ThetaZero, WrongRegion
 
 
 @pytest.fixture(scope="module")
@@ -239,25 +240,25 @@ def test_upper_half_plane_matches_reflection(x):
         assert abs(upper.value(k) - np.conj(lower.value(k))) <= 1e-9
 
 
-def test_pipeline_cache_hints_stay_in_their_half_plane(monkeypatch):
-    # a solved lower pipeline 1.0 away from an upper x is not its seed
-    seeds = []
+def test_pipeline_cache_holds_no_upper_half_pipeline(tmp_path, monkeypatch):
+    # an upper-half slice and a grid across the axis take every value
+    # and pole above the axis from its mirror: no pipeline there is built
+    caches = []
 
-    class Recorder:
-        def __init__(self, x, seed=None):
-            self.x = complex(x)
-            seeds.append(seed)
+    class Recording(th._PipelineCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
 
-    class Solved:
-        x, e = -2.0 - 0.5j, "lower endpoints"
-
-    monkeypatch.setattr(th, "Genus1Pipeline", Recorder)
-    cache = th._PipelineCache()
-    cache.add(Solved())
-    cache.get(-2.0 + 0.5j)
-    assert seeds == [None]
-    cache.get(-2.0 - 1.0j)
-    assert seeds[-1] == "lower endpoints"
+    monkeypatch.setattr(th, "_PipelineCache", Recording)
+    assert cli.main(["slice", "--k", "1", "--im", "9", "--xmin", "-4.9", "--xmax", "-4.8",
+                     "--samples", "3", "--out", str(tmp_path / "s.csv")]) == 0
+    assert cli.main(["grid", "--k", "1", "--window", "-2", "-1", "-4", "4", "--res", "3",
+                     "--out", str(tmp_path / "g.csv")]) == 0
+    assert len(caches) == 2 and all(cache.solved for cache in caches)
+    assert all(pipe.x.imag <= 0 for cache in caches for pipe in cache.solved.values())
+    with pytest.raises(WrongRegion):
+        caches[0].get(-4.85 + 9j)
 
 
 def test_cold_pipeline_builds_no_h_field(pipe_refpoint, monkeypatch):
