@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import cached_property
 
 import numpy as np
@@ -153,26 +153,31 @@ def _mask_window(box, pad, radius):
     return (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
 
 
-def _asymptotic_column(harness, k, xs, regions, poles):
-    """Each x's (asymptotic value, flag).
+def _asymptotic_columns(harness, ks, xs, box, pad):
+    """Yields, for each of ks in order, each x's (asymptotic value, flag).
 
-    ``regions`` holds x's entry of ``_regions``, or None for no
-    asymptotic value.  The flag is "ok", "pole-mask" or the name of the
-    HmcleodError that the value raised.
+    The flag is "ok", "pole-mask" or the name of the HmcleodError that
+    x's classification or value raised.  The points are classified
+    once.  When one of them lies in the pole region, each k's poles are
+    predicted over one window, the widest mask's: ``box`` padded by
+    ``pad`` or by more.
     """
-    column = []
-    for x, region in zip(xs, regions):
-        asym, flag = None, "ok"
-        try:
-            if isinstance(region, HmcleodError):
-                raise region
-            if region is not None:
+    regions = _regions(xs)
+    window = None
+    if _needs_pole_mask(regions):
+        window = _mask_window(box, pad, harness.mask_radius(min(ks)))
+    for k in ks:
+        poles = None if window is None else harness.pole_mask(k, window)
+        column = []
+        for x, region in zip(xs, regions):
+            try:
+                if isinstance(region, HmcleodError):
+                    raise region
                 asym, _ = harness.asymptotic(x, k, region, poles=poles)
-                flag = "ok" if asym is not None else "pole-mask"
-        except HmcleodError as exc:
-            flag = type(exc).__name__
-        column.append((asym, flag))
-    return column
+                column.append((asym, "ok" if asym is not None else "pole-mask"))
+            except HmcleodError as exc:
+                column.append((None, type(exc).__name__))
+        yield column
 
 
 def _numeric_column(harness, k, xs):
@@ -243,7 +248,7 @@ def _worker_column(k):
 
 
 def _row(asym, flag, num):
-    """(asym, num, flag, failed) of one point of a slice or grid.
+    """(asym, num, abs_err, flag, failed) of one point of a slice or grid.
 
     ``num`` is the numeric value, the name of the HmcleodError it
     raised, or None for no numeric value.  A masked point is no
@@ -253,7 +258,8 @@ def _row(asym, flag, num):
     failed = flag not in ("ok", "pole-mask")
     if isinstance(num, str):
         flag, num, failed = (num if flag == "ok" else flag), None, True
-    return asym, num, flag, failed
+    err = abs(asym - num) if asym is not None and num is not None else None
+    return asym, num, err, flag, failed
 
 
 def _write_rows(path, header, rows):
@@ -271,20 +277,12 @@ def cmd_slice(args):
     box = (args.xmin, args.xmax, args.im, args.im)
     failures = 0
     with _numeric_columns(harness, args.k, xs) as numeric:
-        # the labels and genus-0 values do not depend on k
-        regions = _regions(xs)
-        for k in args.k:
-            poles = None
-            if abs(args.im) > 1e-12 and _needs_pole_mask(regions):
-                # one window for every k, the widest mask's
-                window = _mask_window(box, 0.6, harness.mask_radius(min(args.k)))
-                poles = harness.pole_mask(k, window)
-            asymptotic = _asymptotic_column(harness, k, xs, regions, poles)
+        asymptotic = _asymptotic_columns(harness, args.k, xs, box, 0.6)
+        for k, column in zip(args.k, asymptotic):
             rows = []
-            for x, (asym, flag), num in zip(xs, asymptotic, numeric(k)):
-                asym, num, flag, failed = _row(asym, flag, num)
+            for x, (asym, flag), num in zip(xs, column, numeric(k)):
+                asym, num, err, flag, failed = _row(asym, flag, num)
                 failures += failed
-                err = abs(asym - num) if (asym is not None and num is not None) else None
                 rows.append([*_fmt_pair(x), *_fmt_pair(asym), *_fmt_pair(num), _fmt(err), flag])
             out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
             _write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", rows)
@@ -295,29 +293,23 @@ def cmd_slice(args):
 def cmd_grid(args):
     k, = args.k
     re0, re1, im0, im1 = args.window
-    xs = np.linspace(re0, re1, args.res)
-    ys = np.linspace(im0, im1, args.res)
+    xs = [complex(xr, xi) for xi in np.linspace(im0, im1, args.res)
+          for xr in np.linspace(re0, re1, args.res)]
     harness = Harness.from_args(args)
-    grid_pts = [complex(xr, xi) for xi in ys for xr in xs]
-    poles = None
-    regions = [None] * len(grid_pts)
-    if args.quantity in ("asymptotic", "error"):
-        regions = _regions(grid_pts)
-        if _needs_pole_mask(regions):
-            poles = harness.pole_mask(k, _mask_window(args.window, 0.4, harness.mask_radius(k)))
-    nums = [None] * len(grid_pts)
-    if args.quantity in ("numeric", "error"):
-        nums = _numeric_column(harness, k, grid_pts)
-    asymptotic = _asymptotic_column(harness, k, grid_pts, regions, poles)
-
+    asymptotic = [(None, "ok")] * len(xs)
+    columns = nullcontext(lambda k: [None] * len(xs))
+    if args.quantity != "asymptotic":
+        columns = _numeric_columns(harness, args.k, xs)
     failures = 0
     rows = []
-    for x, (asym, flag), num in zip(grid_pts, asymptotic, nums):
-        asym, num, flag, failed = _row(asym, flag, num)
-        failures += failed
-        err = abs(asym - num) if asym is not None and num is not None else None
-        val = {"asymptotic": asym, "numeric": num, "error": err}[args.quantity]
-        rows.append([*_fmt_pair(x), *_fmt_pair(val), flag])
+    with columns as numeric:
+        if args.quantity != "numeric":
+            asymptotic, = _asymptotic_columns(harness, args.k, xs, args.window, 0.4)
+        for x, (asym, flag), num in zip(xs, asymptotic, numeric(k)):
+            asym, num, err, flag, failed = _row(asym, flag, num)
+            failures += failed
+            val = {"asymptotic": asym, "numeric": num, "error": err}[args.quantity]
+            rows.append([*_fmt_pair(x), *_fmt_pair(val), flag])
     _write_rows(args.out, "x_re,x_im,value_re,value_im,flag", rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 2 if failures else 0
@@ -351,17 +343,17 @@ def cmd_poles(args):
     from . import theta
     k, = args.k
     window = tuple(args.window)
+    harness = Harness.from_args(args)
     # the nodes of predict_poles, classified once for both: a window
     # whose corners are pole-free may still cross the pole region inside
-    cache = theta._PipelineCache()
-    _, labels = cache.classified_grid(theta.fold(window))
+    _, labels = harness._pipes.classified_grid(theta.fold(window))
     if all(label.pole_free for label in labels.ravel()):
         raise WrongRegion("pole window lies in the pole-free region")
-    poles = theta.predict_poles(window, k, cache=cache)
+    poles = harness.pole_mask(k, window)
     doc = {
         "k": k,
         "delta": args.delta,
-        "mask_radius": args.delta / k ** (2.0 / 3.0),
+        "mask_radius": harness.mask_radius(k),
         "poles": [[z.real, z.imag] for z in poles],
     }
     with open(args.out, "w", encoding="utf-8") as fh:

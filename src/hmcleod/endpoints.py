@@ -319,11 +319,11 @@ def _newton(x, v0):
     return v, F, n_iter
 
 
-def degenerate_seed(x, eps=0.06, rotate=0.0):
-    """Seed near the one-band degeneration: bands split at c(x)."""
+def degenerate_seed(x):
+    """Seed near the one-band degeneration: bands split by 0.12 at c(x)."""
     d = genus0_data(x)
-    u = (d.b - d.a) / abs(d.b - d.a) * np.exp(1j * rotate)
-    return EndpointSet(A=d.a, B=d.c - eps * u, C=d.c + eps * u, D=d.b, x=complex(x))
+    u = (d.b - d.a) / abs(d.b - d.a)
+    return EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b, x=complex(x))
 
 
 # where every cold solve starts: just inside the lower pole wedge, below its apex
@@ -337,7 +337,7 @@ def _bootstrap():
     return _vec_to_set(v, complex(_WEDGE_ANCHOR)), F, n_iter
 
 
-def solve_endpoints(x, seed=None, return_info=False):
+def solve_endpoints(x, seed=None):
     """Solve the eight-condition endpoint system at x.
 
     Above the axis the chain is the ``EndpointSet.mirror`` of the one
@@ -349,16 +349,14 @@ def solve_endpoints(x, seed=None, return_info=False):
     """
     x = complex(x)
     if x.imag > 0:
-        e, info = solve_endpoints(x.conjugate(), None if seed is None else seed.mirror(), True)
-        return (e.mirror(), info) if return_info else e.mirror()
+        return solve_endpoints(x.conjugate(), None if seed is None else seed.mirror()).mirror()
     if seed is not None:
-        v, F, n_iter = _newton(x, _set_to_vec(seed))
-        e = _vec_to_set(v, x)
+        e = _vec_to_set(_newton(x, _set_to_vec(seed))[0], x)
     else:
         label = classify_region(x)
         if label is not RegionLabel.POLE_REGION_DOWN:
             raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
-        e, F, n_iter = _bootstrap()
+        e = _bootstrap()[0]
         step = 0.5
         for _ in range(400):
             if e.x == x:
@@ -366,7 +364,7 @@ def solve_endpoints(x, seed=None, return_info=False):
             remaining = x - e.x
             dx = remaining if abs(remaining) <= step else remaining / abs(remaining) * step
             try:
-                v, F, n_iter = _newton(e.x + dx, _set_to_vec(e))
+                v = _newton(e.x + dx, _set_to_vec(e))[0]
                 e = _vec_to_set(v, e.x + dx)
                 step = min(0.5, step * 1.5)
             except (NoConvergence, DegenerateEndpoints):
@@ -376,8 +374,6 @@ def solve_endpoints(x, seed=None, return_info=False):
         else:
             raise NoConvergence(f"continuation toward x={x} stalled")
     contours_for(e)
-    if return_info:
-        return e, {"newton_iters": n_iter, "residual": float(np.max(np.abs(F)))}
     return e
 
 

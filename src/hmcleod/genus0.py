@@ -158,7 +158,7 @@ def _points(x):
     """The x of a 1-d array as a one-point solve computes with them.
 
     That is a Python complex, or, for an x on Sigma_S, the numpy complex
-    that nudging it to the plus (pole-free) side makes of it, with a
+    that nudging it off the cut (see ``solve_S``) makes of it, with a
     warning.
     """
     pts = [complex(v) for v in x]
@@ -216,7 +216,9 @@ def solve_S(x):
     by Cardano (companion matrix) plus continuation: the branch is
     anchored at S(0) = -i 2^(1/3) and tracked along the straight segment
     from 0 to x, which never crosses the radial rays of Sigma_S.  Inputs
-    on the cut are nudged to the plus (pole-free) side and warned about.
+    on the cut are nudged to the left of the ray's outward direction and
+    warned about: that is the pole-free side of the upper ray, but the
+    pole-region side of the lower one.
     """
     x = np.asarray(x, dtype=complex)
     S = _continue_from_zero(_points(x.ravel()))
@@ -484,17 +486,16 @@ def classify_region(x):
 def classify_and_value(x):
     """Region labels of x and the leading asymptotic values -i S(x)/2.
 
-    The value is NaN where x is not pole-free.  The S of the
-    classification is S(x) itself where Im x >= 0, so a point costs one
-    cold solve of S there and two below the real axis.
+    The value is NaN where x is not pole-free.  Each value comes from
+    the S of the classification, one cold solve per point: S(x) itself
+    where Im x >= 0, and S(conj x) below the real axis, where the value
+    is the conjugate of the one at conj x (S(conj x) = -conj S(x)).
     """
     x = np.asarray(x, dtype=complex)
     labels, S = _classify(x)
     free = np.vectorize(lambda lab: lab.pole_free, otypes=[bool])(labels)
-    below = x.imag < 0
-    S = np.where(below, np.nan, S)
-    S[free & below] = solve_S(x[free & below])
-    return labels, np.where(free, _cmul(-1j, S) / 2.0, np.nan)[()]
+    values = np.where(free, _cmul(-1j, S) / 2.0, np.nan)
+    return labels, np.where(x.imag < 0, np.conj(values), values)[()]
 
 
 def genus0_value(x):

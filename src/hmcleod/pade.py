@@ -179,19 +179,17 @@ def _toeplitz_index(nu):
     return nu + np.arange(nu)[:, None] - np.arange(nu)
 
 
-def pade_from_taylor(jet, nu=None):
-    """Diagonal (nu, nu) approximant matching the jet through h^(2 nu).
+def pade_from_taylor(jet):
+    """Diagonal (nu, nu) approximant matching the jet through h^(2 nu), nu = order // 2.
 
     The denominator comes from the Toeplitz system expressing vanishing
     of the coefficients h^(nu+1)..h^n; a rank-deficient table retries
     with nu reduced, up to 3 times.
     """
     c = jet.coefficients
-    n = jet.order
-    nu0 = n // 2 if nu is None else nu
     last = None
     for drop in range(4):
-        nu = nu0 - drop
+        nu = jet.order // 2 - drop
         if nu < 1:
             break
         try:

@@ -34,21 +34,15 @@ class Path:
     """Oriented polyline through the given vertices."""
 
     vertices: tuple
-    closed: bool = False
 
     def __post_init__(self):
         verts = tuple(complex(v) for v in self.vertices)
-        if self.closed and verts[0] != verts[-1]:
-            verts = verts + (verts[0],)
         if len(verts) < 2:
             raise ValueError("a path needs at least two vertices")
         for u, v in zip(verts, verts[1:]):
             if u == v:
                 raise ValueError("consecutive path vertices must be distinct")
         object.__setattr__(self, "vertices", verts)
-
-    def reverse(self):
-        return Path(self.vertices[::-1], closed=self.closed)
 
     def segments(self):
         return list(zip(self.vertices, self.vertices[1:]))

@@ -191,8 +191,9 @@ def test_criterion_7_endpoint_solver(shared_cache):
             hf = ep.HField(pipe.e)
             _, diff_g = ep.midpoint_two_sided(hf, pipe.e.B, pipe.e.C)
             assert abs(1j * diff_g - sc.omega) <= 1e-8 * max(1.0, abs(sc.omega))
-            e2, info = ep.solve_endpoints(x + 0.05, seed=pipe.e, return_info=True)
-            assert info["newton_iters"] <= 10
+            # a seeded solve below the axis is this one Newton run
+            _, _, n_iter = ep._newton(x + 0.05, ep._set_to_vec(pipe.e))
+            assert n_iter <= 10
 
 
 def test_criterion_8_theta_suite(shared_cache):

@@ -654,6 +654,25 @@ def test_vault_work_runs_in_one_forked_worker(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("quantity", ["error", "numeric"])
+def test_off_axis_grid_builds_its_atlas_in_one_forked_worker(quantity, tmp_path, monkeypatch):
+    log = tmp_path / "pids"
+    atlas = commands.Harness.atlas
+
+    def logging_atlas(self, k, ys):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return atlas(self, k, ys)
+
+    monkeypatch.setattr(commands.Harness, "atlas", logging_atlas)
+    monkeypatch.setattr(theta, "predict_poles", lambda *args, **kwargs: [])
+    assert run(["grid", "--k", "2", "--window", "-1.7", "-1.3", "-9.2", "-8.8", "--res", "2",
+                "--quantity", quantity, "--seed", "1", "--out", str(tmp_path / "g.csv")]) == 0
+    pids = log.read_text().split()
+    assert len(pids) == 1 and int(pids[0]) != os.getpid()
+    _assert_no_child_left()
+
+
 def test_failed_vault_ends_the_slice_as_before(tmp_path, monkeypatch, capsys):
     # the k = 2 atlas stalls: k = 1 is written, then exit 1 with the
     # vault's own message, as in the serial loop

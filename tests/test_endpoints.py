@@ -114,20 +114,22 @@ def test_three_half_power_at_D(solved, pipe_refpoint):
 
 
 def test_continuation_newton_steps(solved):
-    e2, info = ep.solve_endpoints(solved.x + 0.05, seed=solved, return_info=True)
-    assert info["newton_iters"] <= 10
-    assert info["residual"] <= 1e-10
+    # a seeded solve below the axis is this one Newton run
+    _, F, n_iter = ep._newton(solved.x + 0.05, ep._set_to_vec(solved))
+    assert n_iter <= 10
+    assert np.max(np.abs(F)) <= 1e-10
 
 
 def test_anchor_solve_reports_info():
     # at the bootstrap anchor no continuation step runs; the info is the
     # anchor solve's own
     anchor = ep._WEDGE_ANCHOR
-    e, info = ep.solve_endpoints(anchor, return_info=True)
-    assert e.x == complex(anchor)
-    assert info["newton_iters"] >= 1
-    assert info["residual"] <= 1e-11
-    assert info["residual"] == pytest.approx(np.max(np.abs(ep.residuals(e))), abs=0.0)
+    e = ep.solve_endpoints(anchor)
+    bootstrap, F, n_iter = ep._bootstrap()
+    assert e.x == complex(anchor) and e.points() == bootstrap.points()
+    assert n_iter >= 1
+    assert np.max(np.abs(F)) <= 1e-11
+    assert np.max(np.abs(F)) == pytest.approx(np.max(np.abs(ep.residuals(e))), abs=0.0)
 
 
 @pytest.mark.parametrize("x", [-1.5 + 10j, -4.0 + 8j, 1.0 + 8j])
@@ -138,9 +140,9 @@ def test_upper_half_plane_solve_is_the_mirror_of_the_lower(x):
         return tuple(-np.conj(p) for p in e.points()[::-1])
 
     lower = ep.solve_endpoints(np.conj(x))
-    upper, info = ep.solve_endpoints(x, return_info=True)
+    upper = ep.solve_endpoints(x)
     assert upper.points() == mirrored(lower) and upper.x == x
-    assert max(info["residual"], np.max(np.abs(ep.residuals(upper)))) <= 1e-11
+    assert max(np.max(np.abs(ep.residuals(lower))), np.max(np.abs(ep.residuals(upper)))) <= 1e-11
     step = ep.solve_endpoints(x + 0.05 + 0.05j, seed=upper)
     assert step.points() == mirrored(ep.solve_endpoints(np.conj(x) + 0.05 - 0.05j, seed=lower))
 
@@ -205,7 +207,11 @@ def _central_differences(e):
 
 def test_analytic_jacobian_matches_differences(solved):
     upper = ep.solve_endpoints(-4 + 8j)
-    seed = ep.degenerate_seed(ep._WEDGE_ANCHOR, rotate=0.5)
+    # the split one-band seed with its bands turned by 0.5 rad about c(x)
+    d = g0.genus0_data(ep._WEDGE_ANCHOR)
+    u = (d.b - d.a) / abs(d.b - d.a) * np.exp(0.5j)
+    seed = ep.EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b,
+                          x=complex(ep._WEDGE_ANCHOR))
     for e in (solved, upper, seed):
         J_fd = _central_differences(e)
         J = ep.jacobian(e, ep._system(e, ep.NEWTON_NODES)[1])
@@ -220,12 +226,22 @@ def test_newton_makes_no_difference_quotients(solved, monkeypatch):
         calls.append(e)
         return system(e, m)
 
+    iterations = []
+    newton = ep._newton
+
+    def recorded(x, v0):
+        out = newton(x, v0)
+        iterations.append(out[2])
+        return out
+
     monkeypatch.setattr(ep, "_system", counted)
-    _, info = ep.solve_endpoints(solved.x + 0.05, seed=solved, return_info=True)
+    monkeypatch.setattr(ep, "_newton", recorded)
+    ep.solve_endpoints(solved.x + 0.05, seed=solved)
     # the starting residual pass, then one trial per iteration: every full
     # Newton step of a short continuation step is accepted, and the
     # Jacobian reuses the nodes of the accepted trial
-    assert len(calls) == 1 + info["newton_iters"]
+    assert len(iterations) == 1
+    assert len(calls) == 1 + iterations[0]
 
 
 def test_cold_constants_batch_the_h_field_ladders(solved, pipe_refpoint, monkeypatch):

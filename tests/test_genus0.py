@@ -451,6 +451,8 @@ def test_array_frak_c_is_the_scalar_value():
 
 
 def test_classify_and_value_reuse_the_solve_above_the_axis():
+    # above the axis the value is -i S(x)/2, below it the conjugate of the
+    # value at conj x: one cold solve of S per point
     rng = np.random.default_rng(8)
     xs = rng.uniform(-8.0, 8.0, 300) + 1j * rng.uniform(-8.0, 8.0, 300)
     with warnings.catch_warnings():
@@ -459,7 +461,8 @@ def test_classify_and_value_reuse_the_solve_above_the_axis():
         for x, label, value in zip(xs, labels, values):
             assert label is g0.classify_region(x)
             if label.pole_free:
-                ref = -1j * complex(_ref_solve_S(x)) / 2.0
+                ref = -1j * complex(_ref_solve_S(x.conjugate() if x.imag < 0 else x)) / 2.0
+                ref = ref.conjugate() if x.imag < 0 else ref
                 assert _bits(value).tolist() == _bits(ref).tolist()
                 assert _bits(g0.genus0_value(x)).tolist() == _bits(ref).tolist()
             else:
@@ -476,8 +479,30 @@ def test_classify_and_value_reuse_the_solve_above_the_axis():
         g0.classify_and_value(np.array(POLE_FREE_GRID))
     finally:
         g0.solve_S = real_solve
-    # one solve for every point, one more for the points below the axis
-    assert sum(cold) == 576 + 288
+    assert sum(cold) == 576
+
+
+def test_values_below_the_axis_are_the_conjugates_of_the_values_above():
+    lower = np.array([x for x in POLE_FREE_GRID if x.imag < 0])
+    labels, values = g0.classify_and_value(lower)
+    mirror_labels, mirror_values = g0.classify_and_value(np.conj(lower))
+    assert all(label.pole_free for label in labels)
+    assert np.array_equal(_bits(values), _bits(np.conj(mirror_values)))
+
+
+def test_value_on_the_lower_cut_ray_is_its_pole_free_neighbours():
+    # S on the lower ray is nudged into the pole region, but the point is
+    # a pole-free boundary point: its value is that of the pole-free side
+    x = complex(g0.APEX_MINUS + g0._RAY_DIR_MINUS)
+    neighbour = x + 1e-6 * np.conj(g0._SIDE_PLUS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OnCutWarning)
+        (label, near), (value, near_value) = g0.classify_and_value(np.array([x, neighbour]))
+        mirror = g0.classify_and_value(x.conjugate())[1]
+    assert label is g0.RegionLabel.BOUNDARY_POINT
+    assert near is g0.RegionLabel.POLE_FREE_LEFT
+    assert abs(value - near_value) <= 1e-5
+    assert _bits(value).tolist() == _bits(np.conj(mirror)).tolist()
 
 
 def test_genus0_value_examples():
