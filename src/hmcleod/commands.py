@@ -25,6 +25,11 @@ def _fmt(z):
     return f"{z:.12e}"
 
 
+def _on_axis(x):
+    """Whether x counts as on the real axis, where collocation gives its numeric value."""
+    return abs(x.imag) <= 1e-12
+
+
 def _fmt_pair(z):
     """The real and imaginary part columns of z, both nan for a missing z."""
     return [_fmt(None), _fmt(None)] if z is None else [_fmt(z.real), _fmt(z.imag)]
@@ -86,7 +91,7 @@ class Harness:
         """Scaled numeric value: collocation on the real axis, else ``atlas`` at y or conj y."""
         from . import collocation, pade
         y = y_from_x(x, k)
-        if abs(x.imag) < 1e-12:
+        if _on_axis(x):
             sol = self.collocation_solution(k + 0.5)
             u, _ = collocation.eval_solution(sol, y)
         elif y.imag < 0:
@@ -186,7 +191,7 @@ def _numeric_column(harness, k, xs):
     The vault atlas is built first when some x is off the real axis; an
     HmcleodError of that build propagates.
     """
-    off_axis = [y_from_x(x, k) for x in xs if abs(x.imag) > 1e-12]
+    off_axis = [y_from_x(x, k) for x in xs if not _on_axis(x)]
     atlas = harness.atlas(k, off_axis) if off_axis else None
     column = []
     for x in xs:
@@ -211,7 +216,7 @@ def _numeric_columns(harness, ks, xs):
     own class and message.  Leaving the block terminates and reaps the
     worker.
     """
-    if all(abs(x.imag) <= 1e-12 for x in xs):
+    if all(_on_axis(x) for x in xs):
         yield lambda k: _numeric_column(harness, k, xs)
         return
     for k in ks:
@@ -297,8 +302,12 @@ def cmd_grid(args):
           for xr in np.linspace(re0, re1, args.res)]
     harness = Harness.from_args(args)
     asymptotic = [(None, "ok")] * len(xs)
-    columns = nullcontext(lambda k: [None] * len(xs))
-    if args.quantity != "asymptotic":
+    if args.quantity == "asymptotic":
+        columns = nullcontext(lambda k: [None] * len(xs))
+    elif args.quantity == "numeric":
+        # no asymptotic work runs beside the vault, so no worker either
+        columns = nullcontext(lambda k: _numeric_column(harness, k, xs))
+    else:
         columns = _numeric_columns(harness, args.k, xs)
     failures = 0
     rows = []

@@ -326,53 +326,25 @@ def degenerate_seed(x):
     return EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b, x=complex(x))
 
 
-# where every cold solve starts: just inside the lower pole wedge, below its apex
-_WEDGE_ANCHOR = 3.0 * np.exp(-2j * np.pi / 3.0) - 0.45j
-
-
-@lru_cache(maxsize=1)
-def _bootstrap():
-    """The chain at ``_WEDGE_ANCHOR``, solved from the split one-band data."""
-    v, F, n_iter = _newton(complex(_WEDGE_ANCHOR), _set_to_vec(degenerate_seed(_WEDGE_ANCHOR)))
-    return _vec_to_set(v, complex(_WEDGE_ANCHOR)), F, n_iter
-
-
 def solve_endpoints(x, seed=None):
-    """Solve the eight-condition endpoint system at x.
+    """Solve the eight-condition endpoint system at x: one Newton from a seed.
 
     Above the axis the chain is the ``EndpointSet.mirror`` of the one
-    solved at conj x from the mirrored seed.  With no seed, the solution
-    is continued along a straight path from ``_WEDGE_ANCHOR``, itself
-    seeded by splitting the degenerate one-band data.  The region check
-    applies to that cold path only: a seeded solve is a continuation step
-    and may be asked for any x.
+    solved at conj x from the mirrored seed.  With no seed, x must lie in
+    the pole region and Newton starts from x's own split one-band data
+    (``degenerate_seed``): at the region's boundary the two bands fall
+    back onto a, c, c, b.  A seeded solve starts from ``seed``, a solved
+    chain near x, and may be asked for any x.
     """
     x = complex(x)
     if x.imag > 0:
         return solve_endpoints(x.conjugate(), None if seed is None else seed.mirror()).mirror()
-    if seed is not None:
-        e = _vec_to_set(_newton(x, _set_to_vec(seed))[0], x)
-    else:
+    if seed is None:
         label = classify_region(x)
         if label is not RegionLabel.POLE_REGION_DOWN:
             raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
-        e = _bootstrap()[0]
-        step = 0.5
-        for _ in range(400):
-            if e.x == x:
-                break
-            remaining = x - e.x
-            dx = remaining if abs(remaining) <= step else remaining / abs(remaining) * step
-            try:
-                v = _newton(e.x + dx, _set_to_vec(e))[0]
-                e = _vec_to_set(v, e.x + dx)
-                step = min(0.5, step * 1.5)
-            except (NoConvergence, DegenerateEndpoints):
-                step *= 0.5
-                if step < 1e-3:
-                    raise
-        else:
-            raise NoConvergence(f"continuation toward x={x} stalled")
+        seed = degenerate_seed(x)
+    e = _vec_to_set(_newton(x, _set_to_vec(seed))[0], x)
     contours_for(e)
     return e
 

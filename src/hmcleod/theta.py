@@ -354,13 +354,14 @@ def _cache_key(x):
 
 
 class _PipelineCache:
-    """Continuation-aware cache of pipelines at Im x <= 0 over an x-window.
+    """Cache of the pipelines at Im x <= 0 over an x-window.
 
     Values and poles at Im x > 0 mirror those at conj x: the cache
     refuses an x above the axis.  A new pipeline's endpoint Newton starts
-    from the endpoints of the nearest solved pipeline within 1.5 (else
-    it is a cold solve).  The cache also keeps each window's classified
-    pole grid, which every k shares.
+    from the chain of the nearest solved pipeline within 1.5, else from
+    x's own split one-band data (a cold ``endpoints.solve_endpoints``).
+    The cache also keeps each window's classified pole grid, which every
+    k shares.
     """
 
     def __init__(self):

@@ -656,6 +656,8 @@ def test_vault_work_runs_in_one_forked_worker(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("quantity", ["error", "numeric"])
 def test_off_axis_grid_builds_its_atlas_in_one_forked_worker(quantity, tmp_path, monkeypatch):
+    # an error grid builds its atlas in the worker, beside the asymptotic
+    # values; a numeric grid has nothing to run beside it and forks no worker
     log = tmp_path / "pids"
     atlas = commands.Harness.atlas
 
@@ -669,8 +671,26 @@ def test_off_axis_grid_builds_its_atlas_in_one_forked_worker(quantity, tmp_path,
     assert run(["grid", "--k", "2", "--window", "-1.7", "-1.3", "-9.2", "-8.8", "--res", "2",
                 "--quantity", quantity, "--seed", "1", "--out", str(tmp_path / "g.csv")]) == 0
     pids = log.read_text().split()
-    assert len(pids) == 1 and int(pids[0]) != os.getpid()
+    assert len(pids) == 1 and (int(pids[0]) == os.getpid()) == (quantity == "numeric")
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--k", "1", "--im", "1e-12", "--xmin", "-1", "--xmax", "1", "--samples", "3"],
+    ["grid", "--k", "1", "--window", "-1", "1", "1e-12", "1e-12", "--res", "3",
+     "--quantity", "numeric"],
+])
+def test_points_at_im_1e_12_take_the_collocation_value(argv, tmp_path):
+    # every numeric check takes |Im x| <= 1e-12 as the real axis: the
+    # numeric values are the collocation values of the points at Im x = 0
+    on, off = tmp_path / "on.csv", tmp_path / "off.csv"
+    assert run(argv + ["--out", str(off)]) == 0
+    zero = [a.replace("1e-12", "0") for a in argv]
+    assert run(zero + ["--out", str(on)]) == 0
+    col = slice(4, 6) if argv[0] == "slice" else slice(2, 4)
+    rows = [[line.split(",") for line in f.read_text().strip().split("\n")[1:]] for f in (off, on)]
+    assert [r[col] for r in rows[0]] == [r[col] for r in rows[1]]
+    assert all(r[-1] == "ok" for r in rows[0])
 
 
 def test_failed_vault_ends_the_slice_as_before(tmp_path, monkeypatch, capsys):

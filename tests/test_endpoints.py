@@ -120,16 +120,65 @@ def test_continuation_newton_steps(solved):
     assert np.max(np.abs(F)) <= 1e-10
 
 
-def test_anchor_solve_reports_info():
-    # at the bootstrap anchor no continuation step runs; the info is the
-    # anchor solve's own
-    anchor = ep._WEDGE_ANCHOR
-    e = ep.solve_endpoints(anchor)
-    bootstrap, F, n_iter = ep._bootstrap()
-    assert e.x == complex(anchor) and e.points() == bootstrap.points()
-    assert n_iter >= 1
-    assert np.max(np.abs(F)) <= 1e-11
-    assert np.max(np.abs(F)) == pytest.approx(np.max(np.abs(ep.residuals(e))), abs=0.0)
+def test_cold_solve_is_one_newton_from_the_split_seed():
+    # a cold solve is the region check and one Newton run from x's own
+    # split one-band data, to the bit: near the apex, inside, far out
+    for x in (-1.5 - 3.05j, -1.5 - 10j, 10.0 - 24j):
+        e = ep.solve_endpoints(x)
+        v, F, n_iter = ep._newton(x, ep._set_to_vec(ep.degenerate_seed(x)))
+        assert e.x == x and e.points() == ep._vec_to_set(v, x).points()
+        assert n_iter >= 1
+        assert np.max(np.abs(F)) <= 1e-11
+        assert np.max(np.abs(F)) == pytest.approx(np.max(np.abs(ep.residuals(e))), abs=0.0)
+
+
+def _in_pole_region(x):
+    return g0.classify_region(x) is g0.RegionLabel.POLE_REGION_DOWN
+
+
+def _cold_sample():
+    """Pole-region points below the axis, each with the direction of its neighbour.
+
+    Interior points of Re x in [-14, 10], Im x in [-24, 0]; points 1e-3
+    to 0.2 inside the ray of Sigma_S and, along their row, inside the
+    curved branch; and points with |x| > 20.  Points much closer to the
+    boundary are left out: 6.4e-7 from the ray, the split-seed Newton
+    and the continuation from a neighbour can end on chains with B and D
+    exchanged (3.4e-4 apart), and the pipeline raises RealityViolation
+    there either way.
+    """
+    rng = np.random.default_rng(30)
+    ray = g0._RAY_DIR_MINUS
+    pts = []
+    while len(pts) < 8:
+        x = complex(rng.uniform(-14.0, 10.0), rng.uniform(-24.0, 0.0))
+        if _in_pole_region(x):
+            pts.append(pytest.param(x, np.exp(2j * np.pi * rng.random()), id=f"interior{len(pts)}"))
+    t = rng.uniform(0.3, 25.0, 8)
+    near = g0.APEX_MINUS + t * ray + 10.0 ** rng.uniform(-3.0, np.log10(0.2), 8) * 1j * ray
+    pts += [pytest.param(complex(x), 1j * ray, id=f"ray{i}") for i, x in enumerate(near)]
+    rows = rng.uniform(-g0._BRANCH_IM_MAX, g0.APEX_MINUS.imag - 0.3, 8)
+    ray_re = g0.APEX_PLUS.real - (-rows - g0.APEX_PLUS.imag) / np.sqrt(3.0)
+    near = (g0._row_roots(-rows, ray_re + 1e-6, g0._BRANCH_RE_MAX) + 1j * rows
+            - 10.0 ** rng.uniform(-3.0, np.log10(0.2), 8))
+    pts += [pytest.param(complex(x), -1.0, id=f"branch{i}") for i, x in enumerate(near)]
+    while len(pts) < 30:
+        x = complex(rng.uniform(20.0, 40.0) * np.exp(-1j * np.pi * rng.random()))
+        if _in_pole_region(x):
+            pts.append(pytest.param(x, np.exp(2j * np.pi * rng.random()), id=f"far{len(pts) - 24}"))
+    return pts
+
+
+@pytest.mark.parametrize("x, towards", _cold_sample())
+def test_cold_chain_matches_the_warm_chain_from_a_neighbour(x, towards):
+    # the split-seed Newton converges, to the chain that a warm solve
+    # from a cold neighbour 0.1 away finds
+    neighbour = x + 0.1 * towards
+    assert _in_pole_region(x) and _in_pole_region(neighbour)
+    cold = ep.solve_endpoints(x)
+    warm = ep.solve_endpoints(x, seed=ep.solve_endpoints(neighbour))
+    assert np.max(np.abs(ep.residuals(cold))) <= 1e-11
+    assert max(abs(p - q) for p, q in zip(cold.points(), warm.points())) <= 1e-9
 
 
 @pytest.mark.parametrize("x", [-1.5 + 10j, -4.0 + 8j, 1.0 + 8j])
@@ -208,10 +257,10 @@ def _central_differences(e):
 def test_analytic_jacobian_matches_differences(solved):
     upper = ep.solve_endpoints(-4 + 8j)
     # the split one-band seed with its bands turned by 0.5 rad about c(x)
-    d = g0.genus0_data(ep._WEDGE_ANCHOR)
+    x = -1.4999999999999993 - 3.048076211353316j
+    d = g0.genus0_data(x)
     u = (d.b - d.a) / abs(d.b - d.a) * np.exp(0.5j)
-    seed = ep.EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b,
-                          x=complex(ep._WEDGE_ANCHOR))
+    seed = ep.EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b, x=x)
     for e in (solved, upper, seed):
         J_fd = _central_differences(e)
         J = ep.jacobian(e, ep._system(e, ep.NEWTON_NODES)[1])
