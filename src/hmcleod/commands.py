@@ -146,31 +146,31 @@ def _needs_pole_mask(regions):
     return any(not isinstance(r, HmcleodError) and not r[0].pole_free for r in regions)
 
 
-def _mask_window(box, pad, radius):
-    """The pole-mask window of the points in box, padded by pad or by more.
+def _mask_window(box, radius):
+    """The pole-mask window of the points in box: box padded by radius - POLE_MARGIN.
 
     predict_poles keeps the poles up to POLE_MARGIN outside its window,
-    so a pad of radius - POLE_MARGIN keeps every pole within the mask
-    radius of a point.
+    so this pad, or none when the radius is smaller than the margin,
+    keeps every pole within the mask radius of a point.
     """
     from . import theta
-    pad = max(pad, radius - theta.POLE_MARGIN)
+    pad = max(0.0, radius - theta.POLE_MARGIN)
     return (box[0] - pad, box[1] + pad, box[2] - pad, box[3] + pad)
 
 
-def _asymptotic_columns(harness, ks, xs, box, pad):
+def _asymptotic_columns(harness, ks, xs, box):
     """Yields, for each of ks in order, each x's (asymptotic value, flag).
 
     The flag is "ok", "pole-mask" or the name of the HmcleodError that
     x's classification or value raised.  The points are classified
     once.  When one of them lies in the pole region, each k's poles are
-    predicted over one window, the widest mask's: ``box`` padded by
-    ``pad`` or by more.
+    predicted over one window, the widest mask's (``_mask_window`` of
+    ``box``).
     """
     regions = _regions(xs)
     window = None
     if _needs_pole_mask(regions):
-        window = _mask_window(box, pad, harness.mask_radius(min(ks)))
+        window = _mask_window(box, harness.mask_radius(min(ks)))
     for k in ks:
         poles = None if window is None else harness.pole_mask(k, window)
         column = []
@@ -282,7 +282,7 @@ def cmd_slice(args):
     box = (args.xmin, args.xmax, args.im, args.im)
     failures = 0
     with _numeric_columns(harness, args.k, xs) as numeric:
-        asymptotic = _asymptotic_columns(harness, args.k, xs, box, 0.6)
+        asymptotic = _asymptotic_columns(harness, args.k, xs, box)
         for k, column in zip(args.k, asymptotic):
             rows = []
             for x, (asym, flag), num in zip(xs, column, numeric(k)):
@@ -313,7 +313,7 @@ def cmd_grid(args):
     rows = []
     with columns as numeric:
         if args.quantity != "numeric":
-            asymptotic, = _asymptotic_columns(harness, args.k, xs, args.window, 0.4)
+            asymptotic, = _asymptotic_columns(harness, args.k, xs, args.window)
         for x, (asym, flag), num in zip(xs, asymptotic, numeric(k)):
             asym, num, err, flag, failed = _row(asym, flag, num)
             failures += failed

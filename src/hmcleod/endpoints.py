@@ -67,10 +67,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import quadrature as quad
-from .errors import (DegenerateEndpoints, NoConvergence, NonConvergence, OnCut,
-                     RealityViolation, WrongRegion)
-from .genus0 import (RegionLabel, _dist_to_segment, classify_region, cut_root,
-                     genus0_data, phase, phase_prime)
+from .errors import DegenerateEndpoints, NonConvergence, OnCut, RealityViolation, WrongRegion
+from .genus0 import RegionLabel, _classify, _dist_to_segment, cut_root, phase, phase_prime
 
 _L_RAY_LENGTH = 1e3
 
@@ -295,11 +293,11 @@ def _newton(x, v0):
     while np.max(np.abs(F)) > 1e-11:
         n_iter += 1
         if n_iter > 100:
-            raise NoConvergence(f"endpoint Newton did not converge at x={x}")
+            raise NonConvergence(f"endpoint Newton did not converge at x={x}")
         try:
             step = np.linalg.solve(jacobian(e, nodes), -F)
         except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Jacobian at x={x}") from exc
+            raise NonConvergence(f"singular Jacobian at x={x}") from exc
         lam = 1.0
         norm0 = np.max(np.abs(F))
         for _ in range(30):
@@ -315,15 +313,23 @@ def _newton(x, v0):
                 break
             lam *= 0.5
         else:
-            raise NoConvergence(f"endpoint Newton stalled at x={x}")
+            raise NonConvergence(f"endpoint Newton stalled at x={x}")
     return v, F, n_iter
 
 
 def degenerate_seed(x):
-    """Seed near the one-band degeneration: bands split by 0.12 at c(x)."""
-    d = genus0_data(x)
+    """Seed near the one-band degeneration: bands split by 0.12 at c(x).
+
+    x must lie in the lower pole region, else WrongRegion.  The seed is
+    the mirror of the one at conj x, from the genus-0 data that x's
+    classification solves there, so that a cold chain solves S once.
+    """
+    x = complex(x)
+    label, d = _classify(np.asarray(x))
+    if label is not RegionLabel.POLE_REGION_DOWN:
+        raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
     u = (d.b - d.a) / abs(d.b - d.a)
-    return EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b, x=complex(x))
+    return EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b, x=d.x).mirror()
 
 
 def solve_endpoints(x, seed=None):
@@ -333,18 +339,14 @@ def solve_endpoints(x, seed=None):
     solved at conj x from the mirrored seed.  With no seed, x must lie in
     the pole region and Newton starts from x's own split one-band data
     (``degenerate_seed``): at the region's boundary the two bands fall
-    back onto a, c, c, b.  A seeded solve starts from ``seed``, a solved
-    chain near x, and may be asked for any x.
+    back onto a, c, c, b.  This cold chain depends on x alone.  A seeded
+    solve starts from ``seed``, a solved chain near x, and may be asked
+    for any x; its last bits depend on the seed.
     """
     x = complex(x)
     if x.imag > 0:
         return solve_endpoints(x.conjugate(), None if seed is None else seed.mirror()).mirror()
-    if seed is None:
-        label = classify_region(x)
-        if label is not RegionLabel.POLE_REGION_DOWN:
-            raise WrongRegion(f"x={x} is not in the pole region ({label.value})")
-        seed = degenerate_seed(x)
-    e = _vec_to_set(_newton(x, _set_to_vec(seed))[0], x)
+    e = _vec_to_set(_newton(x, _set_to_vec(seed or degenerate_seed(x)))[0], x)
     contours_for(e)
     return e
 
@@ -510,7 +512,7 @@ class ChainRouter:
         total = to_start[:, None] + dist + to_end
         i, j = np.unravel_index(np.argmin(total), total.shape)
         if not np.isfinite(total[i, j]):
-            raise NoConvergence(f"no cut-avoiding path from {start} to {end}")
+            raise NonConvergence(f"no cut-avoiding path from {start} to {end}")
         verts = [start, W[i]]
         while i != j:
             i = hop[i, j]

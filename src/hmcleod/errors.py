@@ -8,7 +8,7 @@ class HmcleodError(Exception):
 # --- quadrature ---
 
 class NonConvergence(HmcleodError):
-    """Adaptive quadrature hit its depth limit before meeting tolerance."""
+    """Quadrature, the endpoint Newton or the chain router's path search did not converge."""
 
 
 class NonFinite(HmcleodError):
@@ -37,10 +37,6 @@ class TraceFailure(HmcleodError):
 
 class DegenerateEndpoints(HmcleodError):
     """Band endpoints collapsed below the separation threshold."""
-
-
-class NoConvergence(HmcleodError):
-    """Newton iteration for the endpoint system did not converge."""
 
 
 class RealityViolation(HmcleodError):

@@ -442,11 +442,11 @@ _LABEL_ORDER = np.array([RegionLabel.POLE_FREE_LEFT, RegionLabel.POLE_FREE_RIGHT
 
 
 def _classify(x):
-    """Region labels of the array x, and S at each classified point.
+    """Region labels of the array x, and the ``genus0_data`` of the classified points.
 
     The classified point is x itself where Im x >= 0 and conj(x) below
     the axis.  An apex point stands in as x = 0, which needs no
-    continuation, and gets S = NaN.
+    continuation.
     """
     to_plus, to_minus = x - APEX_PLUS, x - APEX_MINUS
     apex = np.minimum(np.hypot(to_plus.real, to_plus.imag),
@@ -462,7 +462,7 @@ def _classify(x):
     code = np.where((w.real > 0) & (w.imag > 0), 0, code)
     code = np.where(np.abs(c) <= 1e-8, 4, code)
     code = np.where(apex, 5, code)
-    return _LABEL_ORDER[code], np.where(apex, np.nan, d.S)
+    return _LABEL_ORDER[code], d
 
 
 def classify_region(x):
@@ -492,9 +492,9 @@ def classify_and_value(x):
     is the conjugate of the one at conj x (S(conj x) = -conj S(x)).
     """
     x = np.asarray(x, dtype=complex)
-    labels, S = _classify(x)
+    labels, d = _classify(x)
     free = np.vectorize(lambda lab: lab.pole_free, otypes=[bool])(labels)
-    values = np.where(free, _cmul(-1j, S) / 2.0, np.nan)
+    values = np.where(free, _cmul(-1j, d.S) / 2.0, np.nan)
     return labels, np.where(x.imag < 0, np.conj(values), values)[()]
 
 

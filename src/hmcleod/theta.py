@@ -348,27 +348,26 @@ def reduce_mod_lattice(v, B_period):
 # predicted poles and the excised domain
 # ---------------------------------------------------------------------------
 
-def _cache_key(x):
-    """Key of x in ``_PipelineCache.solved``."""
-    return (round(x.real, 12), round(x.imag, 12))
+# spacing of the fixed lattice of anchors that seed the pipelines
+ANCHOR_SPACING = 1.0
 
 
 class _PipelineCache:
-    """Cache of the pipelines at Im x <= 0 over an x-window.
+    """Cache of the pipelines at Im x <= 0, keyed by x.
 
     Values and poles at Im x > 0 mirror those at conj x: the cache
-    refuses an x above the axis.  A new pipeline's endpoint Newton starts
-    from the chain of the nearest solved pipeline within 1.5, else from
-    x's own split one-band data (a cold ``endpoints.solve_endpoints``).
-    The cache also keeps each window's classified pole grid, which every
-    k shares.
+    refuses an x above the axis.  A pipeline depends on x alone, not on
+    what the cache holds: its endpoint Newton starts from the anchor of
+    x, the cold chain (``endpoints.solve_endpoints``) at x's nearest node
+    of the lattice ANCHOR_SPACING (m + i n).  x is solved cold itself
+    when that node is not in the pole region, or when the anchor's solve
+    or x's seeded pipeline raises.  The cache also keeps each window's
+    classified pole grid, which every k shares.
     """
 
     def __init__(self):
         self.solved = {}
-        # the solved x in insertion order, with spare room at the end, and their pipelines
-        self._x = np.empty(64, dtype=complex)
-        self._pipes = []
+        self._anchors = {}
         self._grids = {}
 
     def classified_grid(self, window):
@@ -379,31 +378,29 @@ class _PipelineCache:
             self._grids[window] = nodes, labels
         return self._grids[window]
 
-    def add(self, pipe):
-        """Register a solved pipeline; ``get`` returns it in the place of one with the same key."""
-        if len(self._pipes) == len(self._x):
-            self._x = np.concatenate([self._x, np.empty_like(self._x)])
-        self._x[len(self._pipes)] = pipe.x
-        self._pipes.append(pipe)
-        self.solved[_cache_key(pipe.x)] = pipe
+    def _anchor(self, x):
+        """The cold chain at x's nearest lattice node, or None where it raises."""
+        node = (round(x.real / ANCHOR_SPACING), round(x.imag / ANCHOR_SPACING))
+        if node not in self._anchors:
+            try:
+                self._anchors[node] = ep.solve_endpoints(ANCHOR_SPACING * complex(*node))
+            except HmcleodError:
+                self._anchors[node] = None
+        return self._anchors[node]
 
     def get(self, x):
         x = complex(x)
         if x.imag > 0:
             raise WrongRegion(f"x={x} lies above the axis: take the mirror of conj x")
-        key = _cache_key(x)
-        if key in self.solved:
-            return self.solved[key]
-        seed = None
-        if self._pipes:
-            d = self._x[:len(self._pipes)] - x
-            dist = np.hypot(d.real, d.imag)
-            i = int(np.argmin(dist))
-            if dist[i] < 1.5:
-                seed = self._pipes[i].e
-        pipe = Genus1Pipeline(x, seed=seed)
-        self.add(pipe)
-        return pipe
+        if x not in self.solved:
+            anchor = self._anchor(x)
+            try:
+                self.solved[x] = Genus1Pipeline(x, seed=anchor)
+            except HmcleodError:
+                if anchor is None:
+                    raise
+                self.solved[x] = Genus1Pipeline(x)
+        return self.solved[x]
 
 
 # Newton polish of the pole condition: residual tolerance and iteration cap

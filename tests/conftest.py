@@ -11,15 +11,9 @@ def pipeline_cache():
 
 
 @pytest.fixture(scope="session")
-def pipe_refpoint(pipeline_cache):
-    """Cold two-band pipeline at a comfortable pole-region point.
-
-    It is registered in the session cache, so that a test reading X_REF
-    through the cache gets this pipeline, whatever the test order.
-    """
-    pipe = theta.Genus1Pipeline(X_REF)
-    pipeline_cache.add(pipe)
-    return pipe
+def pipe_refpoint():
+    """Cold two-band pipeline at a comfortable pole-region point."""
+    return theta.Genus1Pipeline(X_REF)
 
 
 @pytest.fixture(scope="session")

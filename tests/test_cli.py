@@ -101,8 +101,8 @@ def test_masked_slice_rows_are_not_failures(tmp_path, monkeypatch):
 
 def test_pole_mask_window_reaches_the_mask_radius(tmp_path, monkeypatch):
     # the pole -3.9856 - 9.9475i lies 1.25-1.32 from the three rows, inside
-    # the radius 1.5 at k = 1, but beyond the default pad of 0.6 and the
-    # POLE_MARGIN of predict_poles
+    # the radius 1.5 at k = 1, but beyond the POLE_MARGIN of predict_poles:
+    # the mask window's pad of 1.5 - POLE_MARGIN reaches it
     monkeypatch.setattr(commands.Harness, "atlas", lambda self, k, ys: None)
     monkeypatch.setattr(commands.Harness, "numeric", lambda self, x, k, atlas=None: 0j)
     out = tmp_path / "d.csv"
@@ -521,7 +521,9 @@ def test_pole_grid_is_classified_once_per_window(tmp_path, monkeypatch):
         return classify_region(x)
 
     monkeypatch.setattr(genus0, "classify_region", counting_classify)
-    slice_nodes = theta.pole_grid((-4.9 - 0.6, -4.8 + 0.6, -9.0 - 0.6, -9.0 + 0.6)).size
+    # the mask window pads the points by the k = 1 radius 0.5 less POLE_MARGIN
+    pad = 0.5 - theta.POLE_MARGIN
+    slice_nodes = theta.pole_grid((-4.9 - pad, -4.8 + pad, -9.0 - pad, -9.0 + pad)).size
     assert run(["slice", "--k", "1", "2", "3", "--slice", "horizontal", "--im", "-9",
                 "--xmin", "-4.9", "--xmax", "-4.8", "--samples", "2",
                 "--out", str(tmp_path / "s.csv")]) == 0
@@ -577,8 +579,9 @@ def _reference_slice(argv):
     harness = _harness(args)
     regions = commands._regions(xs)
     failures = 0
+    pad = max(0.0, harness.mask_radius(min(args.k)) - theta.POLE_MARGIN)
+    window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
     for k in args.k:
-        window = (args.xmin - 0.6, args.xmax + 0.6, args.im - 0.6, args.im + 0.6)
         poles = harness.pole_mask(k, window) if commands._needs_pole_mask(regions) else None
         atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
         rows, failed = _reference_rows(harness, k, xs, regions, poles, atlas)
@@ -600,7 +603,8 @@ def _reference_error_grid(argv):
            for xr in np.linspace(re0, re1, args.res)]
     harness = _harness(args)
     regions = commands._regions(pts)
-    poles = harness.pole_mask(k, (re0 - 0.4, re1 + 0.4, im0 - 0.4, im1 + 0.4))
+    pad = max(0.0, harness.mask_radius(k) - theta.POLE_MARGIN)
+    poles = harness.pole_mask(k, (re0 - pad, re1 + pad, im0 - pad, im1 + pad))
     atlas = harness.atlas(k, [y_from_x(x, k) for x in pts])
     rows, failures = _reference_rows(harness, k, pts, regions, poles, atlas)
     commands._write_rows(args.out, "x_re,x_im,value_re,value_im,flag", [

@@ -7,9 +7,9 @@ from hmcleod import genus0
 from hmcleod import theta as th
 from hmcleod.errors import HmcleodError
 
-# the slice mask window of a 5-sample slice at Im x = -9 on [-4.9, -4.8]
-# (the slice pads by 0.6), a small poles window beside it, the README's
-# poles window, and a window across the boundary of the pole region
+# a 5-sample slice at Im x = -9 on [-4.9, -4.8] padded by 0.6, a small
+# poles window beside it, the README's poles window, and a window across
+# the boundary of the pole region
 SLICE_MASK_WINDOW = (-5.5, -4.2, -9.6, -8.4)
 POLES_WINDOW = (-5.0, -4.55, -9.2, -8.8)
 README_WINDOW = (-4.0, 0.0, -9.5, -8.5)
@@ -96,13 +96,14 @@ def test_predictor_matches_reference_sweep(window, ks):
 
 
 def test_pole_newton_does_not_stall_at_the_cache_key():
-    # |dr/dx| is about 3.6 here, so a pipeline keyed up to 5e-10 from the
-    # iterate leaves |r| above POLE_TOL and every shorter step returns it
-    # again; the key must resolve points that close
+    # |dr/dx| is about 3.6 here, so a pipeline cached for a point up to
+    # 5e-10 from the iterate leaves |r| above POLE_TOL and every shorter
+    # step returns it again; the cache must resolve points that close
     pole = -2.4034867458707 - 8.6833737839596j
-    poles = th.predict_poles((-2.7, -0.8, -9.65, -8.35), 2)
+    cache = th._PipelineCache()
+    poles = th.predict_poles((-2.7, -0.8, -9.65, -8.35), 2, cache=cache)
     assert min(abs(p - pole) for p in poles) <= 1e-9
-    assert th._cache_key(pole) != th._cache_key(pole - 4e-10 + 3e-10j)
+    assert cache.get(pole) is not cache.get(pole - 4e-10 + 3e-10j)
 
 
 def test_slice_mask_builds_few_pipelines():

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from hmcleod import cli
+from hmcleod import cli, commands
 from hmcleod import endpoints as ep
 from hmcleod import quadrature as quad
 from hmcleod import theta as th
@@ -259,6 +259,30 @@ def test_pipeline_cache_holds_no_upper_half_pipeline(tmp_path, monkeypatch):
     assert all(pipe.x.imag <= 0 for cache in caches for pipe in cache.solved.values())
     with pytest.raises(WrongRegion):
         caches[0].get(-4.85 + 9j)
+
+
+@pytest.mark.parametrize("x", [-2 - 9j, -3.2174 - 6.5217j])
+def test_value_depends_on_x_alone(x, tmp_path, monkeypatch):
+    # x's pipeline built alone, after a pole mask around x in the same
+    # cache, and inside a slice call gives the same value to the bit
+    alone = th._PipelineCache().get(x).value(2)
+    cache = th._PipelineCache()
+    th.predict_poles((x.real - 0.5, x.real + 0.5, x.imag - 0.5, x.imag + 0.5), 2, cache=cache)
+    assert cache.get(x).value(2) == alone
+    caches = []
+
+    class Recording(th._PipelineCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(th, "_PipelineCache", Recording)
+    monkeypatch.setattr(commands.Harness, "atlas", lambda self, k, ys: None)
+    monkeypatch.setattr(commands.Harness, "numeric", lambda self, x, k, atlas=None: 0j)
+    assert cli.main(["slice", "--k", "2", "--im", str(x.imag), "--xmin", str(x.real),
+                     "--xmax", str(x.real), "--samples", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert x in caches[0].solved and caches[0].get(x).value(2) == alone
 
 
 def test_cold_pipeline_builds_no_h_field(pipe_refpoint, monkeypatch):
