@@ -33,14 +33,6 @@ def _number_type(rule, test, convert):
     return parse
 
 
-# the asymptotics need alpha = k + 1/2 with an integer k >= 1; vault and
-# bvp take any alpha > -1/2
-_K = _number_type("k must be an integer >= 1", lambda k: k.is_integer() and k >= 1, int)
-_K_OF_ALPHA = _number_type("alpha must be k + 1/2 for an integer k >= 1",
-                           lambda a: (a - 0.5).is_integer() and a >= 1.5, lambda a: int(a - 0.5))
-_ALPHA_OF_K = _number_type("k must be an integer >= 0", lambda k: k.is_integer() and k >= 0,
-                           lambda k: int(k) + 0.5)
-_ALPHA = _number_type("alpha must be > -1/2", lambda a: a > -0.5, float)
 # sample counts, collocation nodes, the jet order (the Pade fit splits it
 # in two halves), the vault's random seed, and the vault step and pole-mask
 # radius
@@ -79,20 +71,22 @@ _SHARED_FLAGS = {
 _HARNESS_FLAGS = ("seed", "n-cheb", "taylor-order", "step")
 
 
-def _add_common(sp, *flags, ks="one"):
+def _add_common(sp, alpha_min, *flags, nargs=None):
     """--k/--alpha, --out and the named flags of ``_SHARED_FLAGS``.
 
-    ``ks`` "many" or "one": ``args.k`` lists the ks given, or the k of
-    --alpha.  "alpha": ``args.alpha`` is --alpha, or k + 1/2 of --k.
+    --k K and --alpha A both set ``args.alpha`` (a list for ``nargs``
+    "+"), to K + 1/2 or A, which must be finite and above ``alpha_min``:
+    1/2 for the asymptotics (k > 0), -1/2 for vault and bvp.
     """
-    if ks == "alpha":
-        k_kw, alpha_kw = dict(type=_ALPHA_OF_K, dest="alpha", metavar="K"), dict(type=_ALPHA)
-    else:
-        k_kw = dict(type=_K, nargs="+" if ks == "many" else 1)
-        alpha_kw = dict(type=_K_OF_ALPHA, nargs=1, dest="k", metavar="ALPHA")
+    def alpha_of(name, shift):
+        return _number_type(f"{name} must be finite and > {alpha_min - shift:g}",
+                            lambda v: alpha_min < v + shift < float("inf"),
+                            lambda v: v + shift if shift else v)
     group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", help="parameter k (alpha = k + 1/2)", **k_kw)
-    group.add_argument("--alpha", help="inhomogeneity parameter alpha", **alpha_kw)
+    group.add_argument("--k", help="parameter k (alpha = k + 1/2)", dest="alpha", metavar="K",
+                       nargs=nargs, type=alpha_of("k", 0.5))
+    group.add_argument("--alpha", help="inhomogeneity parameter alpha", nargs=nargs,
+                       type=alpha_of("alpha", 0.0))
     for name in flags:
         sp.add_argument(f"--{name}", **_SHARED_FLAGS[name])
     sp.add_argument("--out", default="out.csv")
@@ -104,7 +98,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("slice", help="compare asymptotic and numeric values on a slice")
-    _add_common(sp, *_HARNESS_FLAGS, "delta", ks="many")
+    _add_common(sp, 0.5, *_HARNESS_FLAGS, "delta", nargs="+")
     sp.add_argument("--slice", dest="mode", choices=["real", "horizontal"], default=None)
     sp.add_argument("--im", type=float, default=0.0, help="imaginary offset of the slice")
     sp.add_argument("--xmin", type=float, default=-3.0)
@@ -112,7 +106,7 @@ def build_parser():
     sp.add_argument("--samples", type=_COUNT, default=61)
 
     sp = sub.add_parser("grid", help="density-grid CSV over an x-window")
-    _add_common(sp, *_HARNESS_FLAGS, "delta", "window")
+    _add_common(sp, 0.5, *_HARNESS_FLAGS, "delta", "window")
     sp.add_argument("--res", type=_COUNT, default=16)
     sp.add_argument("--quantity", choices=["asymptotic", "numeric", "error"],
                     default="asymptotic")
@@ -122,18 +116,18 @@ def build_parser():
     sp.add_argument("--out", default="boundary.csv")
 
     sp = sub.add_parser("poles", help="predicted poles of the asymptotic formula")
-    _add_common(sp, "delta", "window")
+    _add_common(sp, 0.5, "delta", "window")
 
     sp = sub.add_parser("endpoints", help="dump the two-band data at one x as JSON")
     sp.add_argument("--x", type=float, nargs=2, required=True, metavar=("RE", "IM"))
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("vault", help="build and serialize a Pade atlas")
-    _add_common(sp, *_HARNESS_FLAGS, ks="alpha")
+    _add_common(sp, -0.5, *_HARNESS_FLAGS)
     sp.add_argument("--window", help="window in the y-plane", **_SHARED_FLAGS["window"])
 
     sp = sub.add_parser("bvp", help="run the collocation solver, dump the grid")
-    _add_common(sp, "n-cheb", ks="alpha")
+    _add_common(sp, -0.5, "n-cheb")
     sp.add_argument("--y1", type=_Y1, default=-12.0)
     sp.add_argument("--y2", type=_Y2, default=12.0)
     sp.add_argument("--y-im", type=float, default=0.0)

@@ -30,6 +30,12 @@ def _on_axis(x):
     return abs(x.imag) <= 1e-12
 
 
+def _k_of(alpha):
+    """k = alpha - 1/2, exact for 1/2 < alpha < 2**52; an int when integral (``.k1.csv``)."""
+    k = alpha - 0.5
+    return int(k) if k.is_integer() else k
+
+
 def _fmt_pair(z):
     """The real and imaginary part columns of z, both nan for a missing z."""
     return [_fmt(None), _fmt(None)] if z is None else [_fmt(z.real), _fmt(z.imag)]
@@ -80,11 +86,11 @@ class Harness:
     def atlas(self, k, y_points):
         """Vault atlas over the rectangle of the anchor and the y-points, mirrored to Im y >= 0.
 
-        The rectangle is padded by 1 and reaches down to the real axis.
+        The rectangle is padded by 1, so it reaches down to Im y = -1.
         """
         ys = np.asarray([complex(y.real, abs(y.imag)) for y in y_points] + [self.ANCHOR_Y])
         window = (float(ys.real.min()) - 1.0, float(ys.real.max()) + 1.0,
-                  min(0.0, float(ys.imag.min()) - 1.0), float(ys.imag.max()) + 1.0)
+                  -1.0, float(ys.imag.max()) + 1.0)
         return self.vault(k + 0.5, window)
 
     def numeric(self, x, k, atlas=None):
@@ -280,23 +286,24 @@ def cmd_slice(args):
     xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
     harness = Harness.from_args(args)
     box = (args.xmin, args.xmax, args.im, args.im)
+    ks = [_k_of(alpha) for alpha in args.alpha]
     failures = 0
-    with _numeric_columns(harness, args.k, xs) as numeric:
-        asymptotic = _asymptotic_columns(harness, args.k, xs, box)
-        for k, column in zip(args.k, asymptotic):
+    with _numeric_columns(harness, ks, xs) as numeric:
+        asymptotic = _asymptotic_columns(harness, ks, xs, box)
+        for k, column in zip(ks, asymptotic):
             rows = []
             for x, (asym, flag), num in zip(xs, column, numeric(k)):
                 asym, num, err, flag, failed = _row(asym, flag, num)
                 failures += failed
                 rows.append([*_fmt_pair(x), *_fmt_pair(asym), *_fmt_pair(num), _fmt(err), flag])
-            out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
+            out = args.out if len(ks) == 1 else f"{args.out}.k{k}.csv"
             _write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", rows)
             print(f"wrote {out} ({len(rows)} rows)")
     return 2 if failures else 0
 
 
 def cmd_grid(args):
-    k, = args.k
+    k = _k_of(args.alpha)
     re0, re1, im0, im1 = args.window
     xs = [complex(xr, xi) for xi in np.linspace(im0, im1, args.res)
           for xr in np.linspace(re0, re1, args.res)]
@@ -308,12 +315,12 @@ def cmd_grid(args):
         # no asymptotic work runs beside the vault, so no worker either
         columns = nullcontext(lambda k: _numeric_column(harness, k, xs))
     else:
-        columns = _numeric_columns(harness, args.k, xs)
+        columns = _numeric_columns(harness, [k], xs)
     failures = 0
     rows = []
     with columns as numeric:
         if args.quantity != "numeric":
-            asymptotic, = _asymptotic_columns(harness, args.k, xs, args.window)
+            asymptotic, = _asymptotic_columns(harness, [k], xs, args.window)
         for x, (asym, flag), num in zip(xs, asymptotic, numeric(k)):
             asym, num, err, flag, failed = _row(asym, flag, num)
             failures += failed
@@ -350,7 +357,7 @@ def cmd_boundary(args):
 
 def cmd_poles(args):
     from . import theta
-    k, = args.k
+    k = _k_of(args.alpha)
     window = tuple(args.window)
     harness = Harness.from_args(args)
     # the nodes of predict_poles, classified once for both: a window

@@ -570,8 +570,7 @@ def adaptive_band_nodes(e):
     """Node count scaled to the band/gap separation (near-degenerate x)."""
     pts = e.points()
     scale = max(abs(p - q) for p in pts for q in pts)
-    feature = min(abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
-    m = int(16.0 * np.sqrt(max(scale / max(feature, 1e-9), 1.0)) * 8)
+    m = int(16.0 * np.sqrt(max(scale / max(e.separation(), 1e-9), 1.0)) * 8)
     return int(np.clip(m, 128, 1024))
 
 

@@ -18,9 +18,9 @@ def pipe_refpoint():
 
 @pytest.fixture(scope="session")
 def colloc_solutions():
-    """Real-axis collocation solutions for k = 1, 2, 3 (N = 200)."""
+    """Real-axis collocation solutions for k = 1, 1.5, 2, 2.5, 3 (N = 200)."""
     out = {}
-    for k in (1, 2, 3):
+    for k in (1, 1.5, 2, 2.5, 3):
         prob = collocation.BvpProblem(alpha=k + 0.5, y1=-12.0 + 0j, y2=12.0 + 0j, N=200)
         out[k] = collocation.solve_bvp(prob)
     return out

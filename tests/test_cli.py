@@ -142,8 +142,8 @@ def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["poles", "--k", "0", "--window", "-5.0", "-4.55", "-9.2", "-8.8"],
     ["slice", "--k", "0", "--samples", "3"],
-    ["slice", "--k", "1", "2.5"],
-    ["slice", "--alpha", "2.0"],
+    ["poles", "--alpha", "0.5", "--window", "-5.0", "-4.55", "-9.2", "-8.8"],
+    ["slice", "--alpha", "3.5", "0.5"],
     ["slice", "--alpha", "0.5"],
     ["slice", "--samples", "3"],
     ["grid", "--k", "-1", "--window", "-1", "1", "-1", "1", "--res", "3"],
@@ -170,10 +170,12 @@ def test_numeric_grid_skips_pole_mask(tmp_path, monkeypatch):
     ["vault", "--k", "1", "--window", "0", "1", "2", "-1"],
     ["vault", "--k", "1", "--window", "5", "1", "0", "1"],
     ["slice", "--k", "1", "--slice", "real", "--im", "-9", "--samples", "3"],
+    ["slice", "--k", "inf", "--samples", "3"],
+    ["bvp", "--alpha", "inf"],
 ])
 def test_bad_k_or_alpha_is_an_argparse_error(argv, capsys):
-    # k >= 1 (or alpha = k + 1/2) for the asymptotics, one k outside
-    # slice, and alpha > -1/2 for vault and bvp; counts >= 1, n-cheb >= 3,
+    # a finite alpha > 1/2 (k > 0) for the asymptotics, > -1/2 (k > -1)
+    # for vault and bvp, one k outside slice; counts >= 1, n-cheb >= 3,
     # an even taylor-order, a seed >= 0, a positive step and delta,
     # ordered window bounds, and no --im off a real slice
     with pytest.raises(SystemExit) as info:
@@ -209,7 +211,7 @@ def test_readme_cli_examples_parse(capsys):
     calls = [line.split()[1:] for block in blocks
              for line in block.replace("\\\n", " ").splitlines()
              if line.split()[:1] == ["hmcleod"]]
-    assert len(calls) == 8
+    assert len(calls) == 9
     pinned = []
     for argv in calls:
         try:
@@ -223,14 +225,47 @@ def test_readme_cli_examples_parse(capsys):
 
 
 @pytest.mark.parametrize("argv, attr, value", [
-    (["slice", "--alpha", "3.5"], "k", [3]),
-    (["slice", "--k", "1", "3"], "k", [1, 3]),
-    (["grid", "--alpha", "2.5", "--window", "-1", "1", "-1", "1"], "k", [2]),
+    (["slice", "--alpha", "3.5"], "alpha", [3.5]),
+    (["slice", "--k", "1", "3"], "alpha", [1.5, 3.5]),
+    (["grid", "--alpha", "2.5", "--window", "-1", "1", "-1", "1"], "alpha", 2.5),
     (["vault", "--k", "0", "--window", "0", "1", "0", "1"], "alpha", 0.5),
     (["bvp", "--alpha", "0.2"], "alpha", 0.2),
+    (["slice", "--k", "1", "2.5"], "alpha", [1.5, 3.0]),
+    (["slice", "--alpha", "2.0"], "alpha", [2.0]),
+    (["slice", "--alpha", "2", "3.5"], "alpha", [2.0, 3.5]),
+    (["grid", "--k", "1.5", "--window", "-1", "1", "-1", "1"], "alpha", 2.0),
+    (["poles", "--alpha", "3", "--window", "-1", "1", "-1", "1"], "alpha", 3.0),
+    (["vault", "--k", "0.5", "--window", "0", "1", "0", "1"], "alpha", 1.0),
+    (["bvp", "--k", "-0.25"], "alpha", 0.25),
 ])
 def test_k_and_alpha_parse_to_one_value(argv, attr, value):
-    assert getattr(cli.build_parser().parse_args(argv), attr) == value
+    args = cli.build_parser().parse_args(argv)
+    assert getattr(args, attr) == value and not hasattr(args, "k")
+
+
+def test_k_and_alpha_write_the_same_files(tmp_path):
+    # --k K is --alpha K + 1/2 on every command, at any k above the
+    # command's bound; an integral k names its file and dumps as an int
+    calls = [
+        (["slice", "--xmin", "-1", "--xmax", "1", "--samples", "3", "--n-cheb", "40"],
+         ["1", "1.5", "2.5"]),
+        (["grid", "--window", "-1", "1", "-1", "1", "--res", "2"], ["1.5"]),
+        (["poles", "--window", "-2.5", "-1", "-9.4", "-8.6"], ["3"]),
+        (["vault", "--window", "0", "1", "0", "1", "--n-cheb", "40"], ["0.5"]),
+        (["bvp", "--n-cheb", "40"], ["-0.25"]),
+    ]
+    for argv, ks in calls:
+        outs = {flag: tmp_path / f"{argv[0]}{flag}" for flag in ("--k", "--alpha")}
+        for flag, values in (("--k", ks), ("--alpha", [str(float(k) + 0.5) for k in ks])):
+            outs[flag].mkdir()
+            assert run(argv + [flag, *values, "--out", str(outs[flag] / "out")]) == 0
+        files = sorted(path.name for path in outs["--k"].iterdir())
+        assert files == sorted(path.name for path in outs["--alpha"].iterdir())
+        assert all((outs["--k"] / name).read_bytes() == (outs["--alpha"] / name).read_bytes()
+                   for name in files)
+    assert sorted(path.name for path in (tmp_path / "slice--k").iterdir()) == [
+        "out.k1.5.csv", "out.k1.csv", "out.k2.5.csv"]
+    assert '"k": 3,' in (tmp_path / "poles--k" / "out").read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -579,14 +614,15 @@ def _reference_slice(argv):
     harness = _harness(args)
     regions = commands._regions(xs)
     failures = 0
-    pad = max(0.0, harness.mask_radius(min(args.k)) - theta.POLE_MARGIN)
+    ks = [commands._k_of(alpha) for alpha in args.alpha]
+    pad = max(0.0, harness.mask_radius(min(ks)) - theta.POLE_MARGIN)
     window = (args.xmin - pad, args.xmax + pad, args.im - pad, args.im + pad)
-    for k in args.k:
+    for k in ks:
         poles = harness.pole_mask(k, window) if commands._needs_pole_mask(regions) else None
         atlas = harness.atlas(k, [y_from_x(x, k) for x in xs])
         rows, failed = _reference_rows(harness, k, xs, regions, poles, atlas)
         failures += failed
-        out = args.out if len(args.k) == 1 else f"{args.out}.k{k}.csv"
+        out = args.out if len(ks) == 1 else f"{args.out}.k{k}.csv"
         commands._write_rows(out, "x_re,x_im,asym_re,asym_im,num_re,num_im,abs_err,flag", [
             [*commands._fmt_pair(x), *commands._fmt_pair(a), *commands._fmt_pair(n),
              commands._fmt(abs(a - n) if a is not None and n is not None else None), flag]
@@ -597,7 +633,7 @@ def _reference_slice(argv):
 def _reference_error_grid(argv):
     """The serial pole-region error grid."""
     args = cli.build_parser().parse_args(argv)
-    k, = args.k
+    k = commands._k_of(args.alpha)
     re0, re1, im0, im1 = args.window
     pts = [complex(xr, xi) for xi in np.linspace(im0, im1, args.res)
            for xr in np.linspace(re0, re1, args.res)]
