@@ -286,7 +286,7 @@ def cmd_slice(args):
     xs = np.linspace(args.xmin, args.xmax, args.samples) + 1j * args.im
     harness = Harness.from_args(args)
     box = (args.xmin, args.xmax, args.im, args.im)
-    ks = [_k_of(alpha) for alpha in args.alpha]
+    ks = list(dict.fromkeys(_k_of(alpha) for alpha in args.alpha))
     failures = 0
     with _numeric_columns(harness, ks, xs) as numeric:
         asymptotic = _asymptotic_columns(harness, ks, xs, box)

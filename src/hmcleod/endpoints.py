@@ -22,14 +22,15 @@ the constants -Lambda (across Sigma1), -i omega (across Gamma) and
 -Lambda - i Omega (across Sigma2); omega and Omega are real exactly when
 the Boutroux conditions hold.
 
-H is evaluated the way the Abel map is (``HField``): as
-i theta(z)/2 - Log(z - A) plus the integral from infinity to z of
+Only the endpoint dump evaluates H (``HField``, behind ``jump_lambda``):
+as i theta(z)/2 - Log(z - A) plus the integral from infinity to z of
 g = 2iR - i theta'/2 + 1/(w - A).  g is analytic off the chain A-B-C-D
 and O(1/w^2) at infinity, so its integral is single-valued off the
 chain: the 1/w series carries it to the far point (``far_point``) and
 ``ChainRouter`` paths, which avoid the chain only (shortest paths between
 waypoints that ring its ends), carry it on to z.
-The principal Log places the cut L.
+The principal Log places the cut L.  The dump's Upsilon constant
+(``theta``) takes the same far point and router; a pipeline takes none.
 
 Every band and gap integral sums over one rule, ``segment_rule``: the
 substitution t = cos(theta), which turns the square-root endpoint
@@ -72,7 +73,7 @@ from .genus0 import RegionLabel, _classify, _dist_to_segment, cut_root, phase, p
 
 _L_RAY_LENGTH = 1e3
 
-# rule of the path integrals that propagate H and the Abel map
+# rule of the endpoint dump's path integrals (H and Upsilon)
 LEG_RULE = quad.QuadratureRule(abs_tol=1e-12, rel_tol=1e-12, max_depth=18)
 
 
@@ -526,15 +527,15 @@ class ChainRouter:
         return [0.0 if p is None else next(legs) for p in paths]
 
 
-def integrate_leg(f, path, rule, **kw):
+def integrate_leg(f, path, rule):
     """Path integral with one tolerance relaxation before giving up."""
     try:
-        return quad.integrate_path(f, path, rule, **kw)
+        return quad.integrate_path(f, path, rule)
     except NonConvergence:
         relaxed = quad.QuadratureRule(abs_tol=30.0 * rule.abs_tol,
                                       rel_tol=30.0 * rule.rel_tol,
                                       max_depth=rule.max_depth + 4)
-        return quad.integrate_path(f, path, relaxed, **kw)
+        return quad.integrate_path(f, path, relaxed)
 
 
 def integrate_legs(f, paths, rule):
@@ -550,7 +551,7 @@ def integrate_legs(f, paths, rule):
 
 
 class HField:
-    """Evaluator of H from the far point, like the Abel map (see the module docstring)."""
+    """Evaluator of H from the far point (see the module docstring)."""
 
     def __init__(self, e):
         self.e = e

@@ -1,19 +1,18 @@
 """Contour representation and quadrature.
 
-All analytic modules integrate along oriented polylines in the complex
-plane.  The workhorse is fixed-order Gauss-Legendre per segment with
-adaptive bisection, plus a square-root substitution for a segment that
-starts at a branch point.  The bisection is level-synchronous: every
-segment that shares an integrand, over one path or several
-(``integrate_paths``), has all panels of one bisection level evaluated
-in a single integrand call, with the values of depth-first recursion bit
-for bit.  Integrands are expected to be vectorized over numpy arrays of
-complex points (scalar-only callables also work).  Paths that avoid the
-cut chain A-B-C-D are shortest paths between waypoints ringing the
-chain's ends, built by ``endpoints.ChainRouter`` from the broadcast
-segment-crossing test at the end of this module; they serve the Abel map
-and the phase H alike, as H takes its logarithmic cut from the principal
-Log.
+Only the ``endpoints`` dump integrates along paths: the phase H behind
+its jump constant Lambda, and its Upsilon constant; the Abel map of every
+pipeline has a closed form (``theta.AbelMap``).  The workhorse is
+fixed-order Gauss-Legendre per segment with adaptive bisection.  The
+bisection is level-synchronous: every segment that shares an integrand,
+over one path or several (``integrate_paths``), has all panels of one
+bisection level evaluated in a single integrand call, with the values of
+depth-first recursion bit for bit.  Integrands must be vectorized over
+numpy arrays of complex points.  Paths that avoid the cut chain A-B-C-D
+are shortest paths between waypoints ringing the chain's ends, built by
+``endpoints.ChainRouter`` from the broadcast segment-crossing test at the
+end of this module; H takes its logarithmic cut from the principal Log,
+so they avoid the chain only.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ def _gl_nodes():
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _eval(f, w):
-    vals = np.asarray(f(w), dtype=complex)
-    if vals.shape != w.shape:
-        vals = np.array([complex(f(wi)) for wi in w])
-    return vals
-
-
 def _panels(f, lo, hi):
     """Gauss-Legendre panels on [lo[i], hi[i]], all in one integrand call.
 
@@ -84,7 +76,7 @@ def _panels(f, lo, hi):
     t, wt = _gl_nodes()
     h = hi - lo
     pts = lo[:, None] + h[:, None] * t
-    vals = _eval(f, pts.ravel()).reshape(pts.shape)
+    vals = np.asarray(f(pts.ravel()), dtype=complex).reshape(pts.shape)
     s = np.sum(wt * vals, axis=1)
     # h * s with the real and imaginary products written out: numpy's
     # array complex multiply rounds differently from its scalar one
@@ -165,26 +157,10 @@ def _bisect(f, ends, rule):
     return total
 
 
-def _segment_sqrt_start(f, a, b, rule):
-    # w = a + (b-a) * t^2 absorbs a (w-a)^(-1/2) singularity at the start
-    def g(t):
-        return f(a + (b - a) * t * t) * 2.0 * t * (b - a)
-    return _bisect(g, [(0.0, 1.0)], rule)[0]
-
-
-def integrate_path(f, path, rule=DEFAULT_RULE, sqrt_start=False):
-    """Integrate f along the path.
-
-    ``sqrt_start`` enables a square-root substitution on the first
-    segment, for integrands behaving like (w-p)^(±1/2) at a declared
-    branch-point start of the path.
-    """
-    segs = path.segments()
+def integrate_path(f, path, rule=DEFAULT_RULE):
+    """Integrate f along the path."""
     total = 0.0 + 0.0j
-    if sqrt_start:
-        total += _segment_sqrt_start(f, *segs[0], rule)
-        segs = segs[1:]
-    for v in _bisect(f, segs, rule):
+    for v in _bisect(f, path.segments(), rule):
         total += v
     return total
 

@@ -12,8 +12,9 @@ has negative real part, as the theta series requires).  The Abel map is
 
     A(z) = (2 pi i / oint_a dw/R) int_A^z dw/R,
 
-with A(infinity) finite and the 1/z coefficient A_(-1).  The theta
-function used throughout is the scalar lattice sum
+with A(infinity) finite and the 1/z coefficient A_(-1), in closed form
+(``AbelMap``) modulo the lattice 2 pi i m + B n, under which all below is
+invariant.  The theta function used throughout is the scalar lattice sum
 
     Theta(z; B) = sum_k exp(k z + B k^2 / 2),   Re B < 0,
 
@@ -39,13 +40,13 @@ preimages of the integer points under a smooth map of the x-plane.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import endpoints as ep
 from . import genus0
-from . import quadrature as quad
 from .errors import (AssumptionViolated, HmcleodError, NormalizationFailure,
                      ThetaZero, TruncationInsufficient, WrongRegion)
 
@@ -119,56 +120,62 @@ def log_theta_deriv(z, B):
 # periods and the Abel map
 # ---------------------------------------------------------------------------
 
-class AbelMap:
-    """Normalized incomplete integral of dw/R from the base endpoint A.
+def carlson_rf(x, y, z):
+    """Carlson's R_F for complex x, y, z off (-inf, 0], at most one 0, by duplication.
 
-    Its 1/w series of 1/R carries the integrals from its far point to infinity.
+    Carlson, Numer. Algorithms 10 (1995) 13: a fifth-order series ends it.
+    """
+    while True:
+        a = (x + y + z) / 3.0
+        if max(abs(x - a), abs(y - a), abs(z - a)) < 1e-3 * abs(a):
+            break
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / cmath.sqrt(a)
+
+
+class AbelMap:
+    """int_A^z dw/R in closed form (DLMF 19.29), modulo the periods of dw/R.
+
+    +-int_A^z dw/R = 2 R_F(U_B, U_C, U_D), U_P = (z-P)/(z-A) prod (A-P')
+    over the other two of P' = B, C, D, and (z-P)/(z-A) = 1 at infinity.
     """
 
-    def __init__(self, e, nu):
+    def __init__(self, e):
         self.e = e
-        self.nu = nu
-        self.router = ep.ChainRouter(e)
-        self.z_far = ep.far_point(e)
-        self.inv_r_series = ep.inv_r_series(e, 16)
-        seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
-        u1 = (e.B - e.A) / abs(e.B - e.A)
-        self.stage = e.A - 0.4 * seg * u1
-        self._inv_r = lambda w: 1.0 / ep.R_eval(w, e, guard=False)
 
-    def integrals(self, f, zs):
-        """int_A^z f dw at each z, for f with at most a square-root singularity at A.
-
-        Each path is the leg from A to the stage point, with the square-root
-        start, and then the router's cut-avoiding path to z.  The stage leg
-        is integrated once and the router paths together.
-        """
-        at_a = [abs(complex(z) - self.e.A) < 1e-13 for z in zs]
-        if all(at_a):
-            return [0.0 + 0.0j for _ in zs]
-        stage = ep.integrate_leg(f, quad.Path((self.e.A, self.stage)), ep.LEG_RULE,
-                                 sqrt_start=True)
-        legs = iter(self.router.integrals(f, self.stage,
-                                          [z for z, a in zip(zs, at_a) if not a]))
-        return [0.0 + 0.0j if a else stage + next(legs) for a in at_a]
-
-    def integral(self, f, z):
-        """int_A^z f dw (see ``integrals``)."""
-        return self.integrals(f, [z])[0]
+    def _closed_form(self, z):
+        A, B, C, D = self.e.points()
+        q = [1.0 if cmath.isinf(z) else (z - p) / (z - A) for p in (B, C, D)]
+        return 2.0 * carlson_rf(q[0] * (A - C) * (A - D), q[1] * (A - B) * (A - D),
+                                q[2] * (A - B) * (A - C))
 
     def raw_integral(self, zs):
-        """int_A^z dw/R at each z of zs."""
-        return self.integrals(self._inv_r, zs)
+        """int_A^z dw/R at each z of zs (inf included), modulo the periods.
 
-    def value(self, z):
-        return self.nu * self.raw_integral([z])[0]
+        The sign makes it a primitive of 1/R_eval: a central difference at
+        z, or at a far point for z = inf.
+        """
+        pts = self.e.points()
+        out = []
+        for z in map(complex, zs):
+            at = 1e3 * (1.0 + max(map(abs, pts))) if cmath.isinf(z) else z
+            h = 1e-4 * min(abs(at - p) for p in pts)
+            slope = (self._closed_form(at + h) - self._closed_form(at - h)) / (2.0 * h)
+            sign = 1.0 if (slope * ep.R_eval(at, self.e, guard=False)).real > 0 else -1.0
+            out.append(sign * self._closed_form(z))
+        return out
 
 
 def compute_periods(e, constants, m):
     """Period data needed by the two-band asymptotic value at one x.
 
-    Returns the period data, the Abel map normalized by them and its
-    value A(Q), from one pass over the Abel paths to z_far and Q.  The
+    Returns the period data and the Abel map's value A(Q).  A_inf and
+    A(Q) come from ``AbelMap``'s closed form, modulo the lattice.  The
     straight chain placement is used throughout (every quantity here is
     invariant under deformations that do not cross other cuts).
     """
@@ -193,16 +200,13 @@ def compute_periods(e, constants, m):
     A, B, C, D = e.points()
     Q = (B * D - A * C) / (B + D - A - C)
 
-    abel = AbelMap(e, nu)
-    base, raw_q = abel.raw_integral((abel.z_far, Q))
-    A_inf = nu * (base + ep.series_tail(abel.inv_r_series, abel.z_far))
-
-    pd = PeriodData(A_minus1=complex(A_minus1), A_inf=complex(A_inf),
+    raw_inf, raw_q = AbelMap(e).raw_integral((np.inf, Q))
+    pd = PeriodData(A_minus1=complex(A_minus1), A_inf=complex(nu * raw_inf),
                     B_period=complex(B_period), K=complex(K), U=complex(U),
                     F1=complex(F1), Q=complex(Q),
                     nu=complex(nu), b_sign=b_sign, c_upsilon=complex(c_upsilon))
     _check_offdiagonal_zero(e, pd)
-    return pd, abel, nu * raw_q
+    return pd, nu * raw_q
 
 
 def gamma_quarter(z, e):
@@ -249,7 +253,7 @@ class Genus1Pipeline:
         self.x = complex(self.e.x)
         m = ep.adaptive_band_nodes(self.e)
         self.constants = ep.spectral_constants(self.e, m)
-        self.periods, self.abel, self.A_Q = compute_periods(self.e, self.constants, m=m)
+        self.periods, self.A_Q = compute_periods(self.e, self.constants, m=m)
 
     def theta_shift(self, k):
         """Argument shift of the theta ratios: k F1 U plus a half period.
@@ -281,18 +285,26 @@ class Genus1Pipeline:
         """(Upsilon0_const, Upsilon_minus1) of Upsilon = (w^2 - c_upsilon nu)/R dw.
 
         Upsilon0_const = A - int_A^inf (Upsilon - dw) and Upsilon_minus1
-        is the 1/z coefficient; only the endpoint dump reads them.
+        is the 1/z coefficient; only the endpoint dump reads them.  One
+        router leg from the far point to A takes the part of Upsilon - dw
+        that is bounded at A, less c/((w - B) r1), whose primitive
+        2 c r1/((A - B)(w - B)) vanishes at A (r1 the band-1 root).
         """
         e, pd = self.e, self.periods
+        A, B = e.A, e.B
+        c_nu = pd.c_upsilon * pd.nu
+        c = (A ** 2 - c_nu) * (A - B) / ep._band_root(e.C, e.D, A)
 
-        def upsilon_minus_one(w):
-            return (w ** 2 - pd.c_upsilon * pd.nu) / ep.R_eval(w, e, guard=False) - 1.0
+        def bounded(w):
+            return ((w ** 2 - c_nu) / ep.R_eval(w, e, guard=False) - 1.0
+                    - c / ((w - B) * ep._band_root(A, B, w)))
 
-        z_far, t = self.abel.z_far, self.abel.inv_r_series
+        z_far, t = ep.far_point(e), ep.inv_r_series(e, 16)
         # series tail: (w^2 - cU*nu)/R - 1 = sum_{m>=2} (t_m - cU*nu*t_{m-2}) w^-m
-        tail = ep.series_tail([t[m] - pd.c_upsilon * pd.nu * t[m - 2]
-                               for m in range(2, len(t))], z_far)
-        return (complex(e.A - (self.abel.integral(upsilon_minus_one, z_far) + tail)),
+        tail = ep.series_tail([t[m] - c_nu * t[m - 2] for m in range(2, len(t))], z_far)
+        leg, = ep.ChainRouter(e).integrals(bounded, z_far, [A])
+        primitive = 2.0 * c * ep._band_root(A, B, z_far) / ((A - B) * (z_far - B))
+        return (complex(A - (primitive - leg + tail)),
                 complex(-e.x / 4.0 + pd.A_minus1 * pd.c_upsilon))
 
     def pole_residual(self, k, family):

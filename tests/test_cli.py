@@ -268,6 +268,19 @@ def test_k_and_alpha_write_the_same_files(tmp_path):
     assert '"k": 3,' in (tmp_path / "poles--k" / "out").read_text()
 
 
+def test_a_repeated_k_is_computed_and_written_once(tmp_path, capsys):
+    # --k 1 1.0 names one k, so the file is named as for a single k;
+    # distinct ks keep their order
+    out = tmp_path / "out"
+    argv = ["slice", "--xmin", "-1", "--xmax", "1", "--samples", "3", "--n-cheb", "40",
+            "--out", str(out)]
+    assert run(argv + ["--k", "1", "1.0"]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (3 rows)\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+    assert run(argv + ["--k", "2", "1", "2"]) == 0
+    assert capsys.readouterr().out == f"wrote {out}.k2.csv (3 rows)\nwrote {out}.k1.csv (3 rows)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["bvp", "--alpha", "1.5", "--step", "0.3"],
     ["poles", "--k", "2", "--window", "-4", "0", "-9.5", "-8.5", "--seed", "1"],

@@ -231,7 +231,7 @@ def test_H_is_normalized_like_log_and_jumps_across_L(solved):
 
 
 def test_R_keeps_its_sign_along_the_abel_stage_leg():
-    # the leg from A to the Abel map's stage point runs on the real
+    # the reference integrals from A start on a leg along the real
     # extension of the first band, where t = (z - m1)/h1 is real: R must
     # not flip sign there because of a signed zero in Im t
     e = ep.solve_endpoints(-4 + 8j)

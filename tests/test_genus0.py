@@ -319,7 +319,9 @@ def test_frak_c_asymptotics():
 
 def test_frak_c_path_invariance():
     # independence of the band placement: the closed form equals the
-    # quadrature of h' along two differently routed paths from b to c
+    # quadrature of h' along two differently routed paths from b to c;
+    # h' is bounded at b
+    from hmcleod import endpoints as ep
     from hmcleod import quadrature as quad
     for x in [1.5 + 0.5j, -2.5 + 1.0j]:
         d = g0.genus0_data(complex(x))
@@ -331,7 +333,7 @@ def test_frak_c_path_invariance():
             ok = all(not quad.segments_cross(s[0], s[1], d.a, d.b) for s in p.segments())
             if not ok:
                 continue
-            val = 2.0 * np.real(quad.integrate_path(f, p, sqrt_start=True))
+            val = 2.0 * np.real(quad.integrate_path(f, p, ep.LEG_RULE))
             assert abs(val - direct) < 1e-8
 
 

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -74,14 +75,16 @@ def test_pipeline_evaluates_each_segment_rule_once(pipe_refpoint, monkeypatch):
 
 
 def test_abel_base_and_infinity(pipe_refpoint):
-    pd = pipe_refpoint.periods
-    abel = pipe_refpoint.abel
-    assert abs(abel.value(pipe_refpoint.e.A)) == 0.0
-    # large-z limit approaches A_inf with residual ~ A_-1/z
+    pd, e = pipe_refpoint.periods, pipe_refpoint.e
+    abel = th.AbelMap(e)
+    # A(A) = 0: the map goes like sqrt(z - A) at its base
+    near = pd.nu * abel.raw_integral([e.A + 1e-12 * (e.B - e.A)])[0]
+    assert abs(near) < 1e-5
+    # large-z limit approaches A_inf with residual ~ A_-1/z (modulo the lattice)
     for z in (40.0 + 25j, 80.0 + 50j):
-        lhs = abel.value(z)
+        lhs = pd.nu * abel.raw_integral([z])[0]
         rhs = pd.A_inf + pd.A_minus1 / z
-        assert abs(lhs - rhs) < 10.0 / abs(z) ** 2
+        assert abs(th.reduce_mod_lattice(lhs - rhs, pd.B_period)) < 10.0 / abs(z) ** 2
 
 
 def test_abel_infinity_plus_Q_is_riemann_constant(pipe_refpoint):
@@ -90,19 +93,33 @@ def test_abel_infinity_plus_Q_is_riemann_constant(pipe_refpoint):
     assert abs(res) < 1e-9
 
 
+def _integral_from_a(f, e, z):
+    """int_A^z f dw for f with a square-root singularity at A.
+
+    The leg from A to a point beyond A on band 1's line takes the
+    substitution w = A + (s - A) t^2; a router path goes on to z.
+    """
+    seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
+    s = e.A - 0.4 * seg * (e.B - e.A) / abs(e.B - e.A)
+    leg = quad.integrate_path(lambda t: f(e.A + (s - e.A) * t * t) * 2.0 * t * (s - e.A),
+                              quad.Path((0.0, 1.0)), ep.LEG_RULE)
+    return leg + ep.integrate_leg(f, ep.ChainRouter(e).path(s, z), ep.LEG_RULE)
+
+
 def test_large_z_fit_residuals_shrink(pipe_refpoint):
     # fit residuals for A_-1 and Upsilon_-1 drop like 1/z under doubling
     pd = pipe_refpoint.periods
     e = pipe_refpoint.e
-    abel = pipe_refpoint.abel
+    abel = th.AbelMap(e)
     upsilon0_const, upsilon_minus1 = pipe_refpoint.upsilon_constants()
 
     def abel_resid(z):
-        return abs(abel.value(z) - pd.A_inf - pd.A_minus1 / z)
+        lhs = pd.nu * abel.raw_integral([z])[0]
+        return abs(th.reduce_mod_lattice(lhs - pd.A_inf - pd.A_minus1 / z, pd.B_period))
 
     def upsilon_resid(z):
         fI = lambda w: (w ** 2 - pd.c_upsilon * pd.nu) / ep.R_eval(w, e, guard=False) - 1.0
-        i_up = abel.integral(fI, z) + (z - e.A)
+        i_up = _integral_from_a(fI, e, z) + (z - e.A)
         return abs((z - i_up) - upsilon0_const - upsilon_minus1 / z)
 
     z0 = 30.0 + 18j
@@ -305,17 +322,37 @@ def test_folded_chain_builds_a_router():
         assert abs(lower.value(k) - np.conj(upper.value(k))) <= 1e-9
 
 
-def test_pipeline_integrates_the_abel_stage_leg_once(pipe_refpoint, monkeypatch):
-    # the square-root leg from A to the stage point serves both Abel paths,
-    # to z_far and to Q, and A(Q) is the Abel map's own value at Q
-    sqrt_legs = []
-    integrate_path = quad.integrate_path
+# the reference point, its mirror and a point 1e-2 inside the lower ray
+@pytest.mark.parametrize("x", [-1.5 - 10j, -1.5 + 10j, -2.9913397459621542 - 5.201152422706632j])
+def test_pipeline_integrates_along_no_path(x, monkeypatch):
+    # A_inf and A(Q) come from the closed form: no router, no path integral
+    def no_path(*args, **kw):
+        raise AssertionError("a pipeline integrated along a path")
 
-    def counting(f, path, rule=quad.DEFAULT_RULE, sqrt_start=False):
-        sqrt_legs.append(sqrt_start)
-        return integrate_path(f, path, rule, sqrt_start=sqrt_start)
+    monkeypatch.setattr(ep, "ChainRouter", no_path)
+    monkeypatch.setattr(quad, "integrate_path", no_path)
+    monkeypatch.setattr(quad, "integrate_paths", no_path)
+    pipe = th.Genus1Pipeline(x)
+    assert np.isfinite(pipe.value(1))
+    # A(Q) is the Abel map's own value at Q
+    assert pipe.A_Q == pipe.periods.nu * th.AbelMap(pipe.e).raw_integral([pipe.periods.Q])[0]
 
-    monkeypatch.setattr(quad, "integrate_path", counting)
-    pipe = th.Genus1Pipeline(pipe_refpoint.x + 0.05, seed=pipe_refpoint.e)
-    assert sqrt_legs.count(True) == 1
-    assert pipe.A_Q == pipe.abel.value(pipe.periods.Q)
+
+# 1e-4 inside the branch of the pole-region boundary
+@pytest.mark.parametrize("x", [9.097482855992114 - 18.799426547935568j,
+                               11.266744571753476 - 22.399714783891273j])
+def test_pipelines_build_next_to_the_branch(x):
+    # the square-root leg of the routed Abel map rounded its first node
+    # onto A, where R = 0, and raised NonFinite here
+    pipe = th.Genus1Pipeline(x)
+    assert np.isfinite(pipe.value(1))
+    assert all(np.isfinite(c) for c in pipe.upsilon_constants())
+
+
+def test_endpoints_dump_next_to_the_boundary(tmp_path):
+    # the dump's Upsilon leg ran into the same NonFinite at this x
+    out = tmp_path / "e.json"
+    assert cli.main(["endpoints", "--x", "1.0935999587475598", "-6.078918103707684",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert all(np.isfinite(v) for v in doc["periods"]["Upsilon0_const"])
