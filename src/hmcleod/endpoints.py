@@ -22,15 +22,16 @@ the constants -Lambda (across Sigma1), -i omega (across Gamma) and
 -Lambda - i Omega (across Sigma2); omega and Omega are real exactly when
 the Boutroux conditions hold.
 
-Only the endpoint dump evaluates H (``HField``, behind ``jump_lambda``):
-as i theta(z)/2 - Log(z - A) plus the integral from infinity to z of
-g = 2iR - i theta'/2 + 1/(w - A).  g is analytic off the chain A-B-C-D
-and O(1/w^2) at infinity, so its integral is single-valued off the
-chain: the 1/w series carries it to the far point (``far_point``) and
-``ChainRouter`` paths, which avoid the chain only (shortest paths between
-waypoints that ring its ends), carry it on to z.
-The principal Log places the cut L.  The dump's Upsilon constant
-(``theta``) takes the same far point and router; a pipeline takes none.
+Only the endpoint dump evaluates H, and only at the chain ends A, B and
+D (``H_at_end``, behind ``jump_lambda``): as i theta(z)/2 - Log(z - A)
+plus the integral from infinity to z of g = 2iR - i theta'/2 + 1/(w - A).
+g is analytic off the chain A-B-C-D and O(1/w^2) at infinity, so its
+integral is single-valued off the chain, and the principal Log places
+the cut L.  A 1/w series carries the integral to a far point on a ray
+from the end, and one straight leg, which crosses no cut, carries it on
+to the end under the fixed rule ``quadrature.leg_rule`` (``end_leg``).
+The dump's Upsilon constant (``theta``) takes A's leg; a pipeline takes
+none.
 
 Every band and gap integral sums over one rule, ``segment_rule``: the
 substitution t = cos(theta), which turns the square-root endpoint
@@ -72,9 +73,6 @@ from .errors import DegenerateEndpoints, NonConvergence, OnCut, RealityViolation
 from .genus0 import RegionLabel, _classify, _dist_to_segment, cut_root, phase, phase_prime
 
 _L_RAY_LENGTH = 1e3
-
-# rule of the endpoint dump's path integrals (H and Upsilon)
-LEG_RULE = quad.QuadratureRule(abs_tol=1e-12, rel_tol=1e-12, max_depth=18)
 
 
 @dataclass(frozen=True)
@@ -378,20 +376,21 @@ def H_prime_oracle(z, e, m=192):
     return 1j * phase_prime(z, e.x) / 2.0 - G_prime_quadrature(z, e, m=m)
 
 
-def _g_prime_regularized(w, e):
-    """2iR(w) - i theta'(w)/2 + 1/(w - A), computed without cancellation.
+def _h_prime_less_phase(w, e):
+    """2iR(w) - i theta'(w)/2, computed without cancellation.
 
     With P = w^2 + x/4 the combination 2i(R - P) equals
     2i (R^2 - P^2)/(R + P), and R^2 - P^2 reduces to a quadratic in w via
     the symmetric functions of the endpoints (exact up to the solved
     moment residuals), which stays accurate for |w| up to the tail radius.
+    It is bounded at the chain ends, where R vanishes.
     """
     x = e.x
     _, e2, e3, e4 = symmetric_functions(e)
     P = w * w + x / 4.0
     num = (e2 - x / 2.0) * w * w - e3 * w + (e4 - x * x / 16.0)
     R = R_eval(w, e, guard=False)
-    return 2j * num / (R + P) + 1.0 / (w - e.A)
+    return 2j * num / (R + P)
 
 
 def _sqrt_series(coeffs, order):
@@ -433,138 +432,46 @@ def _tail_series_value(e, z_from):
     return -series_tail([2j * s[m + 2] + e.A ** (m - 1) for m in range(2, 25)], z_from)
 
 
-def far_point(e):
-    """Point well outside the endpoint cluster with the most clearance from the chain."""
+# the directions tried for a chain end's leg; none runs along L
+_LEG_DIRECTIONS = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+
+
+def end_leg(e, P):
+    """The far point z of the chain end P's leg, and the leg's rule from z to P.
+
+    z lies on a ray from P, with |z| at least the radius where the 1/w
+    series of ``_tail_series_value`` holds.  A ray qualifies when its leg
+    crosses no contour of ``contours_for(e)``.  Of those, the leg keeps
+    the most clearance from the other ends: their images under
+    t = sqrt((w - P)/(z - P)) have the largest smallest Bernstein
+    parameter, which sets the error of ``quad.leg_rule``.  Raises
+    DegenerateEndpoints when no ray qualifies.
+    """
     pts = np.array(e.points())
-    center = pts.mean()
-    radius = max(4.0 * max(np.abs(pts - center)), 2.5 * max(np.abs(pts)) + 2.0)
-    z = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))
-    clear = np.min([_dist_to_segment(z, p, q) for p, q in zip(pts[:-1], pts[1:])], axis=0)
-    return complex(z[np.argmax(clear)])
+    radius = max(4.0 * max(np.abs(pts - pts.mean())), 2.5 * max(np.abs(pts)) + 2.0)
+    z = P + (radius + abs(P)) * _LEG_DIRECTIONS
+    c0, c1 = np.array(contours_for(e)).T
+    crosses = quad.segments_cross(P, z[:, None], c0, c1).any(axis=1)
+    s = 2.0 * np.sqrt((pts[pts != P, None] - P) / (z - P)) - 1.0
+    clear = np.where(crosses, 0.0, np.min(np.abs(s + cut_root(1.0, s)), axis=0))
+    best = np.argmax(clear)
+    if crosses[best]:
+        raise DegenerateEndpoints(f"every leg from the chain end {P} crosses a contour")
+    return complex(z[best]), quad.leg_rule(P, z[best])
 
 
-# which of the four chain ends are not an end of which of the three segments
-_NOT_OWN_END = ~np.eye(4, 3, dtype=bool) & ~np.eye(4, 3, k=-1, dtype=bool)
+def H_at_end(e, P):
+    """H at the chain end P (its limit along P's leg) and the far point z of that leg.
 
-
-class ChainRouter:
-    """Shortest cut-avoiding paths on a visibility graph around the chain A-B-C-D.
-
-    The waypoints ring each chain end: four points at the clearance c.  A
-    path is the straight leg when that is visible (``_visible``), else the
-    shortest path through one waypoint that sees both ends, else the
-    shortest path through the waypoints' all-pairs table, built on first
-    need.
+    H(P) = i theta(P)/2 - Log(P - A) + tail(z) + int_z^P g dw with
+    g = (2iR - i theta'/2) + 1/(w - A).  The leg crosses no contour, L
+    included, so the 1/(w - A) part integrates to Log(P - A) - Log(z - A)
+    and H(P) = i theta(P)/2 - Log(z - A) + tail(z) + int_z^P (2iR - i theta'/2) dw,
+    at A as at the other ends.
     """
-
-    def __init__(self, e):
-        V = self.ends = np.array(e.points())
-        # a folded chain passes close to itself: the rings keep clear of the
-        # segments that do not end at their centres
-        fold = _dist_to_segment(V[:, None], V[:-1], V[1:])[_NOT_OWN_END].min()
-        self.c = min(0.3 * np.min(np.abs(np.diff(V))), 0.45 * fold)
-        ring = self.c * np.exp(0.5j * np.pi * (np.arange(4) + 0.5))
-        self.waypoints = (V[:, None] + ring).ravel()
-        self._table = None
-
-    def _visible(self, a, b):
-        """Whether each leg a-b, broadcast, crosses no chain segment and keeps clear of A-D.
-
-        The interior of a leg keeps min(c/2, half the distance from the
-        chain end to either end of the leg) from each chain end, so that
-        legs still reach points close to an end.  A zero-length leg reads
-        as not visible.
-        """
-        a, b, P = np.asarray(a)[..., None], np.asarray(b)[..., None], self.ends
-        room = np.minimum(0.5 * self.c, 0.5 * np.minimum(np.abs(P - a), np.abs(P - b)))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            clear = (_dist_to_segment(P, a, b) >= room).all(axis=-1)
-        return clear & ~quad.segments_cross(a, b, P[:-1], P[1:]).any(axis=-1)
-
-    def _all_pairs(self):
-        """Floyd-Warshall over the waypoints: shortest distances and next hops."""
-        if self._table is None:
-            W = self.waypoints
-            dist = np.where(self._visible(W[:, None], W), np.abs(W[:, None] - W), np.inf)
-            np.fill_diagonal(dist, 0.0)
-            hop = np.tile(np.arange(len(W)), (len(W), 1))
-            for k in range(len(W)):
-                via = dist[:, k, None] + dist[k]
-                better = via < dist
-                dist, hop = np.where(better, via, dist), np.where(better, hop[:, k, None], hop)
-            self._table = dist, hop
-        return self._table
-
-    def path(self, start, end):
-        start, end = complex(start), complex(end)
-        if start == end:
-            return None
-        W = self.waypoints
-        # the legs start-end and start-W in the first row, end-W in the second
-        vis = self._visible(np.array([[start], [end]]), np.concatenate(([end], W)))
-        if vis[0, 0]:
-            return quad.Path((start, end))
-        to_start = np.where(vis[0, 1:], np.abs(W - start), np.inf)
-        to_end = np.where(vis[1, 1:], np.abs(W - end), np.inf)
-        via_one = to_start + to_end
-        if np.isfinite(via_one).any():
-            return quad.Path((start, W[np.argmin(via_one)], end))
-        dist, hop = self._all_pairs()
-        total = to_start[:, None] + dist + to_end
-        i, j = np.unravel_index(np.argmin(total), total.shape)
-        if not np.isfinite(total[i, j]):
-            raise NonConvergence(f"no cut-avoiding path from {start} to {end}")
-        verts = [start, W[i]]
-        while i != j:
-            i = hop[i, j]
-            verts.append(W[i])
-        return quad.Path((*verts, end))
-
-    def integrals(self, f, start, zs):
-        """int_start^z f dw at each z of zs along ``path``, the legs bisected together."""
-        paths = [self.path(start, z) for z in zs]
-        legs = iter(integrate_legs(f, [p for p in paths if p is not None], LEG_RULE))
-        return [0.0 if p is None else next(legs) for p in paths]
-
-
-def integrate_leg(f, path, rule):
-    """Path integral with one tolerance relaxation before giving up."""
-    try:
-        return quad.integrate_path(f, path, rule)
-    except NonConvergence:
-        relaxed = quad.QuadratureRule(abs_tol=30.0 * rule.abs_tol,
-                                      rel_tol=30.0 * rule.rel_tol,
-                                      max_depth=rule.max_depth + 4)
-        return quad.integrate_path(f, path, relaxed)
-
-
-def integrate_legs(f, paths, rule):
-    """``integrate_leg`` on each path, all their segments bisected together.
-
-    A NonConvergence sends the paths through ``integrate_leg`` one by one,
-    so that each relaxes on its own as before.
-    """
-    try:
-        return quad.integrate_paths(f, paths, rule)
-    except NonConvergence:
-        return [integrate_leg(f, p, rule) for p in paths]
-
-
-class HField:
-    """Evaluator of H from the far point (see the module docstring)."""
-
-    def __init__(self, e):
-        self.e = e
-        self.router = ChainRouter(e)
-        self.z_far = far_point(e)
-        self.tail = _tail_series_value(e, self.z_far)
-
-    def values(self, zs):
-        """H at each z of zs, off the chain and off L."""
-        e = self.e
-        legs = self.router.integrals(lambda w: _g_prime_regularized(w, e), self.z_far, zs)
-        return [0.5j * phase(z, e.x) - np.log(z - e.A) + self.tail + leg
-                for z, leg in zip(zs, legs)]
+    z, (w, dw) = end_leg(e, P)
+    return (0.5j * phase(P, e.x) - np.log(z - e.A) + _tail_series_value(e, z)
+            + np.sum(dw * _h_prime_less_phase(w, e))), z
 
 
 def adaptive_band_nodes(e):
@@ -573,25 +480,6 @@ def adaptive_band_nodes(e):
     scale = max(abs(p - q) for p in pts for q in pts)
     m = int(16.0 * np.sqrt(max(scale / max(e.separation(), 1e-9), 1.0)) * 8)
     return int(np.clip(m, 128, 1024))
-
-
-def midpoint_two_sided(hf, p, q):
-    """Two-sided H limits at the midpoint of the cut [p, q].
-
-    H is evaluated, in one batched call, at three transversal offsets on
-    each side (the largest is 1e-3 of the cut length) and the one-sided
-    limits are obtained by second-order Richardson elimination (the sum
-    and difference of the limits are the jump constants).
-    """
-    mid = 0.5 * (p + q)
-    n = 1j * (q - p) / abs(q - p)
-    E = 1e-3 * abs(q - p)
-    steps = [s * E * n for s in (1.0, 0.5, 0.25)]
-    h = hf.values([z for d in steps for z in (mid + d, mid - d)])
-    ladder = [(up + dn, up - dn) for up, dn in zip(h[::2], h[1::2])]
-    sum0 = (8.0 * ladder[2][0] - 6.0 * ladder[1][0] + ladder[0][0]) / 3.0
-    diff0 = (8.0 * ladder[2][1] - 6.0 * ladder[1][1] + ladder[0][1]) / 3.0
-    return sum0, diff0
 
 
 def spectral_constants(e, m):
@@ -611,21 +499,46 @@ def spectral_constants(e, m):
     return SpectralConstants(omega=float(omega.real), Omega=float(Omega.real))
 
 
-def jump_lambda(e, constants):
-    """The jump constant Lambda from an H-field pass; only the endpoint dump reads it.
+def _ccw(u, v):
+    """The counterclockwise angle from the direction u to the direction v, in [0, 2 pi)."""
+    return np.angle(v / u) % (2.0 * np.pi)
 
-    Lambda is minus the two-sided H sum at the band-1 midpoint.  The same
-    pass checks ``constants``: omega and Omega must match the two-sided H
-    jumps to a relative 1e-3, else RealityViolation.
+
+def end_jumps(e):
+    """Lambda, and the values of omega and Omega that H at the chain ends gives.
+
+    Lambda follows the branch rule of ``jump_lambda``.  At D the two sides
+    of band 2 meet, so 2H(D) + Lambda + i Omega = 0.  At B the gap jump
+    H_+ - H_- = -i omega splits the band-1 sum H_+ + H_- = -Lambda:
+    2H(B) + Lambda + i omega = 0 on the + side (left) of the gap, where
+    B's leg arrives when it leaves counterclockwise of the gap and
+    clockwise of band 1, and 2H(B) + Lambda - i omega = 0 on the other.
     """
-    hf = HField(e)
-    sum1, _ = midpoint_two_sided(hf, e.A, e.B)
-    _, diff_g = midpoint_two_sided(hf, e.B, e.C)
-    sum2, _ = midpoint_two_sided(hf, e.C, e.D)
-    Lambda = complex(-sum1)
-    # H_+ - H_- = -i omega on the gap, H_+ + H_- = -Lambda - i Omega on band 2
-    for name, cyc, jump in (("omega", constants.omega, 1j * diff_g),
-                            ("Omega", constants.Omega, 1j * (Lambda + sum2))):
+    (hA, zA), (hB, zB), (hD, _) = (H_at_end(e, P) for P in (e.A, e.B, e.D))
+    ccw = _ccw(zA - e.A, -1.0) < _ccw(zA - e.A, e.B - e.A)
+    Lambda = complex(-2.0 * hA + (-2j if ccw else 2j) * np.pi)
+    plus_side = _ccw(e.C - e.B, zB - e.B) < _ccw(e.C - e.B, e.A - e.B)
+    omega = (1j if plus_side else -1j) * (2.0 * hB + Lambda)
+    return Lambda, omega, 1j * (2.0 * hD + Lambda)
+
+
+def jump_lambda(e, constants):
+    """The jump constant Lambda from H at the chain ends; only the endpoint dump reads it.
+
+    H_+ + H_- = -Lambda along band 1, so also at its end A.  H at A is
+    continuous but for the jump of -Log(z - A) across L.  The side of
+    band 1 that shares a sector with A's leg takes the leg's value H(A).
+    The other side is reached by the arc at A from the leg that crosses L
+    and not band 1.  Counterclockwise, that arc crosses L from above to
+    below, where -Log gains 2 pi i, so Lambda = -2H(A) - 2 pi i;
+    clockwise, Lambda = -2H(A) + 2 pi i.
+
+    The same pass checks ``constants``: omega and Omega must match their
+    chain-end values (``end_jumps``) to a relative 1e-3, else
+    RealityViolation.
+    """
+    Lambda, *jumps = end_jumps(e)
+    for name, cyc, jump in zip(("omega", "Omega"), (constants.omega, constants.Omega), jumps):
         if abs(cyc - jump) > 1e-3 * max(1.0, abs(cyc)):
-            raise RealityViolation(f"cycle and jump values of {name} disagree: {cyc} vs {jump}")
+            raise RealityViolation(f"cycle and chain-end values of {name} disagree: {cyc} vs {jump}")
     return Lambda

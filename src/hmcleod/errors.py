@@ -5,16 +5,6 @@ class HmcleodError(Exception):
     """Base class for all package errors."""
 
 
-# --- quadrature ---
-
-class NonConvergence(HmcleodError):
-    """Quadrature, the endpoint Newton or the chain router's path search did not converge."""
-
-
-class NonFinite(HmcleodError):
-    """Integrand evaluated to NaN or infinity on a quadrature node."""
-
-
 # --- branch / region machinery ---
 
 class OnCut(HmcleodError):
@@ -35,12 +25,16 @@ class TraceFailure(HmcleodError):
 
 # --- endpoint system ---
 
+class NonConvergence(HmcleodError):
+    """The endpoint Newton did not converge."""
+
+
 class DegenerateEndpoints(HmcleodError):
-    """Band endpoints collapsed below the separation threshold."""
+    """Band endpoints collapsed, a cut crosses a band, or no straight leg leaves a chain end."""
 
 
 class RealityViolation(HmcleodError):
-    """omega or Omega is not real, or disagrees with the two-sided jumps of H."""
+    """omega or Omega is not real, or disagrees with its value from H at the chain ends."""
 
 
 # --- periods / theta ---

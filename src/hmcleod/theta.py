@@ -285,26 +285,19 @@ class Genus1Pipeline:
         """(Upsilon0_const, Upsilon_minus1) of Upsilon = (w^2 - c_upsilon nu)/R dw.
 
         Upsilon0_const = A - int_A^inf (Upsilon - dw) and Upsilon_minus1
-        is the 1/z coefficient; only the endpoint dump reads them.  One
-        router leg from the far point to A takes the part of Upsilon - dw
-        that is bounded at A, less c/((w - B) r1), whose primitive
-        2 c r1/((A - B)(w - B)) vanishes at A (r1 the band-1 root).
+        is the 1/z coefficient; only the endpoint dump reads them.  The
+        integral runs out along A's leg (``endpoints.end_leg``), whose rule
+        takes the 1/sqrt(w - A) of the integrand, and a 1/w series takes it
+        on from the leg's far point to infinity.
         """
         e, pd = self.e, self.periods
-        A, B = e.A, e.B
         c_nu = pd.c_upsilon * pd.nu
-        c = (A ** 2 - c_nu) * (A - B) / ep._band_root(e.C, e.D, A)
-
-        def bounded(w):
-            return ((w ** 2 - c_nu) / ep.R_eval(w, e, guard=False) - 1.0
-                    - c / ((w - B) * ep._band_root(A, B, w)))
-
-        z_far, t = ep.far_point(e), ep.inv_r_series(e, 16)
+        z_far, (w, dw) = ep.end_leg(e, e.A)
+        t = ep.inv_r_series(e, 16)
         # series tail: (w^2 - cU*nu)/R - 1 = sum_{m>=2} (t_m - cU*nu*t_{m-2}) w^-m
         tail = ep.series_tail([t[m] - c_nu * t[m - 2] for m in range(2, len(t))], z_far)
-        leg, = ep.ChainRouter(e).integrals(bounded, z_far, [A])
-        primitive = 2.0 * c * ep._band_root(A, B, z_far) / ((A - B) * (z_far - B))
-        return (complex(A - (primitive - leg + tail)),
+        leg = np.sum(dw * ((w ** 2 - c_nu) / ep.R_eval(w, e, guard=False) - 1.0))
+        return (complex(e.A - (tail - leg)),
                 complex(-e.x / 4.0 + pd.A_minus1 * pd.c_upsilon))
 
     def pole_residual(self, k, family):

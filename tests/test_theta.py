@@ -8,7 +8,8 @@ from hmcleod import cli, commands
 from hmcleod import endpoints as ep
 from hmcleod import quadrature as quad
 from hmcleod import theta as th
-from hmcleod.errors import NonFinite, NormalizationFailure, ThetaZero, WrongRegion
+from hmcleod.errors import NonConvergence, NormalizationFailure, ThetaZero, WrongRegion
+from polyline import chain_detour, integrate_polyline
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +98,12 @@ def _integral_from_a(f, e, z):
     """int_A^z f dw for f with a square-root singularity at A.
 
     The leg from A to a point beyond A on band 1's line takes the
-    substitution w = A + (s - A) t^2; a router path goes on to z.
+    substitution w = A + (s - A) t^2; a detour through a far circle goes
+    on to z.
     """
     seg = min(abs(e.B - e.A), abs(e.C - e.B), abs(e.D - e.C))
     s = e.A - 0.4 * seg * (e.B - e.A) / abs(e.B - e.A)
-    leg = quad.integrate_path(lambda t: f(e.A + (s - e.A) * t * t) * 2.0 * t * (s - e.A),
-                              quad.Path((0.0, 1.0)), ep.LEG_RULE)
-    return leg + ep.integrate_leg(f, ep.ChainRouter(e).path(s, z), ep.LEG_RULE)
+    return integrate_polyline(f, (e.A, *chain_detour(e, s, z)), sqrt_start=True)
 
 
 def test_large_z_fit_residuals_shrink(pipe_refpoint):
@@ -171,7 +171,7 @@ def test_failed_seed_does_not_abort_pole_search(pipeline_cache, monkeypatch):
     def fake_newton(cache, x0, k, sign, J):
         seeds.append(x0)
         if len(seeds) == 1:
-            raise NonFinite("integrand not finite")
+            raise NonConvergence("endpoint Newton stalled")
         return x0
 
     monkeypatch.setattr(th, "_newton_pole", fake_newton)
@@ -303,11 +303,11 @@ def test_value_depends_on_x_alone(x, tmp_path, monkeypatch):
 
 
 def test_cold_pipeline_builds_no_h_field(pipe_refpoint, monkeypatch):
-    # only the endpoint dump's Lambda needs the H field
-    def no_h_field(e):
-        raise AssertionError("H field built for a pipeline")
+    # only the endpoint dump's Lambda needs H
+    def no_h_field(e, P):
+        raise AssertionError("H evaluated for a pipeline")
 
-    monkeypatch.setattr(ep, "HField", no_h_field)
+    monkeypatch.setattr(ep, "H_at_end", no_h_field)
     pipe = th.Genus1Pipeline(pipe_refpoint.x)
     assert pipe.constants == pipe_refpoint.constants
 
@@ -325,13 +325,12 @@ def test_folded_chain_builds_a_router():
 # the reference point, its mirror and a point 1e-2 inside the lower ray
 @pytest.mark.parametrize("x", [-1.5 - 10j, -1.5 + 10j, -2.9913397459621542 - 5.201152422706632j])
 def test_pipeline_integrates_along_no_path(x, monkeypatch):
-    # A_inf and A(Q) come from the closed form: no router, no path integral
+    # A_inf and A(Q) come from the closed form: no leg, no path integral
     def no_path(*args, **kw):
         raise AssertionError("a pipeline integrated along a path")
 
-    monkeypatch.setattr(ep, "ChainRouter", no_path)
-    monkeypatch.setattr(quad, "integrate_path", no_path)
-    monkeypatch.setattr(quad, "integrate_paths", no_path)
+    monkeypatch.setattr(ep, "end_leg", no_path)
+    monkeypatch.setattr(quad, "leg_rule", no_path)
     pipe = th.Genus1Pipeline(x)
     assert np.isfinite(pipe.value(1))
     # A(Q) is the Abel map's own value at Q
@@ -343,14 +342,14 @@ def test_pipeline_integrates_along_no_path(x, monkeypatch):
                                11.266744571753476 - 22.399714783891273j])
 def test_pipelines_build_next_to_the_branch(x):
     # the square-root leg of the routed Abel map rounded its first node
-    # onto A, where R = 0, and raised NonFinite here
+    # onto A, where R = 0, and met a non-finite integrand here
     pipe = th.Genus1Pipeline(x)
     assert np.isfinite(pipe.value(1))
     assert all(np.isfinite(c) for c in pipe.upsilon_constants())
 
 
 def test_endpoints_dump_next_to_the_boundary(tmp_path):
-    # the dump's Upsilon leg ran into the same NonFinite at this x
+    # the dump's Upsilon leg met the same non-finite integrand at this x
     out = tmp_path / "e.json"
     assert cli.main(["endpoints", "--x", "1.0935999587475598", "-6.078918103707684",
                      "--out", str(out)]) == 0
