@@ -15,6 +15,7 @@ one-thread BLAS (``pins_blas_threads``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -22,14 +23,17 @@ from .errors import HmcleodError
 
 
 def _number_type(rule, test, convert):
-    """argparse type: ``convert`` of the number given where ``test`` holds of it, else ``rule``."""
+    """argparse type: ``convert`` of the finite number given where ``test`` holds, else ``rule``."""
     def parse(text):
         try:
-            if test(float(text)):
-                return convert(float(text))
+            value = float(text)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return convert(value)
     return parse
 
 
@@ -42,7 +46,8 @@ _TAYLOR_ORDER = _number_type("must be an even integer >= 2",
                              lambda n: n.is_integer() and n >= 2 and n % 2 == 0, int)
 _SEED = _number_type("must be an integer >= 0", lambda n: n.is_integer() and n >= 0, int)
 _POSITIVE = _number_type("must be > 0", lambda v: v > 0, float)
-# the ends of the bvp segment, which must straddle Re y = 0
+# coordinates, and the ends of the bvp segment, which must straddle Re y = 0
+_FINITE = _number_type("must be a number", lambda v: True, float)
 _Y1 = _number_type("y1 must be < 0", lambda y: y < 0, float)
 _Y2 = _number_type("y2 must be > 0", lambda y: y > 0, float)
 
@@ -63,7 +68,7 @@ _SHARED_FLAGS = {
     "taylor-order": {"type": _TAYLOR_ORDER, "default": 24},
     "step": {"type": _POSITIVE, "default": 0.5},
     "delta": {"type": _POSITIVE, "default": 0.5},
-    "window": {"type": float, "nargs": 4, "required": True, "action": _Window,
+    "window": {"type": _FINITE, "nargs": 4, "required": True, "action": _Window,
                "metavar": ("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX")},
 }
 # the Harness settings of the commands that build a collocation solution
@@ -79,8 +84,8 @@ def _add_common(sp, alpha_min, *flags, nargs=None):
     1/2 for the asymptotics (k > 0), -1/2 for vault and bvp.
     """
     def alpha_of(name, shift):
-        return _number_type(f"{name} must be finite and > {alpha_min - shift:g}",
-                            lambda v: alpha_min < v + shift < float("inf"),
+        return _number_type(f"{name} must be > {alpha_min - shift:g}",
+                            lambda v: v + shift > alpha_min,
                             lambda v: v + shift if shift else v)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", help="parameter k (alpha = k + 1/2)", dest="alpha", metavar="K",
@@ -100,9 +105,9 @@ def build_parser():
     sp = sub.add_parser("slice", help="compare asymptotic and numeric values on a slice")
     _add_common(sp, 0.5, *_HARNESS_FLAGS, "delta", nargs="+")
     sp.add_argument("--slice", dest="mode", choices=["real", "horizontal"], default=None)
-    sp.add_argument("--im", type=float, default=0.0, help="imaginary offset of the slice")
-    sp.add_argument("--xmin", type=float, default=-3.0)
-    sp.add_argument("--xmax", type=float, default=3.0)
+    sp.add_argument("--im", type=_FINITE, default=0.0, help="imaginary offset of the slice")
+    sp.add_argument("--xmin", type=_FINITE, default=-3.0)
+    sp.add_argument("--xmax", type=_FINITE, default=3.0)
     sp.add_argument("--samples", type=_COUNT, default=61)
 
     sp = sub.add_parser("grid", help="density-grid CSV over an x-window")
@@ -119,7 +124,7 @@ def build_parser():
     _add_common(sp, 0.5, "delta", "window")
 
     sp = sub.add_parser("endpoints", help="dump the two-band data at one x as JSON")
-    sp.add_argument("--x", type=float, nargs=2, required=True, metavar=("RE", "IM"))
+    sp.add_argument("--x", type=_FINITE, nargs=2, required=True, metavar=("RE", "IM"))
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("vault", help="build and serialize a Pade atlas")
@@ -130,7 +135,7 @@ def build_parser():
     _add_common(sp, -0.5, "n-cheb")
     sp.add_argument("--y1", type=_Y1, default=-12.0)
     sp.add_argument("--y2", type=_Y2, default=12.0)
-    sp.add_argument("--y-im", type=float, default=0.0)
+    sp.add_argument("--y-im", type=_FINITE, default=0.0)
     sp.add_argument("--allow-pole-region", action="store_true")
     return ap
 

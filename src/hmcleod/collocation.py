@@ -108,7 +108,7 @@ def _initial_guess(p, f_nodes):
     if k > 0:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            S = genus0.solve_S_chain([x_from_y(y, k) for y in f_nodes])
+            S = genus0.solve_S([x_from_y(y, k) for y in f_nodes])
         for i, Si in enumerate(S):
             v[i] = (2.0 * k) ** (1.0 / 3.0) * 1j * Si / 2.0
         return v

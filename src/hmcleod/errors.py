@@ -20,7 +20,7 @@ class WrongRegion(HmcleodError):
 
 
 class TraceFailure(HmcleodError):
-    """The continuation of S or a boundary row did not converge."""
+    """S(x) could not be computed, or a boundary row did not converge."""
 
 
 # --- endpoint system ---

@@ -33,10 +33,9 @@ through a real root x0 ~ -1.588, and two curved branches leaving the
 apexes into the right half-plane.
 
 ``solve_S``, ``classify_region`` and ``classify_and_value`` take a scalar
-or an array of x.  The branch continuation is level-synchronous: one
-eigvals call on stacked companion matrices gives the roots at every x
-of a level, and each x keeps the step rule, root picks and rounding of
-a one-point solve, so a batch gives every point's S to the bit.
+or an array of x.  Each x takes the root of its companion matrix (one
+eigvals call for all) nearest Cardano's closed form for S and polishes
+it in scalar arithmetic, so a batch gives every point's S to the bit.
 """
 
 from __future__ import annotations
@@ -114,17 +113,16 @@ def dist_sigma_s(x):
 # ---------------------------------------------------------------------------
 # the branch S: one batched kernel
 #
-# A call solves all its x together: the cubic's roots come from stacked
-# companion matrices, one eigvals call per continuation level, while
-# each point's step, prediction, root pick and polish are the scalar
+# A call solves all its x together: Cardano's formula names the branch
+# at each x, the cubic's roots come from stacked companion matrices in
+# one eigvals call, and each point's root pick and polish are the scalar
 # complex arithmetic of a one-point solve.  A point's S is therefore the
 # same to the bit whether it is solved alone or in a batch.
 # ---------------------------------------------------------------------------
 
-_S_AT_ZERO = -1j * 2.0 ** (1.0 / 3.0)      # the anchor S(0), a Python complex
+_S_AT_ZERO = -1j * 2.0 ** (1.0 / 3.0)      # S(0), a Python complex
 _SIDE_PLUS = 1j * _RAY_DIR_PLUS             # left of the outward ray orientation
 _SIDE_MINUS = 1j * _RAY_DIR_MINUS
-_MAX_LEVELS = 10000
 # the companion matrix np.roots builds for S^3 + xS - 2i, less its -x entry
 _COMPANION = np.zeros((3, 3), dtype=complex)
 _COMPANION[0] = -np.array([1.0, 0.0, 0.0, -2.0j])[1:] / (1.0 + 0.0j)
@@ -141,11 +139,6 @@ def _cubic_roots(x):
     A = np.repeat(_COMPANION[None], len(x), axis=0)
     A[:, 0, 1] = -x / (1.0 + 0.0j)
     return np.linalg.eigvals(A)
-
-
-# At t = 0 the roots are those of S^3 = 2i: t x is a signed zero, and no
-# sign of it changes the roots' bits.
-_ROOTS_AT_ZERO = _cubic_roots(np.zeros(1, dtype=complex))[0]
 
 
 def _polish(S, x):
@@ -174,68 +167,32 @@ def _points(x):
     return pts
 
 
-def _continue_from_zero(pts):
-    """Cold branch values: continuation from S(0) along the segments [0, x].
-
-    Level-synchronous: each level advances every x still short of t = 1
-    by its own step, and the roots at all the new t x come from one call.
-    x = 0 keeps S(0), unpolished; every other S is polished.
-    """
-    S = [_S_AT_ZERO] * len(pts)
-    t = [0.0] * len(pts)
-    roots = [_ROOTS_AT_ZERO] * len(pts)
-    live = [i for i, x in enumerate(pts) if x != 0]
-    levels = 0
-    while live:
-        levels += 1
-        if levels > _MAX_LEVELS:
-            raise TraceFailure("branch continuation for S stalled")
-        preds, targets = [], []
-        for i in live:
-            x, Si, ti = pts[i], S[i], t[i]
-            dS = -Si / (3.0 * Si ** 2 + ti * x)
-            sep = min(abs(r - Si) for r in roots[i] if abs(r - Si) > 1e-14)
-            # step keeps the predicted move well under the root separation
-            dt_max = 0.2 * sep / (abs(dS) * abs(x) + 1e-300)
-            dt = min(1.0 - ti, max(dt_max, 1e-6), 0.5)
-            t[i] = ti + dt
-            preds.append(Si + dS * (x * dt))
-            targets.append(t[i] * x)
-        # the roots at the new t x are also the next level's
-        for i, r, pred in zip(live, _cubic_roots(np.array(targets)), preds):
-            S[i] = r[np.argmin(np.abs(r - pred))]
-            roots[i] = r
-        live = [i for i in live if t[i] < 1.0]
-    return [_polish(Si, x) if x != 0 else Si for Si, x in zip(S, pts)]
-
-
 def solve_S(x):
     """Branch of S^3 + xS - 2i = 0 continuous off Sigma_S, S ~ -i sqrt(x).
 
-    Takes a scalar or an array of x (the result has its shape).  Solved
-    by Cardano (companion matrix) plus continuation: the branch is
-    anchored at S(0) = -i 2^(1/3) and tracked along the straight segment
-    from 0 to x, which never crosses the radial rays of Sigma_S.  Inputs
-    on the cut are nudged to the left of the ray's outward direction and
-    warned about: that is the pole-free side of the upper ray, but the
+    Takes a scalar or an array of x (the result has its shape).  By
+    Cardano, S = -i T with T = u + x/(3u), u = (1 + sqrt(1 - (x/3)^3))^(1/3)
+    and principal roots: T is analytic off Sigma_S, since the square
+    root's cuts are the rays where x^3 >= 27 and T = 2 Re u is continuous
+    across the positive one, and T(0) = 2^(1/3).  Each S is the root of
+    the companion matrix nearest that value, polished by two Newton
+    steps; x = 0 gives S(0).  Raises TraceFailure where the value is not
+    finite, as (x/3)^3 overflows from |x| ~ 1.7e103.  Inputs on the cut
+    are nudged to the left of the ray's outward direction and warned
+    about: that is the pole-free side of the upper ray, but the
     pole-region side of the lower one.
     """
     x = np.asarray(x, dtype=complex)
-    S = _continue_from_zero(_points(x.ravel()))
+    pts = _points(x.ravel())
+    xs = np.array(pts, dtype=complex)
+    with np.errstate(all="ignore"):
+        u = (1.0 + np.sqrt(1.0 - (xs / 3.0) ** 3)) ** (1.0 / 3.0)
+        near = -1j * (u + xs / (3.0 * u))
+    if not np.isfinite(near).all():
+        raise TraceFailure("S(x) is out of floating-point range")
+    S = [_polish(r[np.argmin(np.abs(r - s))], p) if p != 0 else _S_AT_ZERO
+         for r, s, p in zip(_cubic_roots(xs), near, pts)]
     return np.array(S, dtype=complex).reshape(x.shape)[()]
-
-
-def solve_S_chain(xs):
-    """S along a chain of nearby points.
-
-    The first point is solved cold; each next one takes the root nearest
-    the S before it, polished.  All roots come from one batched call.
-    """
-    pts = _points(np.asarray(xs, dtype=complex).ravel())
-    S = _continue_from_zero(pts[:1])
-    for r, p in zip(_cubic_roots(np.array(pts[1:])), pts[1:]):
-        S.append(_polish(r[np.argmin(np.abs(r - S[-1]))], p))
-    return np.array(S, dtype=complex)
 
 
 def _cmul(a, b):
@@ -445,8 +402,8 @@ def _classify(x):
     """Region labels of the array x, and the ``genus0_data`` of the classified points.
 
     The classified point is x itself where Im x >= 0 and conj(x) below
-    the axis.  An apex point stands in as x = 0, which needs no
-    continuation.
+    the axis.  An apex point, a branch point of S, stands in as x = 0;
+    its label is APEX_POINT whatever its S.
     """
     to_plus, to_minus = x - APEX_PLUS, x - APEX_MINUS
     apex = np.minimum(np.hypot(to_plus.real, to_plus.imag),
@@ -469,7 +426,7 @@ def classify_region(x):
     """Label x by its region of the scaled plane, from the sign of frak_c.
 
     Takes a scalar (gives a RegionLabel) or an array (gives an object
-    array of them), one cold solve of S per point.  Points within 1e-8
+    array of them), one solve of S per point.  Points within 1e-8
     of an apex are APEX_POINT.  Points below the real axis are
     classified by their mirror image x -> conj(x), since
     frak_c(conj x) = frak_c(x), and a pole-region label becomes DOWN.
@@ -487,7 +444,7 @@ def classify_and_value(x):
     """Region labels of x and the leading asymptotic values -i S(x)/2.
 
     The value is NaN where x is not pole-free.  Each value comes from
-    the S of the classification, one cold solve per point: S(x) itself
+    the S of the classification, one solve per point: S(x) itself
     where Im x >= 0, and S(conj x) below the real axis, where the value
     is the conjugate of the one at conj x (S(conj x) = -conj S(x)).
     """

@@ -49,19 +49,19 @@ def test_slice_determinism(tmp_path):
 
 
 def test_classification_failure_flags_only_its_row(tmp_path, monkeypatch):
-    # a point whose branch continuation stalls gets its own flag; the
-    # other rows keep the values of an unbroken run
+    # a point whose S cannot be computed gets its own flag; the other
+    # rows keep the values of an unbroken run
     argv = ["slice", "--k", "1", "--xmin", "-1", "--xmax", "3", "--samples", "5"]
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     assert run(argv + ["--out", str(good)]) == 0
-    continue_from_zero = genus0._continue_from_zero
+    cubic_roots = genus0._cubic_roots
 
-    def stall_at_two(pts):
-        if 2.0 in pts:
-            raise TraceFailure("branch continuation for S stalled")
-        return continue_from_zero(pts)
+    def fail_at_two(x):
+        if np.any(x == 2.0):
+            raise TraceFailure("no roots at x = 2")
+        return cubic_roots(x)
 
-    monkeypatch.setattr(genus0, "_continue_from_zero", stall_at_two)
+    monkeypatch.setattr(genus0, "_cubic_roots", fail_at_two)
     assert run(argv + ["--out", str(bad)]) == 2
     good_rows = good.read_text().strip().split("\n")
     bad_rows = bad.read_text().strip().split("\n")
@@ -77,6 +77,25 @@ def test_classification_failure_flags_only_its_row(tmp_path, monkeypatch):
                 "--quantity", "asymptotic", "--out", str(grid)]) == 2
     nan_rows = [r for r in grid.read_text().strip().split("\n") if "nan" in r]
     assert nan_rows == ["2.000000000000e+00,0.000000000000e+00,nan,nan,TraceFailure"]
+
+
+def test_out_of_range_grid_rows_are_trace_failures(tmp_path):
+    # (x/3)^3 overflows there, so S(x) has no value: each row is flagged
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--k", "1", "--window", "1e300", "2e300", "-1", "1", "--res", "2",
+                "--quantity", "asymptotic", "--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[2:] for row in rows] == [["nan", "nan", "TraceFailure"]] * 4
+
+
+def test_far_grid_point_takes_the_branch(tmp_path):
+    # beyond the ray of Sigma_S, S ~ 2i/x, so the value -i S/2 reads 1/x
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--k", "1", "--window", "-93358000", "-93358000", "-35837000",
+                "-35837000", "--res", "1", "--quantity", "asymptotic", "--out", str(out)]) == 0
+    x_re, x_im, re, im, flag = out.read_text().strip().split("\n")[1].split(",")
+    assert flag == "ok"
+    assert abs(complex(float(re), float(im)) * complex(float(x_re), float(x_im)) - 1.0) <= 1e-6
 
 
 def test_masked_slice_rows_are_not_failures(tmp_path, monkeypatch):
@@ -183,6 +202,30 @@ def test_bad_k_or_alpha_is_an_argparse_error(argv, capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--k", "1", "--xmin", "nan", "--xmax", "1", "--samples", "3"],
+    ["slice", "--k", "1", "--xmin", "-1", "--xmax", "inf", "--samples", "3"],
+    ["slice", "--k", "1", "--slice", "horizontal", "--im=-inf", "--samples", "3"],
+    ["grid", "--k", "1", "--window", "-1", "1", "-1", "nan"],
+    ["poles", "--k", "1", "--window", "-1", "inf", "-9", "-8"],
+    ["vault", "--k", "1", "--window", "-2", "inf", "0", "6"],
+    ["endpoints", "--x", "-1.5", "inf"],
+    ["endpoints", "--x", "nan", "-10"],
+    ["bvp", "--k", "1", "--y1=-inf"],
+    ["bvp", "--k", "1", "--y2", "inf"],
+    ["bvp", "--k", "1", "--y-im", "nan"],
+    ["poles", "--k", "1", "--window", "-1", "1", "-9", "-8", "--delta", "inf"],
+    ["vault", "--k", "1", "--window", "0", "1", "0", "1", "--step", "inf"],
+])
+def test_non_finite_number_is_an_argparse_error(argv, tmp_path, capsys):
+    # every number a flag takes, coordinates included, must be finite
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
 
 
 def _documented_pin(args, text):

@@ -11,7 +11,7 @@ CBRT2 = 2.0 ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
-# reference: the one-point continuation the batched kernel replaced
+# reference: S by continuation from S(0) along [0, x], one point at a time
 # ---------------------------------------------------------------------------
 
 def _ref_solve_S(x, hint=None):
@@ -125,16 +125,57 @@ def test_cubic_roots_match_np_roots():
     assert np.array_equal(_bits(g0._cubic_roots(xs)), _bits(ref))
 
 
-def test_roots_at_zero_do_not_depend_on_the_sign_of_zero():
-    # the continuation's first level takes its roots from the constant
-    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
-    for z in zeros:
-        assert _bits(np.roots([1.0, 0.0, z, -2.0j])).tolist() == _bits(g0._ROOTS_AT_ZERO).tolist()
+def test_batched_solve_matches_reference_in_the_disk_of_radius_40():
+    rng = np.random.default_rng(41)
+    xs = 40.0 * np.sqrt(rng.uniform(0.0, 1.0, 2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    _assert_batch_matches_reference(xs)
 
 
-@pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5])
+def test_batched_solve_matches_reference_beside_the_rays():
+    # offsets from 1e-11 (nudged onto the left side) to 0.1 on either side
+    # of both rays of Sigma_S, out to |x| = 40
+    ts = np.linspace(0.0, 37.0, 20)
+    xs = [apex + ts * ray + sign * offset * 1j * ray
+          for apex, ray in ((g0.APEX_PLUS, g0._RAY_DIR_PLUS), (g0.APEX_MINUS, g0._RAY_DIR_MINUS))
+          for sign in (1.0, -1.0) for offset in np.logspace(-11, -1, 11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OnCutWarning)
+        _assert_batch_matches_reference(np.concatenate(xs))
+
+
+def test_batched_solve_matches_reference_near_the_branch_points():
+    # the apexes are branch points of S; at x = 3 the two other roots meet
+    angles = np.linspace(-np.pi, np.pi, 24, endpoint=False) + 0.01
+    xs = [centre + dist * np.exp(1j * angles) for centre in (g0.APEX_PLUS, g0.APEX_MINUS, 3.0)
+          for dist in np.logspace(-14, np.log10(0.3), 14)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OnCutWarning)
+        _assert_batch_matches_reference(np.concatenate(xs))
+
+
+@pytest.mark.parametrize("radius", [1e8, 1e12, 1e50])
+def test_branch_far_from_the_origin(radius):
+    # S ~ -i sqrt(x) left of the rays of Sigma_S, S ~ 2i/x beyond them
+    angles = (np.arange(720) + 0.5) * np.pi / 360.0 - np.pi
+    xs = radius * np.exp(1j * angles)
+    want = np.where(np.abs(angles) < 2.0 * np.pi / 3.0, -1j * np.sqrt(xs), 2j / xs)
+    assert np.all(np.abs(g0.solve_S(xs) - want) <= 1e-3 * np.abs(want))
+
+
+def test_solve_S_out_of_range_is_a_trace_failure():
+    # (x/3)^3 overflows from |x| ~ 1.7e103: no root is picked from NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in [1e104, -2e103j, complex(1e300, 1.0), [1.0, 1e200]]:
+            with pytest.raises(TraceFailure):
+                g0.solve_S(x)
+        assert g0.solve_S(-1.6e103) == pytest.approx(2j / -1.6e103, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 3.5])
 def test_chain_matches_successive_hinted_solves(alpha):
-    # the collocation seed: the branch along the Chebyshev nodes of [-12, 12]
+    # the collocation seed: solve_S on the Chebyshev nodes of [-12, 12]
+    # gives the bits of the branch followed from node to node
     k = alpha - 0.5
     ys = 12.0 * np.cos(np.arange(200) * np.pi / 199) + 0j
     xs = [x_from_y(y, k) for y in ys]
@@ -142,7 +183,7 @@ def test_chain_matches_successive_hinted_solves(alpha):
     for x in xs:
         hint = _ref_solve_S(x, hint=hint)
         ref.append(hint)
-    assert np.array_equal(_bits(g0.solve_S_chain(xs)), _bits(ref))
+    assert np.array_equal(_bits(g0.solve_S(xs)), _bits(ref))
 
 
 def test_solve_S_anchor_values():
@@ -168,7 +209,7 @@ def test_cubic_residual_grid():
 def test_branch_continuity_along_circle():
     angles = np.linspace(-0.65 * np.pi, 0.65 * np.pi, 200)
     xs = 5.0 * np.exp(1j * angles)
-    Ss = g0.solve_S_chain(xs)
+    Ss = g0.solve_S(xs)
     for x_prev, x, S, S_new in zip(xs[:-1], xs[1:], Ss[:-1], Ss[1:]):
         dS = -S / (3.0 * S ** 2 + complex(x_prev))
         assert abs(S_new - S) <= 5.0 * abs(dS) * abs(x - x_prev) + 1e-8
