@@ -33,37 +33,35 @@ to the end under the fixed rule ``quadrature.leg_rule`` (``end_leg``).
 The dump's Upsilon constant (``theta``) takes A's leg; a pipeline takes
 none.
 
-Every band and gap integral sums over one rule, ``segment_rule``: the
-substitution t = cos(theta), which turns the square-root endpoint
-behavior of R into smooth periodic integrands (midpoint rule in theta
-converges spectrally).
+Every band and gap integral is a complete integral of p(w) dw/R with
+deg p <= 4: a combination of the moments I_k = int w^k dw/R, k = 0, 1, 2,
+of its segment (``segment_moments``), summed over one rule,
+``segment_rule``, at the node count m(e) = ``adaptive_band_nodes(e)``.
+The rule substitutes t = cos(theta), which turns the square-root
+endpoint behavior of R into smooth periodic integrands (midpoint rule in
+theta converges spectrally).  With R^2 = P4(w) = sum_j c_j w^j, and R
+zero at both ends of a band and of the gap, int d(w^j R) = 0 for j = 0, 1
+gives I_3 and I_4 exactly (``moment_reduction``):
+
+    4 I_3 + 3 c_3 I_2 + 2 c_2 I_1 + c_1 I_0 = 0,
+    3 I_4 + (5/2) c_3 I_3 + 2 c_2 I_2 + (3/2) c_1 I_1 + c_0 I_0 = 0,
+
+and int R dw = sum_j c_j I_j.
 
 Newton on the eight conditions uses a closed-form Jacobian.  Each
 condition is the real or imaginary part of a function g holomorphic in
 each endpoint P, so Cauchy-Riemann gives its columns (Re P, Im P) from
 g'(P): [Re g', -Im g'] in the Re g row and [Im g', Re g'] in the Im g
-row.  For the moments
+row.  With s_1, s_2, s_3 the elementary symmetric functions of the other
+three ends, de1/dP = 1, de2/dP = s_1 and de3/dP = s_2.  Over band 1 and
+over the gap, dR/dP = -R / (2 (w - P)) and R = 0 at the moving limits, so
 
-    de1/dP = 1,   de2/dP = e1 - P,   de3/dP = e2 - P (e1 - P).
-
-For the Boutroux integrals, R^2 = prod (w - P_j) gives
-dR/dP = -R / (2 (w - P)), and
-
-    d/dP int R dw = -1/2 int R / (w - P) dw
-
-over band 1 and over the gap.  The terms from moving the limits of
-integration vanish because R is zero at the ends of a band and of the
-gap; where P is such an end, the square-root zero of R times sin(theta)
-cancels the 1/(w - P), so the integrand stays smooth on the theta nodes.
-The code differentiates the t = cos(theta) rule itself, its nodes moving
-with the ends: the same formula up to quadrature error, and exactly the
-derivative of the residual that Newton drives to zero, also where a
-near-degenerate chain leaves the rule unresolved.
+    d/dP int R dw = -1/2 int R / (w - P) dw = -1/2 (I_3 - s_1 I_2 + s_2 I_1 - s_3 I_0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -82,6 +80,7 @@ class EndpointSet:
     C: complex
     D: complex
     x: complex
+    moments: np.ndarray = field(default=None, compare=False, repr=False)
 
     def points(self):
         return (self.A, self.B, self.C, self.D)
@@ -152,7 +151,6 @@ def _theta_nodes(m):
 BAND1, GAP, BAND2 = 0, 1, 2
 
 
-@lru_cache(maxsize=3)
 def segment_rule(e, seg, m):
     """The t = cos(theta) rule with m nodes on band 1, the gap or band 2.
 
@@ -161,9 +159,7 @@ def segment_rule(e, seg, m):
     R at the nodes: R_plus on a band, whose own root factor is
     i half sin(theta) there.  R and dw both vanish like sin(theta) at the
     ends, so f R dw and f dw / R are smooth in theta and the rule
-    converges spectrally for both.  The last three rules are kept
-    (read-only), so a pipeline's constants and periods build each segment
-    once.
+    converges spectrally for both.
     """
     p, q = e.points()[seg:seg + 2]
     t, sin, wt = _theta_nodes(m)
@@ -175,10 +171,22 @@ def segment_rule(e, seg, m):
         R = _band_root(e.A, e.B, w) * 1j * half * sin
     else:
         R = R_eval(w, e, guard=False)
-    rule = (w, half * wt, R)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return w, half * wt, R
+
+
+def segment_moments(e, seg, m):
+    """The moments I_k = int w^k dw/R, k = 0, 1, 2, of one segment by its m-node rule."""
+    w, dw, R = segment_rule(e, seg, m)
+    f = dw / R
+    fw = f * w
+    return np.array([f.sum(), fw.sum(), (fw * w).sum()])
+
+
+def chain_moments(e):
+    """The moments of band 1, the gap and band 2 at m(e), one row each; a solved chain has two."""
+    m = adaptive_band_nodes(e)
+    head = [segment_moments(e, seg, m) for seg in (BAND1, GAP)] if e.moments is None else e.moments
+    return np.vstack([head, segment_moments(e, BAND2, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -195,39 +203,41 @@ def symmetric_functions(e):
     return e1, e2, e3, e4
 
 
-# t = cos(theta) nodes per segment of the Newton system
-NEWTON_NODES = 96
+def moment_reduction(e):
+    """Rows a_3, a_4, r with I_3 = M a_3, I_4 = M a_4 and int R dw = M r (module docstring).
+
+    M holds the moments I_0, I_1, I_2 of each segment in its last axis.
+    """
+    e1, e2, e3, e4 = symmetric_functions(e)
+    c0, c1, c2, c3 = e4, -e3, e2, -e1
+    a3 = np.array([c1, 2.0 * c2, 3.0 * c3]) / -4.0
+    a4 = (np.array([c0, 1.5 * c1, 2.0 * c2]) + 2.5 * c3 * a3) / -3.0
+    return a3, a4, np.array([c0, c1, c2]) + c3 * a3 + a4
 
 
 def _system(e, m):
-    """Residuals at e and the band-1 and gap node terms they are summed from.
-
-    The node terms are (t, band1, gap), each segment as (v, w, half):
-    v = dw R, the node terms of int R dw, w the nodes and half the
-    half-length of the segment.
-    """
+    """Residuals at e and the band-1 and gap moments at m nodes they are built from."""
     if e.separation() < 1e-6:
         raise DegenerateEndpoints("endpoint separation below 1e-6")
     e1, e2, e3, _ = symmetric_functions(e)
     m2_target = e.x / 2.0
-    terms = []
-    for seg in (BAND1, GAP):
-        w, dw, R = segment_rule(e, seg, m)
-        p, q = e.points()[seg:seg + 2]
-        terms.append((dw * R, w, 0.5 * (q - p)))
-    bt1, btg = np.sum(terms[0][0]), np.sum(terms[1][0])
+    moments = np.array([segment_moments(e, seg, m) for seg in (BAND1, GAP)])
+    bt1, btg = moments @ moment_reduction(e)[2]
     F = np.array([
         e1.real, e1.imag,
         (e2 - m2_target).real, (e2 - m2_target).imag,
         (e3 + 1j).real, (e3 + 1j).imag,
         bt1.imag, btg.imag,
     ])
-    return F, (_theta_nodes(m)[0], *terms)
+    return F, moments
 
 
-def residuals(e, m=NEWTON_NODES):
-    """Eight real residuals: moments (6) and Boutroux imaginary parts (2)."""
-    return _system(e, m)[0]
+def residuals(e, m=None):
+    """Eight real residuals: moment conditions (6) and Boutroux imaginary parts (2).
+
+    The Boutroux integrals sum at m nodes, by default m(e) as in the Newton.
+    """
+    return _system(e, adaptive_band_nodes(e) if m is None else m)[0]
 
 
 def _vec_to_set(v, x):
@@ -240,39 +250,23 @@ def _set_to_vec(e):
                      e.C.real, e.C.imag, e.D.real, e.D.imag])
 
 
-def _rule_derivatives(v, t, w, half, others):
-    """Endpoint derivatives of a t-rule sum over a band or the gap.
-
-    ``v`` are the weighted node values of int R dw over the segment
-    w = mid + half t, which vanish like half^2 (1 - t^2) at its ends.
-    The nodes move with the two ends, so differentiating the sum itself
-    gives, for the start, the end and the two ``others``,
-    sum v [(1 -+ t)/4 sum_others 1/(w - Q) -+ 1/half] and
-    -1/2 sum v/(w - Q): no division by a distance to a segment end.
-    """
-    inv = sum(1.0 / (w - q) for q in others)
-    return (np.sum(v * (0.25 * (1.0 - t) * inv - 1.0 / half)),
-            np.sum(v * (0.25 * (1.0 + t) * inv + 1.0 / half)),
-            *(-0.5 * np.sum(v / (w - q)) for q in others))
-
-
-def jacobian(e, nodes):
-    """Analytic 8x8 Jacobian of ``residuals`` in (Re A, Im A, ..., Re D, Im D).
+def jacobian(e, moments):
+    """Analytic 8x8 Jacobian of the eight conditions in (Re A, Im A, ..., Re D, Im D).
 
     Every condition is the real or imaginary part of a function g
     holomorphic in each endpoint P, so its two columns for P follow from
-    g'(P) by Cauchy-Riemann (see the module docstring).  ``nodes`` are the
-    node terms of ``_system`` at e, from which the Boutroux derivatives
-    are summed.
+    g'(P) by Cauchy-Riemann.  The Boutroux derivatives are combinations
+    of ``moments``, the band-1 and gap moments of ``_system`` at e (see
+    the module docstring).
     """
-    A, B, C, D = pts = np.array(e.points())
-    e1, e2, _, _ = symmetric_functions(e)
-    de2 = e1 - pts
-    t, (v1, w1, h1), (vg, wg, hg) = nodes
-    dA1, dB1, dC1, dD1 = _rule_derivatives(v1, t, w1, h1, (C, D))
-    dBg, dCg, dAg, dDg = _rule_derivatives(vg, t, wg, hg, (A, D))
-    g = np.array([np.ones(4), de2, e2 - pts * de2,
-                  [dA1, dB1, dC1, dD1], [dAg, dBg, dCg, dDg]])
+    pts = np.array(e.points())
+    e1, e2, e3, _ = symmetric_functions(e)
+    s1 = e1 - pts
+    s2 = e2 - pts * s1
+    s3 = e3 - pts * s2
+    I3 = moments @ moment_reduction(e)[0]
+    dR = -0.5 * (I3[:, None] + moments @ np.array([-s3, s2, -s1]))
+    g = np.vstack([np.ones(4), s1, s2, dR])
     J = np.empty((8, 8))
     re_rows, im_rows = [0, 2, 4], [1, 3, 5, 6, 7]
     J[re_rows, 0::2] = g[:3].real
@@ -283,18 +277,18 @@ def jacobian(e, nodes):
 
 
 def _newton(x, v0):
-    # one residual pass per trial point; the Jacobian reuses the nodes of
-    # the accepted one
+    # one residual pass per trial point, at its own m(e); the Jacobian
+    # reuses the moments of the accepted one, and so does a pipeline
     v = v0.copy()
     e = _vec_to_set(v, x)
-    F, nodes = _system(e, NEWTON_NODES)
+    F, moments = _system(e, adaptive_band_nodes(e))
     n_iter = 0
     while np.max(np.abs(F)) > 1e-11:
         n_iter += 1
         if n_iter > 100:
             raise NonConvergence(f"endpoint Newton did not converge at x={x}")
         try:
-            step = np.linalg.solve(jacobian(e, nodes), -F)
+            step = np.linalg.solve(jacobian(e, moments), -F)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"singular Jacobian at x={x}") from exc
         lam = 1.0
@@ -303,17 +297,17 @@ def _newton(x, v0):
             v_try = v + lam * step
             e_try = _vec_to_set(v_try, x)
             try:
-                F_try, nodes_try = _system(e_try, NEWTON_NODES)
+                F_try, moments_try = _system(e_try, adaptive_band_nodes(e_try))
             except DegenerateEndpoints:
                 lam *= 0.5
                 continue
             if np.max(np.abs(F_try)) < norm0:
-                v, e, F, nodes = v_try, e_try, F_try, nodes_try
+                v, e, F, moments = v_try, e_try, F_try, moments_try
                 break
             lam *= 0.5
         else:
             raise NonConvergence(f"endpoint Newton stalled at x={x}")
-    return v, F, n_iter
+    return v, F, n_iter, moments
 
 
 def degenerate_seed(x):
@@ -340,12 +334,14 @@ def solve_endpoints(x, seed=None):
     (``degenerate_seed``): at the region's boundary the two bands fall
     back onto a, c, c, b.  This cold chain depends on x alone.  A seeded
     solve starts from ``seed``, a solved chain near x, and may be asked
-    for any x; its last bits depend on the seed.
+    for any x; its last bits depend on the seed.  A chain solved below the
+    axis carries the moments of the Newton's accepted pass.
     """
     x = complex(x)
     if x.imag > 0:
         return solve_endpoints(x.conjugate(), None if seed is None else seed.mirror()).mirror()
-    e = _vec_to_set(_newton(x, _set_to_vec(seed or degenerate_seed(x)))[0], x)
+    v, _, _, moments = _newton(x, _set_to_vec(seed or degenerate_seed(x)))
+    e = replace(_vec_to_set(v, x), moments=moments)
     contours_for(e)
     return e
 
@@ -479,21 +475,21 @@ def adaptive_band_nodes(e):
     pts = e.points()
     scale = max(abs(p - q) for p in pts for q in pts)
     m = int(16.0 * np.sqrt(max(scale / max(e.separation(), 1e-9), 1.0)) * 8)
-    return int(np.clip(m, 128, 1024))
+    return min(max(m, 128), 1024)
 
 
-def spectral_constants(e, m):
+def spectral_constants(e, moments):
     """Jump constants omega and Omega of the phase H, from their cycle integrals.
 
     The gap jump collapses onto band 2 around the D end of the chain, and
     the band-2 jump onto the gap: omega = 4 int_{Sigma2} R_plus dw and
     Omega = -4 int_Gamma R dw, signs fixed by the orientations of
     ``segment_rule`` (R_plus on a band, the + side of the gap), not by x.
-    Reality of these values is equivalent to the Boutroux conditions.
+    ``moments`` are ``chain_moments(e)``.  Reality of these values is
+    equivalent to the Boutroux conditions.
     """
-    I2, Ig = (np.sum(dw * R) for _, dw, R in (segment_rule(e, BAND2, m),
-                                               segment_rule(e, GAP, m)))
-    omega, Omega = 4.0 * I2, -4.0 * Ig
+    gap, band2 = moments[GAP:] @ moment_reduction(e)[2]
+    omega, Omega = 4.0 * band2, -4.0 * gap
     if abs(omega.imag) > 1e-8 or abs(Omega.imag) > 1e-8:
         raise RealityViolation("omega/Omega acquired an imaginary part > 1e-8")
     return SpectralConstants(omega=float(omega.real), Omega=float(Omega.real))

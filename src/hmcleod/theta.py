@@ -148,54 +148,54 @@ class AbelMap:
     def __init__(self, e):
         self.e = e
 
-    def _closed_form(self, z):
+    def _arguments(self, z):
         A, B, C, D = self.e.points()
         q = [1.0 if cmath.isinf(z) else (z - p) / (z - A) for p in (B, C, D)]
-        return 2.0 * carlson_rf(q[0] * (A - C) * (A - D), q[1] * (A - B) * (A - D),
-                                q[2] * (A - B) * (A - C))
+        return q[0] * (A - C) * (A - D), q[1] * (A - B) * (A - D), q[2] * (A - B) * (A - C)
 
     def raw_integral(self, zs):
         """int_A^z dw/R at each z of zs (inf included), modulo the periods.
 
-        The sign makes it a primitive of 1/R_eval: a central difference at
-        z, or at a far point for z = inf.
+        The sign makes it a primitive of 1/R_eval.  The closed form's
+        derivative is 1/W, W = (z-A)^2 sqrt(U_B) sqrt(U_C) sqrt(U_D) /
+        ((A-B)(A-C)(A-D)) with principal roots, and W = +-R: the sign is +
+        where Re(W / R_eval) > 0 at z, or at a far point for z = inf.
         """
-        pts = self.e.points()
+        A, B, C, D = pts = self.e.points()
         out = []
         for z in map(complex, zs):
             at = 1e3 * (1.0 + max(map(abs, pts))) if cmath.isinf(z) else z
-            h = 1e-4 * min(abs(at - p) for p in pts)
-            slope = (self._closed_form(at + h) - self._closed_form(at - h)) / (2.0 * h)
-            sign = 1.0 if (slope * ep.R_eval(at, self.e, guard=False)).real > 0 else -1.0
-            out.append(sign * self._closed_form(z))
+            U_B, U_C, U_D = self._arguments(at)
+            W = ((at - A) ** 2 * cmath.sqrt(U_B) * cmath.sqrt(U_C) * cmath.sqrt(U_D)
+                 / ((A - B) * (A - C) * (A - D)))
+            sign = 1.0 if (W / ep.R_eval(at, self.e, guard=False)).real > 0 else -1.0
+            out.append(sign * 2.0 * carlson_rf(*self._arguments(z)))
         return out
 
 
-def compute_periods(e, constants, m):
+def compute_periods(e, constants, moments):
     """Period data needed by the two-band asymptotic value at one x.
 
-    Returns the period data and the Abel map's value A(Q).  A_inf and
-    A(Q) come from ``AbelMap``'s closed form, modulo the lattice.  The
+    Returns the period data and the Abel map's value A(Q).  Every period
+    is a combination of ``moments``, the ``endpoints.chain_moments`` of e
+    (rows band 1, gap, band 2; columns I_0, I_1, I_2).  A_inf and A(Q)
+    come from ``AbelMap``'s closed form, modulo the lattice.  The
     straight chain placement is used throughout (every quantity here is
     invariant under deformations that do not cross other cuts).
     """
-    w1, dw1, R1 = ep.segment_rule(e, ep.BAND1, m)
-    wg, dwg, Rg = ep.segment_rule(e, ep.GAP, m)
-    _, dw2, R2 = ep.segment_rule(e, ep.BAND2, m)
-    a_inv = -2.0 * np.sum(dw1 / R1)
+    (I0_1, _, I2_1), (gap_inv, _, I2_g), (I0_2, _, _) = moments
+    a_inv = -2.0 * I0_1
     nu = 2j * np.pi / a_inv
     A_minus1 = -nu
 
-    gap_inv = np.sum(dwg / Rg)
     b_sign = 1 if (nu * (2.0 * gap_inv)).real < 0 else -1
     B_period = nu * (b_sign * 2.0 * gap_inv)
     if not B_period.real < 0:
         raise NormalizationFailure("no b-cycle orientation gives Re(B) < 0")
 
-    c_upsilon = (-2.0 * np.sum(dw1 * w1 ** 2 / R1)) / (2j * np.pi)
-    U = b_sign * 2.0 * np.sum(dwg * (wg ** 2 - c_upsilon * nu) / Rg)
-    F1 = (1j * constants.omega * gap_inv
-          + 1j * constants.Omega * np.sum(dw2 / R2)) / (2j * np.pi)
+    c_upsilon = (-2.0 * I2_1) / (2j * np.pi)
+    U = b_sign * 2.0 * (I2_g - c_upsilon * nu * gap_inv)
+    F1 = (1j * constants.omega * gap_inv + 1j * constants.Omega * I0_2) / (2j * np.pi)
     K = 1j * np.pi + B_period / 2.0
     A, B, C, D = e.points()
     Q = (B * D - A * C) / (B + D - A - C)
@@ -251,9 +251,9 @@ class Genus1Pipeline:
     def __init__(self, x, seed=None):
         self.e = ep.solve_endpoints(x, seed=seed)
         self.x = complex(self.e.x)
-        m = ep.adaptive_band_nodes(self.e)
-        self.constants = ep.spectral_constants(self.e, m)
-        self.periods, self.A_Q = compute_periods(self.e, self.constants, m=m)
+        moments = ep.chain_moments(self.e)
+        self.constants = ep.spectral_constants(self.e, moments)
+        self.periods, self.A_Q = compute_periods(self.e, self.constants, moments)
 
     def theta_shift(self, k):
         """Argument shift of the theta ratios: k F1 U plus a half period.

@@ -191,7 +191,7 @@ def test_criterion_7_endpoint_solver(shared_cache):
             assert ep.jump_lambda(pipe.e, sc) == Lambda
             assert abs(omega_end - sc.omega) <= 1e-8 * max(1.0, abs(sc.omega))
             # a seeded solve below the axis is this one Newton run
-            _, _, n_iter = ep._newton(x + 0.05, ep._set_to_vec(pipe.e))
+            _, _, n_iter, _ = ep._newton(x + 0.05, ep._set_to_vec(pipe.e))
             assert n_iter <= 10
 
 

@@ -116,7 +116,7 @@ def test_three_half_power_at_D(solved, pipe_refpoint):
 
 def test_continuation_newton_steps(solved):
     # a seeded solve below the axis is this one Newton run
-    _, F, n_iter = ep._newton(solved.x + 0.05, ep._set_to_vec(solved))
+    _, F, n_iter, _ = ep._newton(solved.x + 0.05, ep._set_to_vec(solved))
     assert n_iter <= 10
     assert np.max(np.abs(F)) <= 1e-10
 
@@ -126,7 +126,7 @@ def test_cold_solve_is_one_newton_from_the_split_seed():
     # split one-band data, to the bit: near the apex, inside, far out
     for x in (-1.5 - 3.05j, -1.5 - 10j, 10.0 - 24j):
         e = ep.solve_endpoints(x)
-        v, F, n_iter = ep._newton(x, ep._set_to_vec(ep.degenerate_seed(x)))
+        v, F, n_iter, _ = ep._newton(x, ep._set_to_vec(ep.degenerate_seed(x)))
         assert e.x == x and e.points() == ep._vec_to_set(v, x).points()
         assert n_iter >= 1
         assert np.max(np.abs(F)) <= 1e-11
@@ -279,14 +279,15 @@ def _central_differences(e):
 
 def test_analytic_jacobian_matches_differences(solved):
     upper = ep.solve_endpoints(-4 + 8j)
-    # the split one-band seed with its bands turned by 0.5 rad about c(x)
+    # the split one-band seed with its bands turned by -0.5 rad about c(x)
+    # (turned by +0.5 rad, band 2 crosses band 1, and R_plus jumps on band 1)
     x = -1.4999999999999993 - 3.048076211353316j
     d = g0.genus0_data(x)
-    u = (d.b - d.a) / abs(d.b - d.a) * np.exp(0.5j)
+    u = (d.b - d.a) / abs(d.b - d.a) * np.exp(-0.5j)
     seed = ep.EndpointSet(A=d.a, B=d.c - 0.06 * u, C=d.c + 0.06 * u, D=d.b, x=x)
     for e in (solved, upper, seed):
         J_fd = _central_differences(e)
-        J = ep.jacobian(e, ep._system(e, ep.NEWTON_NODES)[1])
+        J = ep.jacobian(e, ep._system(e, ep.adaptive_band_nodes(e))[1])
         assert np.max(np.abs(J - J_fd)) <= 1e-7 * np.max(np.abs(J_fd))
 
 
@@ -329,8 +330,22 @@ def test_jump_lambda_accepts_the_fixed_sign_constants(x):
     # their values from H at the chain ends, which jump_lambda checks to a
     # relative 1e-3
     e = ep.solve_endpoints(x)
-    sc = ep.spectral_constants(e, ep.adaptive_band_nodes(e))
+    sc = ep.spectral_constants(e, ep.chain_moments(e))
     assert np.isfinite(ep.jump_lambda(e, sc))
+
+
+@pytest.mark.parametrize("x", FIXED_SIGN_POINTS)
+def test_moment_reduction_matches_direct_sums(x):
+    # I_3, I_4 and int R dw rebuilt from I_0, I_1, I_2 at m(e) match their
+    # direct 1,024-node sums on band 1, the gap and band 2
+    e = ep.solve_endpoints(x)
+    moments = ep.chain_moments(e)
+    rebuilt = [moments @ a for a in ep.moment_reduction(e)]
+    for seg in (ep.BAND1, ep.GAP, ep.BAND2):
+        w, dw, R = ep.segment_rule(e, seg, 1024)
+        for got, want in zip(rebuilt, (np.sum(dw * w ** 3 / R), np.sum(dw * w ** 4 / R),
+                                       np.sum(dw * R))):
+            assert abs(got[seg] - want) <= 1e-11 * abs(want)
 
 
 def test_jump_lambda_rejects_a_wrong_sign(solved, pipe_refpoint):
@@ -347,4 +362,4 @@ def test_spectral_constants_reject_a_non_boutroux_chain(solved):
     # omega and Omega are no longer real
     e = ep.EndpointSet(A=solved.A, B=solved.B, C=solved.C, D=solved.D + 0.05j, x=solved.x)
     with pytest.raises(RealityViolation):
-        ep.spectral_constants(e, ep.adaptive_band_nodes(e))
+        ep.spectral_constants(e, ep.chain_moments(e))

@@ -6,6 +6,7 @@ import pytest
 
 from hmcleod import cli, commands
 from hmcleod import endpoints as ep
+from hmcleod import genus0 as g0
 from hmcleod import quadrature as quad
 from hmcleod import theta as th
 from hmcleod.errors import NonConvergence, NormalizationFailure, ThetaZero, WrongRegion
@@ -65,14 +66,41 @@ def test_period_data_invariants(pipe_refpoint):
 
 
 def test_pipeline_evaluates_each_segment_rule_once(pipe_refpoint, monkeypatch):
-    # the constants and the periods share the three t = cos(theta) rules
-    # at the pipeline's node count; the seeded Newton uses its own count
-    counts = []
-    nodes = ep._theta_nodes
-    monkeypatch.setattr(ep, "_theta_nodes", lambda m: counts.append(m) or nodes(m))
-    ep.segment_rule.cache_clear()
-    pipe = th.Genus1Pipeline(pipe_refpoint.x + 0.05, seed=pipe_refpoint.e)
-    assert counts.count(ep.adaptive_band_nodes(pipe.e)) == 3
+    # the Newton's accepted pass gives the band-1 and gap moments, so a
+    # warm pipeline sums one segment, band 2, beyond its Newton's passes
+    segments, passes = [], []
+    rule, system = ep.segment_rule, ep._system
+    monkeypatch.setattr(ep, "segment_rule", lambda e, seg, m: segments.append(seg) or rule(e, seg, m))
+    monkeypatch.setattr(ep, "_system", lambda e, m: passes.append(m) or system(e, m))
+    th.Genus1Pipeline(pipe_refpoint.x + 0.05, seed=pipe_refpoint.e)
+    assert passes and segments == [ep.BAND1, ep.GAP] * len(passes) + [ep.BAND2]
+
+
+def _closed_form(abel, z):
+    return 2.0 * th.carlson_rf(*abel._arguments(z))
+
+
+def _central_difference_sign(abel, z):
+    """The sign that makes the closed form a primitive of 1/R_eval, by a central difference."""
+    pts = abel.e.points()
+    at = 1e3 * (1.0 + max(map(abs, pts))) if np.isinf(z) else z
+    h = 1e-4 * min(abs(at - p) for p in pts)
+    slope = (_closed_form(abel, at + h) - _closed_form(abel, at - h)) / (2.0 * h)
+    return 1.0 if (slope * ep.R_eval(at, abel.e, guard=False)).real > 0 else -1.0
+
+
+def test_abel_sign_matches_a_central_difference():
+    # the sign that raw_integral reads from the closed form's derivative at
+    # one point is the central difference's, at infinity and at 1,050 z
+    # with |z| from 1e-2 to 1e3, on 7 chains
+    rng = np.random.default_rng(43)
+    for x in (-1.5 - 10j, -1.5 + 10j, -4.0 - 8j, 1.0 - 8j, 5.0 - 19j, -1.6 - 3.3j,
+              -6 - 10.4347826j):
+        abel = th.AbelMap(ep.solve_endpoints(x))
+        r, turn = 10.0 ** rng.uniform(-2.0, 3.0, 150), rng.random(150)
+        zs = [complex(np.inf), *map(complex, r * np.exp(2j * np.pi * turn))]
+        for z, value in zip(zs, abel.raw_integral(zs)):
+            assert value == _central_difference_sign(abel, z) * _closed_form(abel, z)
 
 
 def test_abel_base_and_infinity(pipe_refpoint):
@@ -355,3 +383,31 @@ def test_endpoints_dump_next_to_the_boundary(tmp_path):
                      "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert all(np.isfinite(v) for v in doc["periods"]["Upsilon0_const"])
+
+
+def _near_boundary_points():
+    """Points 1e-4 and 1e-5 inside the lower ray and the curved branch of the boundary."""
+    ray = g0._RAY_DIR_MINUS
+    pts = []
+    for d in (1e-4, 1e-5):
+        pts += [pytest.param(complex(g0.APEX_MINUS + t * ray + d * 1j * ray), id=f"ray{t}-{d:g}")
+                for t in (0.5, 2.0, 5.0, 10.0, 20.0)]
+        for row in (-18.799426547935568, -14.0, -6.078918103707684):
+            ray_re = g0.APEX_PLUS.real - (-row - g0.APEX_PLUS.imag) / np.sqrt(3.0)
+            branch = g0._row_roots(row, ray_re + 1e-6, g0._BRANCH_RE_MAX)[0] + 1j * row
+            pts.append(pytest.param(complex(branch - d), id=f"branch{row:.2f}-{d:g}"))
+    return pts
+
+
+@pytest.mark.parametrize("x", _near_boundary_points())
+def test_pipelines_build_next_to_the_boundary(x, monkeypatch):
+    # the band and gap sums are resolved at every separation: the pipeline,
+    # Lambda and the Upsilon constants are finite, and the chain is the one
+    # a cold 2048-node Newton finds (measured: 7.4e-10 at worst)
+    pipe = th.Genus1Pipeline(x)
+    assert np.isfinite(pipe.value(1))
+    assert np.isfinite(ep.jump_lambda(pipe.e, pipe.constants))
+    assert all(np.isfinite(c) for c in pipe.upsilon_constants())
+    monkeypatch.setattr(ep, "adaptive_band_nodes", lambda e: 2048)
+    reference = ep.solve_endpoints(x)
+    assert max(abs(p - q) for p, q in zip(pipe.e.points(), reference.points())) <= 1e-9
